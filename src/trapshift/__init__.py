@@ -33,7 +33,7 @@ from .hamiltonian import (
     crossing_point,
     default_n_max,
 )
-from .params import SidebandId, TrapParams
+from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
 from .resolvent import (
     LevelShiftElements,
     PerturbativeShift,
@@ -44,16 +44,29 @@ from .resolvent import (
     level_shift_diag,
     splitting_half,
 )
-from .spectrum import (
-    DressedSpectrum,
-    ShiftReport,
-    convergence,
-    eigenlevels,
-    find_resonance,
-    measure_splitting,
-    sweep_spectrum,
-    track_branch,
-)
+
+# Names of the exact-diagonalization pipeline.  ``spectrum`` imports
+# scipy.optimize, which roughly doubles the memory and import time of a
+# closed-form-only caller, so it is loaded on first access to one of these.
+_SPECTRUM_NAMES = frozenset({
+    "DressedSpectrum",
+    "ShiftReport",
+    "convergence",
+    "eigenlevels",
+    "find_resonance",
+    "measure_splitting",
+    "sweep_spectrum",
+    "track_branch",
+})
+
+
+def __getattr__(name: str):
+    if name in _SPECTRUM_NAMES:
+        from . import spectrum
+
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -65,6 +78,7 @@ __all__ = [
     "GROUND",
     "HamiltonianMatrix",
     "LevelShiftElements",
+    "PerturbativeRegimeWarning",
     "PerturbativeShift",
     "ResonanceWindowError",
     "ShiftReport",

@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,9 @@ from . import __version__
 from .errors import TrapshiftError
 from .fock import chi_magnitude, coupling_table, displacement_oracle
 from .hamiltonian import bare_energy
-from .params import SidebandId, TrapParams
+from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
 from .resolvent import bs_shift, bs_shift_literature, eta_zero_shift
-from .spectrum import find_resonance, sweep_spectrum
+from .spectrum import ShiftReport, find_resonance, sweep_spectrum
 
 ATOMIC_MASS = physical_constants["atomic mass constant"][0]
 
@@ -244,6 +245,14 @@ def _hz(value_dimensionless: float | None, omega_phys: float | None) -> float | 
     return value_dimensionless * omega_phys / (2.0 * math.pi)
 
 
+def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport) -> None:
+    print(
+        f"not converged: the exact shift of ({sideband.n_g},{sideband.n_e}) at eta={eta!r} "
+        f"moves when the basis n_max={report.n_max_used} is doubled; raise --nmax",
+        file=sys.stderr,
+    )
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -283,11 +292,17 @@ def cmd_shift(cfg: Resolved) -> int:
         ]
     config = {"command": "shift", **meta, "n_g": sideband.n_g, "n_e": sideband.n_e}
     write_output(config, columns, [row], cfg.get("format", "csv"), cfg.get("out"))
+    if not report.converged:
+        _report_not_converged(sideband, params.eta, report)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
 def cmd_sweep(cfg: Resolved) -> int:
-    params, omega_phys, meta = _resolve_physics(cfg)
+    # The sweep diagonalizes exactly and uses no perturbative formula.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
+        params, omega_phys, meta = _resolve_physics(cfg)
     lo = float(cfg.get("delta_min", SWEEP_DEFAULTS["delta_min"]))
     hi = float(cfg.get("delta_max", SWEEP_DEFAULTS["delta_max"]))
     points = int(cfg.get("points", SWEEP_DEFAULTS["points"]))
@@ -351,11 +366,15 @@ def cmd_scan_eta(cfg: Resolved) -> int:
     is_first_red = (sideband.n_g, sideband.n_e) == (1, 0)
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
     rows: list[list] = []
+    all_converged = True
     for eta in np.linspace(lo, hi, points):
         params = TrapParams(rabi=rabi_value, eta=float(eta))
         pert = bs_shift(sideband, params, k_max=k_max)
         n_max = int(n_max_opt) if n_max_opt is not None else None
         report = find_resonance(sideband, params, n_max=n_max)
+        if not report.converged:
+            _report_not_converged(sideband, params.eta, report)
+            all_converged = False
         rows.append([
             float(eta), report.delta_omega, pert.delta_omega_full,
             pert.delta_omega_ld,
@@ -367,7 +386,7 @@ def cmd_scan_eta(cfg: Resolved) -> int:
         "eta_min": lo, "eta_max": hi, "points": points, "units": "dimensionless",
     }
     write_output(config, columns, rows, cfg.get("format", "csv"), cfg.get("out"))
-    return EXIT_OK
+    return EXIT_OK if all_converged else EXIT_NUMERIC
 
 
 def cmd_sidebands(cfg: Resolved) -> int:

@@ -16,6 +16,10 @@ from dataclasses import dataclass, replace
 PERTURBATIVE_RATIO_LIMIT = 0.1
 
 
+class PerturbativeRegimeWarning(UserWarning):
+    """The drive is too strong for the perturbative shift formulas."""
+
+
 @dataclass(frozen=True)
 class TrapParams:
     """Trap frequency, Rabi frequency, Lamb-Dicke parameter and detuning.
@@ -45,7 +49,8 @@ class TrapParams:
                 f"rabi/omega_t = {self.rabi / self.omega_t:.3g} exceeds "
                 f"{PERTURBATIVE_RATIO_LIMIT}; perturbative shift formulas "
                 "lose accuracy in this regime",
-                stacklevel=2,
+                PerturbativeRegimeWarning,
+                stacklevel=3,  # past the dataclass-generated __init__, to its caller
             )
 
     def with_delta(self, delta: float) -> TrapParams:

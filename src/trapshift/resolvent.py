@@ -93,15 +93,21 @@ def _sum_terms(
     exclude: int,
     eta: float,
     k_max: int,
-    denom: Callable[[int], float],
-) -> tuple[float, int, float]:
-    """fsum of |chi_{chi_center,k}|^2 / denom(k) over k != exclude, 0 <= k <= k_max.
+    *denoms: Callable[[int], float],
+) -> tuple[tuple[float, ...], int, int]:
+    """fsums of |chi_{chi_center,k}|^2 / denom(k) over k != exclude, 0 <= k <= k_max.
+
+    Each |chi|^2 is evaluated once and divided by every denominator in
+    ``denoms``, giving one sum per denominator; the first denominator's terms
+    drive the stopping rule.  Returns (sums, largest retained k, distance d
+    reached), where d is where a tail bound would start.
 
     Terms are generated in ascending |k - chi_center| so that the exactly
     rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
     order; this makes carrier nulls and sideband swaps cancel exactly.
     """
-    terms: list[float] = []
+    columns: tuple[list[float], ...] = tuple([] for _ in denoms)
+    lead = columns[0]
     running = 0.0
     k_used = 0
     d_settle = abs(chi_center - exclude) + 1
@@ -112,20 +118,38 @@ def _sum_terms(
             if k < 0 or k > k_max or k == exclude:
                 continue
             m = chi_magnitude(chi_center, k, eta)
-            terms.append(m * m / denom(k))
-            running += abs(terms[-1])
+            weight = m * m
+            for column, denom in zip(columns, denoms):
+                column.append(weight / denom(k))
+            running += abs(lead[-1])
             k_used = max(k_used, k)
         d += 1
         if chi_center - d < 0 and chi_center + d > k_max:
             break
         if d >= d_settle and _term_majorant(eta, chi_center, d) < TERM_CUTOFF * running:
             break
-    return math.fsum(terms), k_used, _tail_bound(eta, chi_center, d)
+    return tuple(math.fsum(column) for column in columns), k_used, d
 
 
 def _tail_bound(eta: float, center: int, d_start: int) -> float:
     """Majorant for everything beyond distance d_start (both sides of center)."""
     return 2.0 * math.fsum(_term_majorant(eta, center, d) for d in range(d_start, d_start + 60))
+
+
+def _level_shift_denominators(
+    sideband: SidebandId, params: TrapParams
+) -> tuple[float, Callable[[int], float], Callable[[int], float]]:
+    """(E0, k -> E0 - E_{e,k}, k -> E0 - E_{g,k}) at the crossing detuning.
+
+    The two maps are the denominators of R_gg and R_ee respectively.
+    """
+    e0, delta0 = crossing_point(sideband, params)
+    at_crossing = params.with_delta(delta0)
+    return (
+        e0,
+        lambda k: e0 - bare_energy(EXCITED, k, at_crossing),
+        lambda k: e0 - bare_energy(GROUND, k, at_crossing),
+    )
 
 
 def _resolve_k_max(sideband: SidebandId, k_max: int | None) -> int:
@@ -147,33 +171,21 @@ def level_shift_diag(
     denominator can vanish.
     """
     k_max = _resolve_k_max(sideband, k_max)
-    e0, delta0 = crossing_point(sideband, params)
-    at_crossing = params.with_delta(delta0)
+    e0, to_excited, to_ground = _level_shift_denominators(sideband, params)
     half_sq = (0.5 * params.rabi) ** 2
 
-    s_gg, k_gg, tail_gg = _sum_terms(
-        sideband.n_g,
-        sideband.n_e,
-        params.eta,
-        k_max,
-        lambda k: e0 - bare_energy(EXCITED, k, at_crossing),
-    )
-    s_ee, k_ee, tail_ee = _sum_terms(
-        sideband.n_e,
-        sideband.n_g,
-        params.eta,
-        k_max,
-        lambda k: e0 - bare_energy(GROUND, k, at_crossing),
-    )
+    (s_gg,), k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max, to_excited)
+    (s_ee,), k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta, k_max, to_ground)
     tail_scale = half_sq / params.omega_t
+    tail = _tail_bound(params.eta, sideband.n_g, d_gg) + _tail_bound(params.eta, sideband.n_e, d_ee)
     return LevelShiftElements(
         sideband=sideband,
         r_gg=half_sq * s_gg,
         r_ee=half_sq * s_ee,
-        r_ge_abs=0.5 * params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta),
+        r_ge_abs=splitting_half(sideband, params),
         e0=e0,
         k_max_used=max(k_gg, k_ee),
-        tail_bound=tail_scale * (tail_gg + tail_ee),
+        tail_bound=tail_scale * tail,
     )
 
 
@@ -187,32 +199,39 @@ def bs_shift(
 ) -> PerturbativeShift:
     """All-order-in-eta resonance shift of a sideband (Bloch-Siegert type).
 
-    Cross-checked internally against (R_ee - R_gg) from ``level_shift_diag``;
-    a disagreement beyond rounding indicates an implementation fault and
-    raises.  Exactly zero for carriers and exactly antisymmetric under
-    exchanging n_g and n_e, by construction of the summation order.
+    One pass per side feeds two sums from the same |chi|^2 terms: the direct
+    sum over n_g - k (or n_e - k), and the level-shift sum R_ee - R_gg over
+    the literal bare-energy differences at the crossing, as in
+    ``level_shift_diag``.  The two must agree to rounding; a disagreement
+    indicates an implementation fault and raises.  The truncation bound is
+    not computed here; ``level_shift_diag`` reports it as ``tail_bound``.
+    Exactly zero for carriers and exactly antisymmetric under exchanging n_g
+    and n_e, by construction of the summation order.
     """
     k_max = _resolve_k_max(sideband, k_max)
     n_g, n_e = sideband.n_g, sideband.n_e
+    _, to_excited, to_ground = _level_shift_denominators(sideband, params)
 
-    s1, _, _ = _sum_terms(n_e, n_g, params.eta, k_max, lambda k: float(n_g - k))
-    s2, _, _ = _sum_terms(n_g, n_e, params.eta, k_max, lambda k: float(n_e - k))
+    (s1, s_ee), _, _ = _sum_terms(n_e, n_g, params.eta, k_max, lambda k: float(n_g - k), to_ground)
+    (s2, s_gg), _, _ = _sum_terms(n_g, n_e, params.eta, k_max, lambda k: float(n_e - k), to_excited)
     prefactor = params.rabi**2 / (4.0 * params.omega_t)
     shift = prefactor * (s1 - s2)
 
-    elements = level_shift_diag(sideband, params, k_max)
-    resolvent_shift = elements.r_ee - elements.r_gg
-    scale = max(abs(elements.r_gg) + abs(elements.r_ee), prefactor, 1e-300)
+    half_sq = (0.5 * params.rabi) ** 2
+    r_gg, r_ee = half_sq * s_gg, half_sq * s_ee
+    resolvent_shift = r_ee - r_gg
+    scale = max(abs(r_gg) + abs(r_ee), prefactor, 1e-300)
     if abs(shift - resolvent_shift) > 1e-14 * scale:
         raise TrapshiftError(
             f"internal inconsistency for {sideband}: direct sum {shift!r} vs "
             f"level-shift difference {resolvent_shift!r}"
         )
 
-    isolated = elements.r_ge_abs <= ISOLATION_RATIO * params.omega_t
+    r_ge_abs = splitting_half(sideband, params)
+    isolated = r_ge_abs <= ISOLATION_RATIO * params.omega_t
     if not isolated:
         warnings.warn(
-            f"splitting {elements.r_ge_abs:.3g} is not small against omega_t = "
+            f"splitting {r_ge_abs:.3g} is not small against omega_t = "
             f"{params.omega_t:.3g}; the isolated-resonance picture degrades",
             stacklevel=2,
         )

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -200,6 +201,16 @@ class TestExitCodes:
         code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"])
         assert code == 3
 
+    def test_shift_not_converged_exits_three(self, capsys):
+        code = cli.main([
+            "shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "1.0", "--nmax", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        header, row = captured.out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+        assert captured.err.startswith("not converged: the exact shift of (0,1) at eta=1.0")
+
 
 class TestSweepCommand:
     def test_zero_field_bare_lines(self, tmp_path):
@@ -236,6 +247,13 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         names = {row[1] for row in rows}
         assert names == {"g0", "e0", "bare_g0", "bare_e0"}
+
+    def test_bare_default_emits_no_warning(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["sweep", "--bare", "--points", "3", "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
     def test_row_order_delta_major(self, tmp_path):
         out = tmp_path / "order.csv"
@@ -297,6 +315,17 @@ class TestScanEtaCommand:
 
     def test_rejects_carrier(self, capsys):
         assert cli.main(["scan-eta", "--ng", "1", "--ne", "1", "--points", "3"]) == 2
+
+    def test_not_converged_exits_three(self, capsys):
+        code = cli.main(["scan-eta", "--nmax", "3", "--eta-max", "1.0", "--points", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert len(captured.out.splitlines()) == 4  # every row is still written
+        assert captured.err.splitlines() == [
+            f"not converged: the exact shift of (1,0) at eta={eta} moves when the "
+            "basis n_max=3 is doubled; raise --nmax"
+            for eta in (0.5, 1.0)
+        ]
 
 
 class TestSidebandsCommand:

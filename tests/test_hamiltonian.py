@@ -32,6 +32,11 @@ class TestTrapParams:
         with pytest.warns(UserWarning):
             ts.TrapParams(rabi=0.3, eta=0.1)
 
+    def test_warning_names_the_caller(self):
+        with pytest.warns(ts.PerturbativeRegimeWarning) as record:
+            ts.TrapParams(rabi=0.3, eta=0.1)
+        assert record[0].filename == __file__
+
     def test_with_delta(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         moved = params.with_delta(0.7)

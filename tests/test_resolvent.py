@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import trapshift as ts
+from trapshift import resolvent
 
 
 def quiet_params(**kwargs) -> ts.TrapParams:
@@ -82,6 +83,54 @@ class TestBsShift:
         fwd = ts.bs_shift(ts.SidebandId(a, b), params).delta_omega_full
         rev = ts.bs_shift(ts.SidebandId(b, a), params).delta_omega_full
         assert fwd + rev == 0.0
+
+    # delta_omega_full recorded before the direct and level-shift sums were
+    # merged into one pass per side; the merge must not move a single bit.
+    @pytest.mark.parametrize(
+        "n_g, n_e, eta, frozen",
+        [
+            (0, 1, 0.1, -4.925497922902111e-05),
+            (1, 0, 0.3, 4.364021409670116e-05),
+            (2, 4, 0.3, -2.800179264269982e-05),
+            (4, 2, 0.7, 1.5565034063838885e-05),
+            (3, 0, 0.5, 1.8971438346303213e-05),
+            (0, 3, 1.2, -1.9356302896237222e-05),
+            (5, 6, 1.2, 4.95526397867557e-07),
+            (7, 5, 0.9, -2.6989634713310985e-06),
+            (10, 7, 1.1, 7.566701599847419e-07),
+            (1, 2, 0.05, -4.9626091961587e-05),
+            (6, 9, 0.45, -2.1379879458715386e-05),
+            (9, 10, 0.83, -6.496756083550033e-07),
+        ],
+    )
+    def test_frozen_bitwise(self, n_g, n_e, eta, frozen):
+        params = ts.TrapParams(rabi=0.01, eta=eta)
+        assert ts.bs_shift(ts.SidebandId(n_g, n_e), params).delta_omega_full == frozen
+
+    def test_cross_check_is_live(self, monkeypatch):
+        bare = resolvent.bare_energy
+        monkeypatch.setattr(
+            resolvent, "bare_energy", lambda state, n, params: bare(state, n, params) + 1e-6
+        )
+        with pytest.raises(ts.TrapshiftError, match="internal inconsistency"):
+            ts.bs_shift(SB01, P01)
+
+    def test_one_chi_evaluation_per_retained_term(self, monkeypatch):
+        calls = []
+        chi_magnitude = resolvent.chi_magnitude
+
+        def counting(n, k, eta):
+            calls.append((n, k))
+            return chi_magnitude(n, k, eta)
+
+        monkeypatch.setattr(resolvent, "chi_magnitude", counting)
+        sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)
+        ts.level_shift_diag(sideband, params)
+        retained = sorted(calls)  # every retained term of both sides, plus chi_{n_g,n_e}
+        calls.clear()
+        ts.bs_shift(sideband, params)
+        assert len(calls) == len(set(calls))
+        assert sorted(calls) == retained
 
     def test_frozen_first_blue(self):
         shift = ts.bs_shift(SB01, P01).delta_omega_full

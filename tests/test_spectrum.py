@@ -1,12 +1,17 @@
 """Exact diagonalization pipeline: eigensolves, tracking, resonance location."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trapshift as ts
+from trapshift import spectrum
 from trapshift.spectrum import _DetuningScan, _locate
 
 
@@ -227,3 +232,26 @@ class TestConvergence:
     def test_carrier_trivial(self):
         n_final, shift, converged = ts.convergence(ts.SidebandId(1, 1), P01)
         assert converged and shift == 0.0
+
+
+class TestLazyImport:
+    def test_closed_form_import_leaves_spectrum_unloaded(self):
+        src = str(Path(ts.__file__).resolve().parents[1])
+        probe = (
+            "import sys, trapshift.resolvent; "
+            "print(sorted({'trapshift.spectrum', 'scipy.optimize'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_package_names_resolve(self):
+        assert ts.find_resonance is spectrum.find_resonance
+        assert ts.ShiftReport is spectrum.ShiftReport
+        with pytest.raises(AttributeError):
+            ts.no_such_name
