@@ -166,9 +166,6 @@ class Resolved:
             raise ConfigError(f"missing required option --{key.replace('_', '-')}")
         return value
 
-    def as_dict(self) -> dict:
-        return dict(self._data)
-
 
 def _resolve_physics(cfg: Resolved) -> tuple[TrapParams, float | None, dict]:
     """Build dimensionless TrapParams plus the physical omega_t when units are given."""
@@ -310,6 +307,9 @@ def cmd_sweep(cfg: Resolved) -> int:
     if not (hi > lo and points >= 2 and levels >= 1):
         raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
     n_max = cfg.get("nmax")
+    # Not default_n_max: 25 * eta**2 rounds up past an integer where its
+    # 25 * eta * eta does not (eta = 0.2, 0.4, 0.8), so the default diagram
+    # would lose a basis level and change its numbers.
     n_max = int(n_max) if n_max is not None else (levels - 1) + 15 + math.ceil(25.0 * params.eta**2)
     if levels > n_max + 1:
         raise ConfigError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")

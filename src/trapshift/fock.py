@@ -5,10 +5,12 @@ The central object is the matrix element
     chi_{nn'} = <n| exp(i*eta*(a + a^dag)) |n'>
               = exp(-eta^2/2) * (i*eta)^|n-n'| * sqrt(n_<!/n_>!) * L_{n_<}^{|n-n'|}(eta^2)
 
-with n_< (n_>) the lesser (greater) of n and n'.  ``coupling_table`` batch
-builds these from the closed form; ``displacement_oracle`` rebuilds the same
-matrix by exponentiating the truncated tridiagonal operator i*eta*(a + a^dag)
-and serves as an independent cross-check of the Laguerre route.
+with n_< (n_>) the lesser (greater) of n and n'.  ``chi_magnitude`` evaluates
+one element and ``coupling_table`` the whole truncated matrix, both through
+the three-term Laguerre recurrence in n; ``displacement_oracle`` rebuilds the
+same matrix by exponentiating the truncated tridiagonal operator
+i*eta*(a + a^dag) and serves as an independent cross-check of the Laguerre
+route.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.special import gammaln
 
-from . import _kernels
 from .params import TrapParams
 
 #: i^k for k = 0..3 as exact unit phases (1j**k would accumulate roundoff).
@@ -36,6 +37,41 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
+def _laguerre_recurrence(n: int, alpha: float, x: float) -> float:
+    """L_n^alpha(x) by the three-term recurrence in n at fixed alpha."""
+    if n == 0:
+        return 1.0
+    prev = 1.0
+    cur = 1.0 + alpha - x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
+    return cur
+
+
+def _chi_magnitudes(eta: float, n_max: int) -> np.ndarray:
+    """Real magnitude table m[n, n'] with chi_{nn'} = i^|n-n'| * m[n, n'].
+
+    m[n, n'] = exp(-eta^2/2) * eta^|n-n'| * sqrt(n_<! / n_>!) * L_{n_<}^{|n-n'|}(eta^2),
+    the factorial ratio taken through lgamma to stay finite at large n.
+    """
+    x = eta * eta
+    nb = n_max + 1
+    # lag[n, d] = L_n^d(x); recurrence in n, vectorized over the order d.
+    lag = np.ones((nb, nb))
+    if nb > 1:
+        d = np.arange(nb, dtype=float)
+        lag[1, :] = 1.0 + d - x
+        for n in range(2, nb):
+            lag[n, :] = ((2.0 * n - 1.0 + d - x) * lag[n - 1, :] - (n - 1.0 + d) * lag[n - 2, :]) / n
+    idx = np.arange(nb)
+    lo = np.minimum.outer(idx, idx)
+    hi = np.maximum.outer(idx, idx)
+    dd = hi - lo
+    lg = gammaln(np.arange(nb, dtype=float) + 1.0)
+    mag = math.exp(-0.5 * x) * (eta ** dd) * np.exp(0.5 * (lg[lo] - lg[hi])) * lag[lo, dd]
+    return mag
+
+
 def laguerre(n: int, alpha: int, x: float) -> float:
     """Generalized Laguerre function L_n^alpha(x).
 
@@ -46,7 +82,7 @@ def laguerre(n: int, alpha: int, x: float) -> float:
     _check_index("alpha", alpha)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return float(_kernels.laguerre_value(n, float(alpha), x))
+    return float(_laguerre_recurrence(n, float(alpha), x))
 
 
 def chi_magnitude(n: int, nprime: int, eta: float) -> float:
@@ -65,7 +101,7 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
         math.exp(-0.5 * x)
         * eta**d
         * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
-        * float(_kernels.laguerre_value(lo, float(d), x))
+        * float(_laguerre_recurrence(lo, float(d), x))
     )
 
 
@@ -101,7 +137,7 @@ def coupling_table(eta: float, n_max: int) -> CouplingTable:
     """Batch-evaluate chi_{nn'} for 0 <= n, n' <= n_max from the closed form."""
     _check_index("n_max", n_max)
     _check_eta(eta)
-    mag = _kernels.chi_magnitudes(eta, n_max)
+    mag = _chi_magnitudes(eta, n_max)
     idx = np.arange(n_max + 1)
     d = np.abs(idx[:, None] - idx[None, :])
     phase = np.asarray(PHASES)[d % 4]
@@ -124,6 +160,10 @@ def displacement_oracle(eta: float, n_max: int, pad: int | None = None) -> Coupl
     Independent of the Laguerre closed form: builds the tridiagonal ladder
     operator on a padded basis, exponentiates, and crops to (n_max+1)^2.
     """
+    # expm is this package's only use of scipy.linalg; imported here so that
+    # closed-form callers never load it.
+    from scipy.linalg import expm
+
     _check_index("n_max", n_max)
     _check_eta(eta)
     if pad is None:

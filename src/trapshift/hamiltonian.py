@@ -6,6 +6,12 @@ In the frame rotating with the laser (hbar = 1):
 
 Basis ordering is fixed: |g,0> .. |g,n_max| then |e,0> .. |e,n_max>, so the
 matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
+
+Every matrix starts from ``coupling_block``, which bounds n_max before
+anything is allocated.  ``build_hamiltonian`` assembles the complex matrix;
+``real_gauge_matrix`` alone constructs its exact real symmetric gauge,
+shared by ``HamiltonianMatrix.real_form`` and the detuning scans of
+``spectrum``, which rewrite only its diagonal (``set_detuning``) per sample.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from .params import SidebandId, TrapParams
 
 GROUND = "g"
 EXCITED = "e"
+
+#: Largest supported Hamiltonian dimension 2 * (n_max + 1).
+MAX_DIM = 20_000
 
 
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
@@ -75,38 +84,68 @@ class HamiltonianMatrix:
 
     def gauge_vector(self) -> np.ndarray:
         """Diagonal phases i^n (per sector) that make the matrix real symmetric."""
-        phases = np.asarray(PHASES)[np.arange(self.n_max + 1) % 4]
+        phases = _gauge_phases(self.n_max + 1)
         return np.concatenate([phases, phases])
 
     def real_form(self) -> np.ndarray:
-        """Real symmetric gauge of the matrix.
+        """Real symmetric gauge of the matrix; see ``real_gauge_matrix``.
 
-        The coupling entries are exactly (real) * i^|n-n'|, so conjugating by
-        the i^n phases cancels every imaginary part identically, not just to
-        roundoff.  Eigenvalues and bare-state overlap magnitudes are unchanged.
+        Eigenvalues and bare-state overlap magnitudes are unchanged.
         """
-        u = self.gauge_vector()
-        gauged = (u[:, None] * self.matrix) * u.conj()[None, :]
-        return np.ascontiguousarray(gauged.real)
+        nb = self.n_max + 1
+        return real_gauge_matrix(self.params, self.matrix[:nb, nb:])
+
+
+def _gauge_phases(nb: int) -> np.ndarray:
+    return np.asarray(PHASES)[np.arange(nb) % 4]
 
 
 def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
-    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian."""
+    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian.
+
+    Raises ``ValueError`` before allocating when the Hamiltonian dimension
+    2 * (n_max + 1) would exceed ``MAX_DIM``.
+    """
+    if 2 * (n_max + 1) > MAX_DIM:
+        raise ValueError(
+            f"basis dimension {2 * (n_max + 1)} is beyond the supported range "
+            f"(n_max <= {MAX_DIM // 2 - 1})"
+        )
     return 0.5 * params.rabi * coupling_table(params.eta, n_max).entries
+
+
+def set_detuning(h: np.ndarray, omega_t: float, delta: float) -> None:
+    """Write the bare energies n*omega_t +/- delta/2 onto the diagonal of h, in place."""
+    nb = len(h) // 2
+    n = np.arange(nb)
+    energy = n * omega_t
+    h[n, n] = energy + 0.5 * delta
+    h[nb + n, nb + n] = energy - 0.5 * delta
+
+
+def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
+    """The Hamiltonian in its exact real symmetric gauge, from its g-e block.
+
+    The coupling entries are exactly (real) * i^|n-n'|, so conjugating by the
+    i^n phases of each sector cancels every imaginary part identically, not
+    just to roundoff; the e-g block is then the transpose of the g-e block.
+    """
+    nb = len(block)
+    phases = _gauge_phases(nb)
+    real_block = ((phases[:, None] * block) * phases.conj()[None, :]).real
+    h = np.zeros((2 * nb, 2 * nb))
+    h[:nb, nb:] = real_block
+    h[nb:, :nb] = real_block.T
+    set_detuning(h, params.omega_t, params.delta)
+    return h
 
 
 def build_hamiltonian(params: TrapParams, n_max: int) -> HamiltonianMatrix:
     """Assemble the full matrix: bare energies on the diagonal, chi couplings off it."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
-    nb = n_max + 1
-    if 2 * nb > 20_000:
-        raise MemoryError(f"basis dimension {2 * nb} is beyond the supported range")
-    h = np.zeros((2 * nb, 2 * nb), dtype=complex)
-    n = np.arange(nb)
-    h[n, n] = n * params.omega_t + 0.5 * params.delta
-    h[nb + n, nb + n] = n * params.omega_t - 0.5 * params.delta
     block = coupling_block(params, n_max)
+    nb = n_max + 1
+    h = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    set_detuning(h, params.omega_t, params.delta)
     h[:nb, nb:] = block
     h[nb:, :nb] = block.conj().T
     return HamiltonianMatrix(params=params, n_max=n_max, matrix=h)

@@ -6,10 +6,14 @@ enters the target anti-crossing from the tagged bare state; when the pair is
 decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION * omega_t``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
-All heavy eigensolves run in the exact real-symmetric gauge of
-``HamiltonianMatrix.real_form``; bare-state overlap magnitudes are gauge
-invariant, so nothing downstream can observe the difference.  Scans are
-sequential and deterministic; share nothing across threads except the
+All heavy eigensolves run in the exact real-symmetric gauge built by
+``hamiltonian.real_gauge_matrix``; bare-state overlap magnitudes are gauge
+invariant, so nothing downstream can observe the difference.  Each job has
+one code path: ``_search_window`` is the coarse window and gap search behind
+both ``find_resonance`` and ``measure_splitting``, ``_double_basis`` the
+basis-doubling loop behind both ``find_resonance`` and ``convergence``, and
+``sweep_spectrum`` the branch continuation behind ``track_branch``.  Scans
+are sequential and deterministic; share nothing across threads except the
 immutable inputs.
 """
 
@@ -22,12 +26,14 @@ import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError, TrapshiftError
-from .fock import PHASES, chi_magnitude
+from .fock import chi_magnitude
 from .hamiltonian import (
     HamiltonianMatrix,
     coupling_block,
     crossing_point,
     default_n_max,
+    real_gauge_matrix,
+    set_detuning,
 )
 from .params import SidebandId, TrapParams
 
@@ -47,8 +53,6 @@ CONVERGENCE_ABSOLUTE = 1e-12
 CONVERGENCE_CAP_MARGIN = 239
 #: Branch continuation is trusted only above this eigenvector overlap.
 TRACK_OVERLAP_MIN = 0.5
-#: Two continuation candidates closer than this are ambiguous.
-TRACK_AMBIGUITY_GAP = 0.05
 MAX_BISECTION_LEVELS = 12
 MAX_WINDOW_ESCALATIONS = 4
 MAX_WINDOW_SHRINKS = 10
@@ -91,19 +95,15 @@ def eigenlevels(h: HamiltonianMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarr
     matrix.  The residual ||Hv - lambda v|| is verified against 1e-10 ||H||.
     """
     if isinstance(h, HamiltonianMatrix):
-        matrix = h.matrix
-        gauge = h.gauge_vector()
-        try:
-            values, vectors_real = np.linalg.eigh(h.real_form())
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-            raise TrapshiftError(f"eigensolver failed on dim {h.dim} matrix: {exc}") from exc
-        vectors = gauge.conj()[:, None] * vectors_real
+        matrix, solved = h.matrix, h.real_form()
     else:
-        matrix = np.asarray(h)
-        try:
-            values, vectors = np.linalg.eigh(matrix)
-        except np.linalg.LinAlgError as exc:
-            raise TrapshiftError(f"eigensolver failed on dim {matrix.shape[0]} matrix: {exc}") from exc
+        matrix = solved = np.asarray(h)
+    try:
+        values, vectors = np.linalg.eigh(solved)
+    except np.linalg.LinAlgError as exc:
+        raise TrapshiftError(f"eigensolver failed on dim {matrix.shape[0]} matrix: {exc}") from exc
+    if isinstance(h, HamiltonianMatrix):
+        vectors = h.gauge_vector().conj()[:, None] * vectors
     scale = max(float(np.max(np.abs(values))), 1e-300)
     residual = np.linalg.norm(matrix @ vectors - vectors * values[None, :], axis=0)
     worst = float(np.max(residual))
@@ -125,21 +125,11 @@ class _DetuningScan:
     def __init__(self, params: TrapParams, n_max: int):
         self.params = params
         self.n_max = n_max
-        nb = n_max + 1
-        self.nb = nb
-        phases = np.asarray(PHASES)[np.arange(nb) % 4]
-        gauged = (phases[:, None] * coupling_block(params, n_max)) * phases.conj()[None, :]
-        block = gauged.real  # exact: the gauge cancels every i^|n-n'| phase
-        self._h = np.zeros((2 * nb, 2 * nb))
-        self._h[:nb, nb:] = block
-        self._h[nb:, :nb] = block.T
-        self._nvec = np.arange(nb) * params.omega_t
-        self._diag = np.arange(2 * nb)
+        self.nb = n_max + 1
+        self._h = real_gauge_matrix(params, coupling_block(params, n_max))
 
     def eigen(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        nb = self.nb
-        self._h[self._diag[:nb], self._diag[:nb]] = self._nvec + 0.5 * delta
-        self._h[self._diag[nb:], self._diag[nb:]] = self._nvec - 0.5 * delta
+        set_detuning(self._h, self.params.omega_t, delta)
         return np.linalg.eigh(self._h)
 
     def pair_levels(self, delta: float, sideband: SidebandId) -> tuple[float, float]:
@@ -176,13 +166,7 @@ def _local_minima(values: np.ndarray) -> list[int]:
 def _refine_maximum(fun, lo: float, hi: float, omega_t: float) -> float:
     """Successive parabolic interpolation for the branch extremum, then a
     Newton polish on the centered finite-difference slope."""
-    result = minimize_scalar(
-        lambda d: -fun(d),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12 * omega_t, "maxiter": 200},
-    )
-    d_star = float(result.x)
+    d_star, _ = _refine_minimum(lambda d: -fun(d), lo, hi, omega_t)
     h = FD_STEP_FRACTION * omega_t
     for _ in range(4):
         f_plus, f_minus, f_mid = fun(d_star + h), fun(d_star - h), fun(d_star)
@@ -209,6 +193,19 @@ def _refine_minimum(fun, lo: float, hi: float, omega_t: float) -> tuple[float, f
     return float(result.x), float(result.fun)
 
 
+def _tagged_root(
+    scan: _DetuningScan, sideband: SidebandId, lo: float, hi: float
+) -> float | None:
+    """Where the tagged branches E(g, n_g) and E(e, n_e) cross inside [lo, hi];
+    None when their difference does not change sign there."""
+    def difference(d: float) -> float:
+        return scan.tagged_difference(d, sideband)
+
+    if difference(lo) * difference(hi) >= 0:
+        return None
+    return float(brentq(difference, lo, hi, xtol=1e-14 * scan.params.omega_t))
+
+
 def _min_pair_gap(
     scan: _DetuningScan, sideband: SidebandId, lo: float, hi: float
 ) -> float:
@@ -222,25 +219,21 @@ def _min_pair_gap(
     omega_t = scan.params.omega_t
     _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), lo, hi, omega_t)
     if gap_min < 1e-6 * omega_t:
-        f_lo = scan.tagged_difference(lo, sideband)
-        f_hi = scan.tagged_difference(hi, sideband)
-        if f_lo * f_hi < 0:
-            root = float(
-                brentq(
-                    lambda d: scan.tagged_difference(d, sideband),
-                    lo,
-                    hi,
-                    xtol=1e-14 * omega_t,
-                )
-            )
+        root = _tagged_root(scan, sideband, lo, hi)
+        if root is not None:
             gap_min = min(gap_min, scan.pair_gap(root, sideband))
     return gap_min
 
 
-def _locate(
+def _search_window(
     scan: _DetuningScan, sideband: SidebandId, window: float | None = None
-) -> tuple[float, float, str]:
-    """Locate the resonance: returns (delta_star, minimal gap, method)."""
+) -> tuple[float, tuple[float, float], float]:
+    """Coarse scan of the pair around delta0 and the minimal gap inside it.
+
+    The window is widened until the lower pair branch has an interior
+    maximum, and narrowed while the gap has several local minima.  Returns
+    (window half-width, coarse bracket of that maximum, minimal gap).
+    """
     params = scan.params
     omega_t = params.omega_t
     _, delta0 = crossing_point(sideband, params)
@@ -279,39 +272,66 @@ def _locate(
     else:
         i_gap = int(np.argmin(gaps))
     g_lo, g_hi = grid[max(i_gap - 1, 0)], grid[min(i_gap + 1, COARSE_POINTS - 1)]
-    gap_min = _min_pair_gap(scan, sideband, g_lo, g_hi)
+    bracket = (grid[i_max - 1], grid[i_max + 1])
+    return half, bracket, _min_pair_gap(scan, sideband, g_lo, g_hi)
+
+
+def _locate(
+    scan: _DetuningScan, sideband: SidebandId, window: float | None = None
+) -> tuple[float, float, str]:
+    """Locate the resonance: returns (delta_star, minimal gap, method)."""
+    omega_t = scan.params.omega_t
+    _, delta0 = crossing_point(sideband, scan.params)
+    half, (lo, hi), gap_min = _search_window(scan, sideband, window)
 
     if gap_min < GAP_FLOOR_FRACTION * omega_t:
         lo, hi = delta0 - half, delta0 + half
-        f_lo = scan.tagged_difference(lo, sideband)
-        f_hi = scan.tagged_difference(hi, sideband)
+        delta_star = _tagged_root(scan, sideband, lo, hi)
         for _ in range(MAX_WINDOW_ESCALATIONS):
-            if f_lo * f_hi < 0:
+            if delta_star is not None:
                 break
             lo, hi = delta0 - 2 * (delta0 - lo), delta0 + 2 * (hi - delta0)
-            f_lo = scan.tagged_difference(lo, sideband)
-            f_hi = scan.tagged_difference(hi, sideband)
-        if f_lo * f_hi >= 0:
+            delta_star = _tagged_root(scan, sideband, lo, hi)
+        if delta_star is None:
             raise ResonanceWindowError(
                 f"tagged branches of {sideband} do not intersect inside "
                 f"[{lo!r}, {hi!r}]"
             )
-        delta_star = float(
-            brentq(
-                lambda d: scan.tagged_difference(d, sideband),
-                lo,
-                hi,
-                xtol=1e-14 * omega_t,
-            )
-        )
         gap_at = scan.pair_gap(delta_star, sideband)
         return delta_star, float(min(gap_min, gap_at)), "intersection"
 
-    lo, hi = grid[i_max - 1], grid[i_max + 1]
     delta_star = _refine_maximum(
         lambda d: scan.pair_low(d, sideband), lo, hi, omega_t
     )
     return delta_star, gap_min, "extremum"
+
+
+def _double_basis(
+    sideband: SidebandId, params: TrapParams, n_first: int, n_cap: int
+) -> tuple[tuple[float, float, str], int, float, bool]:
+    """The basis-doubling loop behind ``find_resonance`` and ``convergence``.
+
+    Locates the resonance on n_first, then doubles the margin over
+    max(n_g, n_e), capped at n_cap, until two successive shifts agree.
+    Returns (first location, final n_max, final shift, converged).
+    """
+    base = max(sideband.n_g, sideband.n_e)
+    margin = n_first - base
+    _, delta0 = crossing_point(sideband, params)
+    first = _locate(_DetuningScan(params, n_first), sideband)
+    prev = first[0] - delta0
+    while True:
+        margin *= 2
+        n_next = min(base + margin, n_cap)
+        star, _, _ = _locate(_DetuningScan(params, n_next), sideband)
+        current = star - delta0
+        if abs(current - prev) <= max(
+            CONVERGENCE_RELATIVE * abs(current), CONVERGENCE_ABSOLUTE * params.omega_t
+        ):
+            return first, n_next, current, True
+        if n_next >= n_cap:
+            return first, n_next, current, False
+        prev = current
 
 
 def find_resonance(
@@ -324,41 +344,28 @@ def find_resonance(
 
     Scans the branch that enters the target anti-crossing from |g, n_g>,
     refines its extremum (or, for decoupled pairs, the branch intersection)
-    and reports delta_omega = delta_star - delta0.  Carriers are unshifted by
-    symmetry and short-circuit analytically.
+    and reports delta_omega = delta_star - delta0.  With
+    ``verify_convergence`` the location is repeated once on the basis with
+    doubled margin (the first step of ``convergence``), and ``converged``
+    says whether the two shifts agree.  Carriers are unshifted by symmetry
+    and short-circuit analytically.
     """
-    if sideband.is_carrier:
-        n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
-        gap = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
-        return ShiftReport(
-            sideband=sideband,
-            delta0=0.0,
-            delta_star=0.0,
-            delta_omega=0.0,
-            gap=gap,
-            method="carrier",
-            n_max_used=n_used,
-            converged=True,
-        )
-    if params.rabi <= 0:
-        raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     base = max(sideband.n_g, sideband.n_e)
-    if n_used <= base:
-        raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
-
     _, delta0 = crossing_point(sideband, params)
-    delta_star, gap, method = _locate(_DetuningScan(params, n_used), sideband)
-
-    converged = True
-    if verify_convergence:
+    if sideband.is_carrier:
+        gap = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
+        location, converged = (0.0, gap, "carrier"), True
+    elif params.rabi <= 0:
+        raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
+    elif n_used <= base:
+        raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
+    elif verify_convergence:
         n_doubled = base + 2 * (n_used - base)
-        star2, _, _ = _locate(_DetuningScan(params, n_doubled), sideband)
-        shift, shift2 = delta_star - delta0, star2 - delta0
-        converged = abs(shift2 - shift) <= max(
-            CONVERGENCE_RELATIVE * abs(shift2), CONVERGENCE_ABSOLUTE * params.omega_t
-        )
-
+        location, _, _, converged = _double_basis(sideband, params, n_used, n_doubled)
+    else:
+        location, converged = _locate(_DetuningScan(params, n_used), sideband), True
+    delta_star, gap, method = location
     return ShiftReport(
         sideband=sideband,
         delta0=delta0,
@@ -377,20 +384,15 @@ def measure_splitting(
     """Minimal measured separation of the sideband pair over the scan window.
 
     For a resolved anti-crossing this approaches |Omega_{n_g,n_e}| (twice the
-    |R_ge| convention); for decoupled pairs it collapses to zero.
+    |R_ge| convention); for decoupled pairs it collapses to zero.  The window
+    and the gap search are those of ``find_resonance``, which also means it
+    raises ``ResonanceWindowError`` where ``find_resonance`` would.
     """
     if params.rabi < 0:
         raise ValueError("rabi must be nonnegative")
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
-    scan = _DetuningScan(params, n_used)
-    _, delta0 = crossing_point(sideband, params)
-    gap_estimate = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
-    half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION * params.omega_t)
-    grid = np.linspace(delta0 - half, delta0 + half, COARSE_POINTS)
-    gaps = np.array([scan.pair_gap(d, sideband) for d in grid])
-    i = int(np.argmin(gaps))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, COARSE_POINTS - 1)]
-    return _min_pair_gap(scan, sideband, lo, hi)
+    _, _, gap = _search_window(_DetuningScan(params, n_used), sideband)
+    return gap
 
 
 def convergence(
@@ -405,24 +407,11 @@ def convergence(
     if sideband.is_carrier:
         return start, 0.0, True
     base = max(sideband.n_g, sideband.n_e)
-    margin = max(start - base, 1)
-    cap = start + CONVERGENCE_CAP_MARGIN
-    _, delta0 = crossing_point(sideband, params)
-
-    star, _, _ = _locate(_DetuningScan(params, base + margin), sideband)
-    prev = star - delta0
-    while True:
-        margin *= 2
-        n_next = min(base + margin, cap)
-        star, _, _ = _locate(_DetuningScan(params, n_next), sideband)
-        current = star - delta0
-        if abs(current - prev) <= max(
-            CONVERGENCE_RELATIVE * abs(current), CONVERGENCE_ABSOLUTE * params.omega_t
-        ):
-            return n_next, current, True
-        if n_next >= cap:
-            return n_next, current, False
-        prev = current
+    n_first = base + max(start - base, 1)
+    _, n_final, shift, converged = _double_basis(
+        sideband, params, n_first, start + CONVERGENCE_CAP_MARGIN
+    )
+    return n_final, shift, converged
 
 
 def _assign(prev_vectors: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:
@@ -478,9 +467,9 @@ def sweep_spectrum(
         raise ValueError("deltas must be a 1-D grid with at least two points")
     scan = _DetuningScan(params, n_max)
     nb = n_max + 1
-    if tags is None:
-        tags = [("g", n) for n in range(nb)] + [("e", n) for n in range(nb)]
     bare_index = {("g", n): n for n in range(nb)} | {("e", n): nb + n for n in range(nb)}
+    if tags is None:
+        tags = list(bare_index)
     for tag in tags:
         if tag not in bare_index:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
@@ -491,21 +480,16 @@ def sweep_spectrum(
 
     energy = {tag: np.empty(len(deltas)) for tag in tags}
     weight = {tag: np.empty(len(deltas)) for tag in tags}
-    for tag in tags:
-        col = perm[bare_index[tag]]
-        energy[tag][0] = values[col]
-        weight[tag][0] = vectors[bare_index[tag], col] ** 2
-
-    prev_vectors = vectors
-    for j in range(1, len(deltas)):
-        values, vectors = scan.eigen(deltas[j])
-        step = _step_permutation(scan, deltas[j - 1], prev_vectors, deltas[j], vectors)
-        perm = step[perm]
+    for j in range(len(deltas)):
+        if j > 0:
+            prev_vectors = vectors
+            values, vectors = scan.eigen(deltas[j])
+            step = _step_permutation(scan, deltas[j - 1], prev_vectors, deltas[j], vectors)
+            perm = step[perm]
         for tag in tags:
             col = perm[bare_index[tag]]
             energy[tag][j] = values[col]
             weight[tag][j] = vectors[bare_index[tag], col] ** 2
-        prev_vectors = vectors
 
     return DressedSpectrum(grid=deltas, branches=energy, overlaps=weight, n_max=n_max)
 
@@ -516,53 +500,5 @@ def track_branch(
     tag: tuple[str, int],
     n_max: int,
 ) -> DressedSpectrum:
-    """Single-branch continuity tracking; see ``sweep_spectrum``.
-
-    Raises ``TrackingAmbiguityError`` when two continuation candidates stay
-    within ``TRACK_AMBIGUITY_GAP`` of each other at the finest refinement.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or len(deltas) < 2:
-        raise ValueError("deltas must be a 1-D grid with at least two points")
-    scan = _DetuningScan(params, n_max)
-    nb = n_max + 1
-    state, n = tag
-    if state not in ("g", "e") or not 0 <= n <= n_max:
-        raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
-    row = n if state == "g" else nb + n
-
-    def continue_to(d_from, vec, d_to, depth=0):
-        values, vectors = scan.eigen(d_to)
-        overlaps = np.abs(vectors.T @ vec)
-        order = np.argsort(overlaps)
-        best, second = order[-1], order[-2]
-        if overlaps[best] >= TRACK_OVERLAP_MIN and (
-            overlaps[best] - overlaps[second] > TRACK_AMBIGUITY_GAP
-        ):
-            return values, vectors, int(best)
-        if depth >= MAX_BISECTION_LEVELS:
-            raise TrackingAmbiguityError(
-                f"branch {tag} ambiguous between delta = {d_from!r} and {d_to!r}: "
-                f"candidate overlaps {overlaps[best]:.3f} / {overlaps[second]:.3f}",
-                window=(d_from, d_to),
-            )
-        d_mid = 0.5 * (d_from + d_to)
-        _, mid_vectors, col = continue_to(d_from, vec, d_mid, depth + 1)
-        return continue_to(d_mid, mid_vectors[:, col], d_to, depth + 1)
-
-    values, vectors = scan.eigen(deltas[0])
-    col = int(np.argmax(vectors[row, :] ** 2))
-    energy = np.empty(len(deltas))
-    weight = np.empty(len(deltas))
-    energy[0] = values[col]
-    weight[0] = vectors[row, col] ** 2
-    vec = vectors[:, col]
-    for j in range(1, len(deltas)):
-        values, vectors, col = continue_to(deltas[j - 1], vec, deltas[j])
-        energy[j] = values[col]
-        weight[j] = vectors[row, col] ** 2
-        vec = vectors[:, col]
-
-    return DressedSpectrum(
-        grid=deltas, branches={tag: energy}, overlaps={tag: weight}, n_max=n_max
-    )
+    """The one branch ``tag`` of ``sweep_spectrum``, tracked the same way."""
+    return sweep_spectrum(params, deltas, n_max, tags=[tag])

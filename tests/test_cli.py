@@ -212,6 +212,24 @@ class TestExitCodes:
         assert captured.err.startswith("not converged: the exact shift of (0,1) at eta=1.0")
 
 
+class TestBasisBound:
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"],
+        ["sweep"],
+        ["scan-eta", "--points", "2"],
+    ])
+    def test_nmax_above_bound_is_config_error(self, argv, monkeypatch, capsys):
+        from trapshift import hamiltonian
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coupling_table reached beyond the basis bound")
+
+        monkeypatch.setattr(hamiltonian, "coupling_table", unreachable)
+        code = cli.main([*argv, "--nmax", str(hamiltonian.MAX_DIM // 2)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: basis dimension 20002")
+
+
 class TestSweepCommand:
     def test_zero_field_bare_lines(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -153,6 +153,11 @@ class TestCouplingTable:
         mags = np.abs(entries)
         assert np.array_equal(mags, mags.T)
 
+    def test_table_stays_finite_at_large_quantum_numbers(self):
+        entries = ts.coupling_table(0.8, 200).entries
+        assert np.all(np.isfinite(entries))
+        assert np.abs(entries).max() <= 1.0 + 1e-12
+
 
 class TestDisplacementOracle:
     def test_identity_at_eta_zero(self):

@@ -154,6 +154,34 @@ class TestRealGauge:
         w_real = np.linalg.eigvalsh(real)
         assert np.abs(w_complex - w_real).max() < 1e-12
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("delta", [-0.4, 0.0, 1.0])
+    def test_scan_matrix_is_real_form_bit_for_bit(self, eta, delta):
+        from trapshift.spectrum import _DetuningScan
+
+        params = quiet_params(rabi=0.15, eta=eta, delta=delta)
+        scan = _DetuningScan(params, 7)
+        scan.eigen(delta)
+        real = ts.build_hamiltonian(params, 7).real_form()
+        assert np.array_equal(scan._h, real)
+        assert np.array_equal(np.signbit(scan._h), np.signbit(real))
+
+
+class TestBasisBound:
+    def test_rejected_before_allocating(self, monkeypatch):
+        from trapshift import hamiltonian
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coupling_table reached beyond the basis bound")
+
+        monkeypatch.setattr(hamiltonian, "coupling_table", unreachable)
+        n_max = hamiltonian.MAX_DIM // 2
+        params = ts.TrapParams(rabi=0.01, eta=0.1)
+        with pytest.raises(ValueError, match="beyond the supported range"):
+            ts.build_hamiltonian(params, n_max)
+        with pytest.raises(ValueError, match="beyond the supported range"):
+            ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
+
 
 class TestDefaultNMax:
     def test_margin_grows_with_eta(self):

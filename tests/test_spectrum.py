@@ -250,6 +250,18 @@ class TestLazyImport:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_closed_form_import_leaves_scipy_linalg_unloaded(self):
+        src = str(Path(ts.__file__).resolve().parents[1])
+        probe = "import sys, trapshift.resolvent; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_package_names_resolve(self):
         assert ts.find_resonance is spectrum.find_resonance
         assert ts.ShiftReport is spectrum.ShiftReport
