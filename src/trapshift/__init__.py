@@ -9,7 +9,6 @@ level-diagram and shift-scan datasets.
 """
 
 from .errors import (
-    ConvergenceError,
     ResonanceWindowError,
     TrackingAmbiguityError,
     TrapshiftError,
@@ -71,7 +70,6 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "CouplingTable",
     "DressedSpectrum",
     "EXCITED",

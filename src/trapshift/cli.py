@@ -32,7 +32,7 @@ from scipy.constants import physical_constants
 from . import __version__
 from .errors import TrapshiftError
 from .fock import chi_magnitude, coupling_table, displacement_oracle
-from .hamiltonian import bare_energy
+from .hamiltonian import MAX_DIM, bare_energy, default_n_max
 from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
 from .resolvent import bs_shift, bs_shift_literature, eta_zero_shift
 from .spectrum import ShiftReport, find_resonance, sweep_spectrum
@@ -44,13 +44,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
+#: Most rows one command may emit; checked before anything is allocated.
+MAX_ROWS = 100_000
+
 _FREQ_RE = re.compile(r"^\s*(?P<twopi>2pi\*)?\s*(?P<value>[^a-df-zA-DF-Z\s]+)\s*(?P<unit>GHz|MHz|kHz|Hz)?\s*$")
 _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 
-# Defaults that reproduce the standard figure datasets.
-SWEEP_DEFAULTS = {"eta": 0.4, "rabi": "0.3", "delta_min": -2.5, "delta_max": 2.5, "points": 101, "levels": 4}
+# Command defaults, the lowest layer under the config file and the flags;
+# those of sweep, scan-eta and sidebands reproduce the standard figure datasets.
+SHIFT_DEFAULTS = {"ld": False}
+SWEEP_DEFAULTS = {
+    "eta": 0.4, "rabi": "0.3", "delta_min": -2.5, "delta_max": 2.5, "points": 101, "levels": 4, "bare": False,
+}
 SCAN_DEFAULTS = {"rabi": "0.01", "eta_min": 0.0, "eta_max": 0.5, "points": 26, "ng": 1, "ne": 0}
 SIDEBAND_DEFAULTS = {"trap_freq": "2pi*1.36MHz", "rabi": "2pi*53kHz", "eta": 0.083, "max_order": 2, "max_n": 3}
+CHECK_DEFAULTS = {"tol_scale": 1.0}
 
 
 class ConfigError(ValueError):
@@ -131,13 +139,18 @@ def write_output(config: dict, columns: list[str], rows: list[list], fmt: str, o
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _check_rows(rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise ConfigError(f"{rows} output rows exceed the limit of {MAX_ROWS}")
+
+
 class Resolved:
     """Effective configuration: command defaults < config file < flags."""
 
-    def __init__(self, args: argparse.Namespace, defaults: dict | None = None):
-        merged = dict(defaults or {})
+    def __init__(self, args: argparse.Namespace):
+        merged = dict(args.defaults)
         explicit: set[str] = set()
-        if getattr(args, "config", None):
+        if args.config:
             try:
                 loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
@@ -147,14 +160,14 @@ class Resolved:
             merged.update(loaded)
             explicit.update(loaded)
         for key, value in vars(args).items():
-            if key != "config" and value is not None:
+            if key not in ("command", "config", "defaults", "run") and value is not None:
                 merged[key] = value
                 explicit.add(key)
         self._data = merged
         self._explicit = explicit
 
-    def get(self, key, fallback=None):
-        return self._data.get(key, fallback)
+    def get(self, key):
+        return self._data.get(key)
 
     def is_explicit(self, key) -> bool:
         """True when the value came from a flag or the config file, not a default."""
@@ -203,37 +216,21 @@ def _resolve_physics(cfg: Resolved) -> tuple[TrapParams, float | None, dict]:
         eta = lamb_dicke_from_physical(float(k_laser), parse_mass(str(mass)), omega_phys)
     eta = float(eta)
 
-    units = cfg.get("units")
-    if units is None:
-        units = "physical" if omega_phys is not None else "dimensionless"
-    if units not in ("dimensionless", "physical"):
-        raise ConfigError(f"unknown units mode {units!r}")
-    if units == "physical" and omega_phys is None:
-        raise ConfigError("--units physical requires a unit-bearing --trap-freq")
-
-    try:
-        params = TrapParams(rabi=rabi, eta=eta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    params = TrapParams(rabi=rabi, eta=eta)
     meta = {
         "trap_freq": serialize_frequency(omega_phys) if omega_phys else "1",
         "rabi_over_omega_t": rabi,
         "eta": eta,
-        "units": units,
+        "units": "dimensionless" if omega_phys is None else "physical",
     }
     return params, omega_phys, meta
 
 
-def _sideband(cfg: Resolved, default_ng=None, default_ne=None) -> SidebandId:
-    ng = cfg.get("ng", default_ng)
-    ne = cfg.get("ne", default_ne)
+def _sideband(cfg: Resolved) -> SidebandId:
+    ng, ne = cfg.get("ng"), cfg.get("ne")
     if ng is None or ne is None:
         raise ConfigError("sideband is undefined: give --ng and --ne")
-    try:
-        return SidebandId(int(ng), int(ne))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SidebandId(int(ng), int(ne))
 
 
 def _hz(value_dimensionless: float | None, omega_phys: float | None) -> float | None:
@@ -256,7 +253,7 @@ def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport)
 def cmd_shift(cfg: Resolved) -> int:
     params, omega_phys, meta = _resolve_physics(cfg)
     sideband = _sideband(cfg)
-    want_ld = bool(cfg.get("ld", False))
+    want_ld = bool(cfg.get("ld"))
     if want_ld and sideband.is_carrier:
         raise ConfigError("--ld requested for a carrier: the Lamb-Dicke expansion needs n_g != n_e")
 
@@ -280,7 +277,7 @@ def cmd_shift(cfg: Resolved) -> int:
         report.gap, 0.5 * report.gap, gap_expected, report.method,
         report.n_max_used, report.converged, pert.well_isolated,
     ]
-    if meta["units"] == "physical":
+    if omega_phys is not None:
         columns += ["shift_full_hz", "shift_exact_hz", "gap_hz"]
         row += [
             _hz(pert.delta_omega_full, omega_phys),
@@ -288,7 +285,7 @@ def cmd_shift(cfg: Resolved) -> int:
             _hz(report.gap, omega_phys),
         ]
     config = {"command": "shift", **meta, "n_g": sideband.n_g, "n_e": sideband.n_e}
-    write_output(config, columns, [row], cfg.get("format", "csv"), cfg.get("out"))
+    write_output(config, columns, [row], cfg.get("format"), cfg.get("out"))
     if not report.converged:
         _report_not_converged(sideband, params.eta, report)
         return EXIT_NUMERIC
@@ -300,17 +297,16 @@ def cmd_sweep(cfg: Resolved) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbativeRegimeWarning)
         params, omega_phys, meta = _resolve_physics(cfg)
-    lo = float(cfg.get("delta_min", SWEEP_DEFAULTS["delta_min"]))
-    hi = float(cfg.get("delta_max", SWEEP_DEFAULTS["delta_max"]))
-    points = int(cfg.get("points", SWEEP_DEFAULTS["points"]))
-    levels = int(cfg.get("levels", SWEEP_DEFAULTS["levels"]))
+    lo = float(cfg.get("delta_min"))
+    hi = float(cfg.get("delta_max"))
+    points = int(cfg.get("points"))
+    levels = int(cfg.get("levels"))
     if not (hi > lo and points >= 2 and levels >= 1):
         raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
+    include_bare = bool(cfg.get("bare"))
+    _check_rows(points * 2 * levels * (2 if include_bare else 1))
     n_max = cfg.get("nmax")
-    # Not default_n_max: 25 * eta**2 rounds up past an integer where its
-    # 25 * eta * eta does not (eta = 0.2, 0.4, 0.8), so the default diagram
-    # would lose a basis level and change its numbers.
-    n_max = int(n_max) if n_max is not None else (levels - 1) + 15 + math.ceil(25.0 * params.eta**2)
+    n_max = int(n_max) if n_max is not None else default_n_max(SidebandId(0, levels - 1), params.eta)
     if levels > n_max + 1:
         raise ConfigError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")
 
@@ -318,7 +314,6 @@ def cmd_sweep(cfg: Resolved) -> int:
     tags = [("g", n) for n in range(levels)] + [("e", n) for n in range(levels)]
     spectrum = sweep_spectrum(params, grid, n_max, tags=tags)
 
-    include_bare = bool(cfg.get("bare", False))
     columns = ["delta", "branch_id", "energy", "overlap_tag"]
     rows: list[list] = []
     for j, delta in enumerate(grid):
@@ -338,28 +333,26 @@ def cmd_sweep(cfg: Resolved) -> int:
         "command": "sweep", **meta, "delta_min": lo, "delta_max": hi,
         "points": points, "levels": levels, "n_max": n_max, "bare": include_bare,
     }
-    write_output(config, columns, rows, cfg.get("format", "csv"), cfg.get("out"))
+    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
     return EXIT_OK
 
 
 def cmd_scan_eta(cfg: Resolved) -> int:
-    cfg_eta = cfg.get("eta")
-    if cfg_eta is not None:
-        raise ConfigError("scan-eta sweeps eta; use --eta-min/--eta-max instead of --eta")
-    lo = float(cfg.get("eta_min", SCAN_DEFAULTS["eta_min"]))
-    hi = float(cfg.get("eta_max", SCAN_DEFAULTS["eta_max"]))
-    points = int(cfg.get("points", SCAN_DEFAULTS["points"]))
+    lo = float(cfg.get("eta_min"))
+    hi = float(cfg.get("eta_max"))
+    points = int(cfg.get("points"))
     if not (hi > lo >= 0 and points >= 2):
         raise ConfigError("scan-eta needs eta_max > eta_min >= 0 and points >= 2")
-    sideband = _sideband(cfg, SCAN_DEFAULTS["ng"], SCAN_DEFAULTS["ne"])
+    _check_rows(points)
+    sideband = _sideband(cfg)
     if sideband.is_carrier:
         raise ConfigError("scan-eta requires a sideband with n_g != n_e")
 
-    rabi_text = str(cfg.get("rabi", SCAN_DEFAULTS["rabi"]))
-    rabi_value, rabi_unit = parse_frequency(rabi_text)
+    rabi_value, rabi_unit = parse_frequency(str(cfg.get("rabi")))
     if rabi_unit:
         raise ConfigError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
-    n_max_opt = cfg.get("nmax")
+    n_max = cfg.get("nmax")
+    n_max = int(n_max) if n_max is not None else None
     k_max = cfg.get("kmax")
     k_max = int(k_max) if k_max is not None else None
 
@@ -370,7 +363,6 @@ def cmd_scan_eta(cfg: Resolved) -> int:
     for eta in np.linspace(lo, hi, points):
         params = TrapParams(rabi=rabi_value, eta=float(eta))
         pert = bs_shift(sideband, params, k_max=k_max)
-        n_max = int(n_max_opt) if n_max_opt is not None else None
         report = find_resonance(sideband, params, n_max=n_max)
         if not report.converged:
             _report_not_converged(sideband, params.eta, report)
@@ -385,16 +377,19 @@ def cmd_scan_eta(cfg: Resolved) -> int:
         "n_g": sideband.n_g, "n_e": sideband.n_e,
         "eta_min": lo, "eta_max": hi, "points": points, "units": "dimensionless",
     }
-    write_output(config, columns, rows, cfg.get("format", "csv"), cfg.get("out"))
+    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
     return EXIT_OK if all_converged else EXIT_NUMERIC
 
 
 def cmd_sidebands(cfg: Resolved) -> int:
     params, omega_phys, meta = _resolve_physics(cfg)
-    max_order = int(cfg.get("max_order", SIDEBAND_DEFAULTS["max_order"]))
-    max_n = int(cfg.get("max_n", SIDEBAND_DEFAULTS["max_n"]))
+    max_order = int(cfg.get("max_order"))
+    max_n = int(cfg.get("max_n"))
     if max_order < 1 or max_n < 0:
         raise ConfigError("sidebands needs max_order >= 1 and max_n >= 0")
+    if max_n + max_order > MAX_DIM // 2 - 1:
+        raise ConfigError(f"sidebands needs max_n + max_order <= {MAX_DIM // 2 - 1}, the --nmax limit")
+    _check_rows((2 * max_order + 1) * (max_n + 1))
     k_max = cfg.get("kmax")
     k_max = int(k_max) if k_max is not None else None
 
@@ -418,7 +413,7 @@ def cmd_sidebands(cfg: Resolved) -> int:
     config = {
         "command": "sidebands", **meta, "max_order": max_order, "max_n": max_n,
     }
-    write_output(config, columns, rows, cfg.get("format", "csv"), cfg.get("out"))
+    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
     return EXIT_OK
 
 
@@ -483,7 +478,7 @@ def run_checks(tol_scale: float = 1.0) -> list[tuple[str, float, float, bool]]:
 
 
 def cmd_check(cfg: Resolved) -> int:
-    tol_scale = float(cfg.get("tol_scale", 1.0))
+    tol_scale = float(cfg.get("tol_scale"))
     if tol_scale <= 0:
         raise ConfigError("--tol-scale must be positive")
     results = run_checks(tol_scale)
@@ -493,7 +488,7 @@ def cmd_check(cfg: Resolved) -> int:
         for name, measured, threshold, ok in results
     ]
     config = {"command": "check", "tol_scale": tol_scale}
-    write_output(config, columns, rows, cfg.get("format", "csv"), cfg.get("out"))
+    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
     failed = [name for name, _, _, ok in results if not ok]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
@@ -504,18 +499,47 @@ def cmd_check(cfg: Resolved) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with option defaults; flags win on conflict")
-    p.add_argument("--trap-freq", dest="trap_freq", help="trap frequency, e.g. 2pi*1.36MHz")
-    p.add_argument("--rabi", help="Rabi frequency, e.g. 2pi*53kHz or a ratio like 0.01")
-    p.add_argument("--eta", type=float, help="Lamb-Dicke parameter")
-    p.add_argument("--k-laser", dest="k_laser", type=float, help="laser wavenumber in rad/m (with --mass)")
-    p.add_argument("--mass", help="ion mass: kg, or with u/amu suffix, e.g. 40u")
-    p.add_argument("--nmax", type=int, help="Fock-basis truncation for diagonalization")
-    p.add_argument("--kmax", type=int, help="summation truncation for the closed-form shift")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--units", choices=("dimensionless", "physical"), help="reporting mode")
+#: Every option by its dest; its flag is ``--`` plus the dest with dashes.
+_OPTIONS = {
+    "config": {"help": "JSON file with option defaults; flags win on conflict"},
+    "trap_freq": {"help": "trap frequency, e.g. 2pi*1.36MHz"},
+    "rabi": {"help": "Rabi frequency, e.g. 2pi*53kHz or a ratio like 0.01"},
+    "eta": {"type": float, "help": "Lamb-Dicke parameter"},
+    "k_laser": {"type": float, "help": "laser wavenumber in rad/m (with --mass)"},
+    "mass": {"help": "ion mass: kg, or with u/amu suffix, e.g. 40u"},
+    "nmax": {"type": int, "help": "Fock-basis truncation for diagonalization"},
+    "kmax": {"type": int, "help": "summation truncation for the closed-form shift"},
+    "ng": {"type": int, "help": "ground-state vibrational number n_g"},
+    "ne": {"type": int, "help": "excited-state vibrational number n_e"},
+    "ld": {"action": "store_true", "default": None, "help": "require the Lamb-Dicke expansion value"},
+    "delta_min": {"type": float, "help": "window start in omega_t units"},
+    "delta_max": {"type": float, "help": "window end in omega_t units"},
+    "points": {"type": int, "help": "grid points"},
+    "levels": {"type": int, "help": "Fock levels per sector to emit"},
+    "bare": {"action": "store_true", "default": None, "help": "also emit the uncoupled lines"},
+    "eta_min": {"type": float, "help": "scan start"},
+    "eta_max": {"type": float, "help": "scan end"},
+    "max_order": {"type": int, "help": "highest sideband order"},
+    "max_n": {"type": int, "help": "highest vibrational level"},
+    "tol_scale": {"type": float, "help": "scale all check thresholds"},
+    "format": {"choices": ("csv", "json"), "help": "output format (default csv)"},
+    "out": {"help": "output path (default stdout)"},
+}
+_PHYSICS = ("trap_freq", "rabi", "eta", "k_laser", "mass")
+
+#: Each subcommand: its function, its help, the options it reads besides
+#: --config/--format/--out, and its defaults.
+COMMANDS = {
+    "shift": (cmd_shift, "resonance shift of one sideband",
+              (*_PHYSICS, "nmax", "kmax", "ng", "ne", "ld"), SHIFT_DEFAULTS),
+    "sweep": (cmd_sweep, "dressed level curves over a detuning window",
+              (*_PHYSICS, "nmax", "delta_min", "delta_max", "points", "levels", "bare"), SWEEP_DEFAULTS),
+    "scan-eta": (cmd_scan_eta, "shift vs Lamb-Dicke parameter",
+                 ("rabi", "nmax", "kmax", "ng", "ne", "eta_min", "eta_max", "points"), SCAN_DEFAULTS),
+    "sidebands": (cmd_sidebands, "shift table for the first few sidebands",
+                  (*_PHYSICS, "kmax", "max_order", "max_n"), SIDEBAND_DEFAULTS),
+    "check": (cmd_check, "run the self-test battery", ("tol_scale",), CHECK_DEFAULTS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,64 +549,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("shift", help="resonance shift of one sideband")
-    _add_common(p)
-    p.add_argument("--ng", type=int, help="ground-state vibrational number n_g")
-    p.add_argument("--ne", type=int, help="excited-state vibrational number n_e")
-    p.add_argument("--ld", action="store_true", default=None, help="require the Lamb-Dicke expansion value")
-    p.set_defaults(run=cmd_shift)
-
-    p = sub.add_parser("sweep", help="dressed level curves over a detuning window")
-    _add_common(p)
-    p.add_argument("--delta-min", dest="delta_min", type=float, help="window start in omega_t units")
-    p.add_argument("--delta-max", dest="delta_max", type=float, help="window end in omega_t units")
-    p.add_argument("--points", type=int, help="grid points")
-    p.add_argument("--levels", type=int, help="Fock levels per sector to emit")
-    p.add_argument("--bare", action="store_true", default=None, help="also emit the uncoupled lines")
-    p.set_defaults(run=cmd_sweep, _defaults={"eta": SWEEP_DEFAULTS["eta"], "rabi": SWEEP_DEFAULTS["rabi"]})
-
-    p = sub.add_parser("scan-eta", help="shift vs Lamb-Dicke parameter")
-    _add_common(p)
-    p.add_argument("--ng", type=int, help="ground-state vibrational number n_g")
-    p.add_argument("--ne", type=int, help="excited-state vibrational number n_e")
-    p.add_argument("--eta-min", dest="eta_min", type=float, help="scan start")
-    p.add_argument("--eta-max", dest="eta_max", type=float, help="scan end")
-    p.add_argument("--points", type=int, help="grid points")
-    p.set_defaults(run=cmd_scan_eta)
-
-    p = sub.add_parser("sidebands", help="shift table for the first few sidebands")
-    _add_common(p)
-    p.add_argument("--max-order", dest="max_order", type=int, help="highest sideband order")
-    p.add_argument("--max-n", dest="max_n", type=int, help="highest vibrational level")
-    p.set_defaults(
-        run=cmd_sidebands,
-        _defaults={
-            "trap_freq": SIDEBAND_DEFAULTS["trap_freq"],
-            "rabi": SIDEBAND_DEFAULTS["rabi"],
-            "eta": SIDEBAND_DEFAULTS["eta"],
-        },
-    )
-
-    p = sub.add_parser("check", help="run the self-test battery")
-    _add_common(p)
-    p.add_argument("--tol-scale", dest="tol_scale", type=float, help="scale all check thresholds")
-    p.set_defaults(run=cmd_check)
-
+    for name, (run, help_text, options, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in ("config", *options, "format", "out"):
+            p.add_argument("--" + dest.replace("_", "-"), **_OPTIONS[dest])
+        p.set_defaults(run=run, defaults={"format": "csv", **defaults})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    defaults = getattr(args, "_defaults", None)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = Resolved(args, defaults)
-        return args.run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TrapshiftError,) as exc:
+        return args.run(Resolved(args))
+    except TrapshiftError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

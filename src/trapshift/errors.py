@@ -5,10 +5,6 @@ class TrapshiftError(Exception):
     """Base class for numerical failures in this package."""
 
 
-class ConvergenceError(TrapshiftError):
-    """A basis-size or iteration budget was exhausted without convergence."""
-
-
 class TrackingAmbiguityError(TrapshiftError):
     """Branch continuation stayed ambiguous after maximal grid refinement."""
 

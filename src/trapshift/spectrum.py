@@ -338,17 +338,15 @@ def find_resonance(
     sideband: SidebandId,
     params: TrapParams,
     n_max: int | None = None,
-    verify_convergence: bool = True,
 ) -> ShiftReport:
     """Locate one sideband resonance from the exact spectrum.
 
     Scans the branch that enters the target anti-crossing from |g, n_g>,
     refines its extremum (or, for decoupled pairs, the branch intersection)
-    and reports delta_omega = delta_star - delta0.  With
-    ``verify_convergence`` the location is repeated once on the basis with
-    doubled margin (the first step of ``convergence``), and ``converged``
-    says whether the two shifts agree.  Carriers are unshifted by symmetry
-    and short-circuit analytically.
+    and reports delta_omega = delta_star - delta0.  The location is repeated
+    once on the basis with doubled margin (the first step of
+    ``convergence``), and ``converged`` says whether the two shifts agree.
+    Carriers are unshifted by symmetry and short-circuit analytically.
     """
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     base = max(sideband.n_g, sideband.n_e)
@@ -360,11 +358,9 @@ def find_resonance(
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
     elif n_used <= base:
         raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
-    elif verify_convergence:
+    else:
         n_doubled = base + 2 * (n_used - base)
         location, _, _, converged = _double_basis(sideband, params, n_used, n_doubled)
-    else:
-        location, converged = _locate(_DetuningScan(params, n_used), sideband), True
     delta_star, gap, method = location
     return ShiftReport(
         sideband=sideband,

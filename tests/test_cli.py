@@ -3,8 +3,11 @@
 import csv
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trapshift as ts
@@ -230,7 +233,69 @@ class TestBasisBound:
         assert capsys.readouterr().err.startswith("error: basis dimension 20002")
 
 
+class TestRowBound:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--points", str(cli.MAX_ROWS // 8 + 1)],  # 2 sectors x 4 levels per point
+        ["sweep", "--points", str(cli.MAX_ROWS // 16 + 1), "--bare"],
+        ["scan-eta", "--points", str(cli.MAX_ROWS + 1)],
+        ["sidebands", "--max-order", "10", "--max-n", str(cli.MAX_ROWS // 21)],
+        ["sidebands", "--max-order", "1", "--max-n", str(cli.MAX_DIM // 2 - 1)],
+    ])
+    def test_oversized_table_is_config_error(self, argv, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the output bound")
+
+        monkeypatch.setattr(np, "linspace", unreachable)
+        monkeypatch.setattr(cli, "bs_shift", unreachable)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOptions:
+    @pytest.mark.parametrize(("command", "flag"), [
+        *[("check", flag) for flag in (
+            "--trap-freq", "--rabi", "--eta", "--k-laser", "--mass", "--nmax", "--kmax",
+        )],
+        ("sweep", "--kmax"),
+        ("sidebands", "--nmax"),
+        *[("scan-eta", flag) for flag in ("--trap-freq", "--k-laser", "--mass", "--eta")],
+        *[(command, "--units") for command in ("shift", "sweep", "scan-eta", "sidebands", "check")],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, command, flag):
+        value = "physical" if flag == "--units" else "1"  # a value the old flag accepted
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+
+    def test_readme_command_lines_parse(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("trapshift ")]
+        assert len(lines) == 6
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
+        # the README's option table lists exactly the options each subcommand takes
+        table = {}
+        for row in section.splitlines():
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            if row.startswith("| `") and len(cells) == 2:
+                table[cells[0].strip("`")] = set(cells[1].replace("`", "").split())
+        assert table == {
+            name: {"--" + dest.replace("_", "-") for dest in options}
+            for name, (_, _, options, _) in cli.COMMANDS.items()
+        }
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("eta", [0.2, 0.4, 0.8])
+    def test_default_nmax_is_the_package_policy(self, eta, capsys):
+        code = cli.main(["sweep", "--eta", str(eta), "--points", "2", "--levels", "2", "--format", "json"])
+        assert code == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["n_max"] == ts.default_n_max(ts.SidebandId(0, 1), eta)
+
     def test_zero_field_bare_lines(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = cli.main([
