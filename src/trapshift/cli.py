@@ -26,8 +26,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import hbar as HBAR
-from scipy.constants import physical_constants
 
 from . import __version__
 from .errors import TrapshiftError
@@ -37,7 +35,10 @@ from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
 from .resolvent import bs_shift, bs_shift_literature, eta_zero_shift
 from .spectrum import ShiftReport, find_resonance, sweep_spectrum
 
-ATOMIC_MASS = physical_constants["atomic mass constant"][0]
+#: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
+#: on the constants edition of the installed scipy.
+HBAR = 1.0545718176461565e-34
+ATOMIC_MASS = 1.66053906892e-27
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,19 +51,28 @@ MAX_ROWS = 100_000
 _FREQ_RE = re.compile(r"^\s*(?P<twopi>2pi\*)?\s*(?P<value>[^a-df-zA-DF-Z\s]+)\s*(?P<unit>GHz|MHz|kHz|Hz)?\s*$")
 _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 
-# Command defaults, the lowest layer under the config file and the flags;
-# those of sweep, scan-eta and sidebands reproduce the standard figure datasets.
-SHIFT_DEFAULTS = {"ld": False}
-SWEEP_DEFAULTS = {
-    "eta": 0.4, "rabi": "0.3", "delta_min": -2.5, "delta_max": 2.5, "points": 101, "levels": 4, "bare": False,
-}
+# Command defaults, set on the parser under the config file and the flags;
+# with the default etas (sweep 0.4, sidebands 0.083) those of sweep, scan-eta
+# and sidebands reproduce the standard figure datasets.
+SWEEP_DEFAULTS = {"rabi": "0.3", "delta_min": -2.5, "delta_max": 2.5, "points": 101, "levels": 4}
 SCAN_DEFAULTS = {"rabi": "0.01", "eta_min": 0.0, "eta_max": 0.5, "points": 26, "ng": 1, "ne": 0}
-SIDEBAND_DEFAULTS = {"trap_freq": "2pi*1.36MHz", "rabi": "2pi*53kHz", "eta": 0.083, "max_order": 2, "max_n": 3}
+SIDEBAND_DEFAULTS = {"trap_freq": "2pi*1.36MHz", "rabi": "2pi*53kHz", "max_order": 2, "max_n": 3}
 CHECK_DEFAULTS = {"tol_scale": 1.0}
 
 
 class ConfigError(ValueError):
     """Invalid command-line or config-file input."""
+
+
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_frequency(text: str) -> tuple[float, bool]:
@@ -77,8 +87,8 @@ def parse_frequency(text: str) -> tuple[float, bool]:
     if not m:
         raise ConfigError(f"cannot parse frequency {text!r}")
     try:
-        value = float(m.group("value"))
-    except ValueError as exc:
+        value = finite_float(m.group("value"))
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"cannot parse frequency {text!r}") from exc
     unit = m.group("unit")
     if unit is None:
@@ -95,16 +105,14 @@ def serialize_frequency(angular: float) -> str:
 
 def parse_mass(text: str) -> float:
     """Mass in kg; accepts plain kg values or atomic-mass-unit suffixes u/amu."""
-    t = text.strip()
+    t, scale = text.strip(), 1.0
     for suffix in ("amu", "u"):
         if t.endswith(suffix):
-            try:
-                return float(t[: -len(suffix)]) * ATOMIC_MASS
-            except ValueError as exc:
-                raise ConfigError(f"cannot parse mass {text!r}") from exc
+            t, scale = t[: -len(suffix)], ATOMIC_MASS
+            break
     try:
-        return float(t)
-    except ValueError as exc:
+        return finite_float(t) * scale
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"cannot parse mass {text!r}") from exc
 
 
@@ -144,77 +152,73 @@ def _check_rows(rows: int) -> None:
         raise ConfigError(f"{rows} output rows exceed the limit of {MAX_ROWS}")
 
 
-class Resolved:
-    """Effective configuration: command defaults < config file < flags."""
+def _config_tokens(path: str, options: tuple[str, ...]) -> list[str]:
+    """The flags a JSON config file stands for, as ``--flag=value`` tokens.
 
-    def __init__(self, args: argparse.Namespace):
-        merged = dict(args.defaults)
-        explicit: set[str] = set()
-        if args.config:
-            try:
-                loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise ConfigError("config file must hold a JSON object")
-            merged.update(loaded)
-            explicit.update(loaded)
-        for key, value in vars(args).items():
-            if key not in ("command", "config", "defaults", "run") and value is not None:
-                merged[key] = value
-                explicit.add(key)
-        self._data = merged
-        self._explicit = explicit
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def is_explicit(self, key) -> bool:
-        """True when the value came from a flag or the config file, not a default."""
-        return key in self._explicit
-
-    def require(self, key):
-        value = self._data.get(key)
-        if value is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return value
+    Keys outside ``options`` are ignored and ``null`` means not set; a
+    store_true option takes ``true``/``false``, any other a string or a number.
+    """
+    try:
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    tokens = []
+    for key, value in loaded.items():
+        if key not in options or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if _OPTIONS[key].get("action") == "store_true":
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise ConfigError(f"config key {key!r} must be a string or a number, got {value!r}")
+    return tokens
 
 
-def _resolve_physics(cfg: Resolved) -> tuple[TrapParams, float | None, dict]:
-    """Build dimensionless TrapParams plus the physical omega_t when units are given."""
-    trap_text = cfg.get("trap_freq")
-    rabi_text = cfg.require("rabi")
+def _resolve_physics(
+    args: argparse.Namespace, default_eta: float | None = None
+) -> tuple[TrapParams, float | None, dict]:
+    """Build dimensionless TrapParams plus the physical omega_t when units are given.
 
+    ``default_eta`` is the command's own eta, used only when neither --eta
+    nor the pair --k-laser/--mass is given.
+    """
+    if args.rabi is None:
+        raise ConfigError("missing required option --rabi")
     omega_phys = None
-    if trap_text is not None:
-        omega_value, omega_unit = parse_frequency(str(trap_text))
-        if omega_unit:
+    if args.trap_freq is not None:
+        omega_value, omega_unit = parse_frequency(args.trap_freq)
+        if not omega_unit:
+            if omega_value != 1.0:
+                raise ConfigError("a dimensionless trap frequency must be 1 (it sets the unit)")
+        elif omega_value <= 0:
+            raise ConfigError(f"a physical --trap-freq must be positive, got {args.trap_freq!r}")
+        else:
             omega_phys = omega_value
-        elif omega_value != 1.0:
-            raise ConfigError("a dimensionless trap frequency must be 1 (it sets the unit)")
 
-    rabi_value, rabi_unit = parse_frequency(str(rabi_text))
+    rabi, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
         if omega_phys is None:
             raise ConfigError("a unit-bearing --rabi requires a unit-bearing --trap-freq")
-        rabi = rabi_value / omega_phys
-    else:
-        rabi = rabi_value
+        rabi /= omega_phys
 
-    eta = cfg.get("eta")
-    k_laser = cfg.get("k_laser")
-    mass = cfg.get("mass")
+    eta, k_laser, mass = args.eta, args.k_laser, args.mass
     if k_laser is not None or mass is not None:
-        if cfg.is_explicit("eta"):
+        if eta is not None:
             raise ConfigError("give either --eta or the pair --k-laser/--mass, not both")
-        eta = None  # a command-default eta yields to an explicit derivation pair
+    elif eta is None:
+        eta = default_eta
     if eta is None:
         if k_laser is None or mass is None:
             raise ConfigError("eta is undefined: give --eta or both --k-laser and --mass")
         if omega_phys is None:
             raise ConfigError("deriving eta from --k-laser/--mass requires a physical --trap-freq")
-        eta = lamb_dicke_from_physical(float(k_laser), parse_mass(str(mass)), omega_phys)
-    eta = float(eta)
+        eta = lamb_dicke_from_physical(k_laser, parse_mass(mass), omega_phys)
 
     params = TrapParams(rabi=rabi, eta=eta)
     meta = {
@@ -226,11 +230,10 @@ def _resolve_physics(cfg: Resolved) -> tuple[TrapParams, float | None, dict]:
     return params, omega_phys, meta
 
 
-def _sideband(cfg: Resolved) -> SidebandId:
-    ng, ne = cfg.get("ng"), cfg.get("ne")
-    if ng is None or ne is None:
+def _sideband(args: argparse.Namespace) -> SidebandId:
+    if args.ng is None or args.ne is None:
         raise ConfigError("sideband is undefined: give --ng and --ne")
-    return SidebandId(int(ng), int(ne))
+    return SidebandId(args.ng, args.ne)
 
 
 def _hz(value_dimensionless: float | None, omega_phys: float | None) -> float | None:
@@ -250,17 +253,14 @@ def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport)
 # ----------------------------------------------------------------- commands
 
 
-def cmd_shift(cfg: Resolved) -> int:
-    params, omega_phys, meta = _resolve_physics(cfg)
-    sideband = _sideband(cfg)
-    want_ld = bool(cfg.get("ld"))
-    if want_ld and sideband.is_carrier:
+def cmd_shift(args: argparse.Namespace) -> int:
+    params, omega_phys, meta = _resolve_physics(args)
+    sideband = _sideband(args)
+    if args.ld and sideband.is_carrier:
         raise ConfigError("--ld requested for a carrier: the Lamb-Dicke expansion needs n_g != n_e")
 
-    n_max = cfg.get("nmax")
-    k_max = cfg.get("kmax")
-    pert = bs_shift(sideband, params, k_max=int(k_max) if k_max is not None else None)
-    report = find_resonance(sideband, params, n_max=int(n_max) if n_max is not None else None)
+    pert = bs_shift(sideband, params, k_max=args.kmax)
+    report = find_resonance(sideband, params, n_max=args.nmax)
     gap_expected = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
     shift_eta0 = None if sideband.is_carrier else eta_zero_shift(sideband, params)
 
@@ -285,28 +285,23 @@ def cmd_shift(cfg: Resolved) -> int:
             _hz(report.gap, omega_phys),
         ]
     config = {"command": "shift", **meta, "n_g": sideband.n_g, "n_e": sideband.n_e}
-    write_output(config, columns, [row], cfg.get("format"), cfg.get("out"))
+    write_output(config, columns, [row], args.format, args.out)
     if not report.converged:
         _report_not_converged(sideband, params.eta, report)
         return EXIT_NUMERIC
     return EXIT_OK
 
 
-def cmd_sweep(cfg: Resolved) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     # The sweep diagonalizes exactly and uses no perturbative formula.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PerturbativeRegimeWarning)
-        params, omega_phys, meta = _resolve_physics(cfg)
-    lo = float(cfg.get("delta_min"))
-    hi = float(cfg.get("delta_max"))
-    points = int(cfg.get("points"))
-    levels = int(cfg.get("levels"))
+        params, omega_phys, meta = _resolve_physics(args, default_eta=0.4)
+    lo, hi, points, levels = args.delta_min, args.delta_max, args.points, args.levels
     if not (hi > lo and points >= 2 and levels >= 1):
         raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
-    include_bare = bool(cfg.get("bare"))
-    _check_rows(points * 2 * levels * (2 if include_bare else 1))
-    n_max = cfg.get("nmax")
-    n_max = int(n_max) if n_max is not None else default_n_max(SidebandId(0, levels - 1), params.eta)
+    _check_rows(points * 2 * levels * (2 if args.bare else 1))
+    n_max = args.nmax if args.nmax is not None else default_n_max(SidebandId(0, levels - 1), params.eta)
     if levels > n_max + 1:
         raise ConfigError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")
 
@@ -322,7 +317,7 @@ def cmd_sweep(cfg: Resolved) -> int:
                 float(delta), f"{tag[0]}{tag[1]}",
                 float(spectrum.branches[tag][j]), float(spectrum.overlaps[tag][j]),
             ])
-        if include_bare:
+        if args.bare:
             at = params.with_delta(float(delta))
             for tag in tags:
                 rows.append([
@@ -331,30 +326,24 @@ def cmd_sweep(cfg: Resolved) -> int:
                 ])
     config = {
         "command": "sweep", **meta, "delta_min": lo, "delta_max": hi,
-        "points": points, "levels": levels, "n_max": n_max, "bare": include_bare,
+        "points": points, "levels": levels, "n_max": n_max, "bare": args.bare,
     }
-    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
+    write_output(config, columns, rows, args.format, args.out)
     return EXIT_OK
 
 
-def cmd_scan_eta(cfg: Resolved) -> int:
-    lo = float(cfg.get("eta_min"))
-    hi = float(cfg.get("eta_max"))
-    points = int(cfg.get("points"))
+def cmd_scan_eta(args: argparse.Namespace) -> int:
+    lo, hi, points = args.eta_min, args.eta_max, args.points
     if not (hi > lo >= 0 and points >= 2):
         raise ConfigError("scan-eta needs eta_max > eta_min >= 0 and points >= 2")
     _check_rows(points)
-    sideband = _sideband(cfg)
+    sideband = _sideband(args)
     if sideband.is_carrier:
         raise ConfigError("scan-eta requires a sideband with n_g != n_e")
 
-    rabi_value, rabi_unit = parse_frequency(str(cfg.get("rabi")))
+    rabi_value, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
         raise ConfigError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
-    n_max = cfg.get("nmax")
-    n_max = int(n_max) if n_max is not None else None
-    k_max = cfg.get("kmax")
-    k_max = int(k_max) if k_max is not None else None
 
     is_first_red = (sideband.n_g, sideband.n_e) == (1, 0)
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
@@ -362,8 +351,8 @@ def cmd_scan_eta(cfg: Resolved) -> int:
     all_converged = True
     for eta in np.linspace(lo, hi, points):
         params = TrapParams(rabi=rabi_value, eta=float(eta))
-        pert = bs_shift(sideband, params, k_max=k_max)
-        report = find_resonance(sideband, params, n_max=n_max)
+        pert = bs_shift(sideband, params, k_max=args.kmax)
+        report = find_resonance(sideband, params, n_max=args.nmax)
         if not report.converged:
             _report_not_converged(sideband, params.eta, report)
             all_converged = False
@@ -377,21 +366,18 @@ def cmd_scan_eta(cfg: Resolved) -> int:
         "n_g": sideband.n_g, "n_e": sideband.n_e,
         "eta_min": lo, "eta_max": hi, "points": points, "units": "dimensionless",
     }
-    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
+    write_output(config, columns, rows, args.format, args.out)
     return EXIT_OK if all_converged else EXIT_NUMERIC
 
 
-def cmd_sidebands(cfg: Resolved) -> int:
-    params, omega_phys, meta = _resolve_physics(cfg)
-    max_order = int(cfg.get("max_order"))
-    max_n = int(cfg.get("max_n"))
+def cmd_sidebands(args: argparse.Namespace) -> int:
+    params, omega_phys, meta = _resolve_physics(args, default_eta=0.083)
+    max_order, max_n = args.max_order, args.max_n
     if max_order < 1 or max_n < 0:
         raise ConfigError("sidebands needs max_order >= 1 and max_n >= 0")
     if max_n + max_order > MAX_DIM // 2 - 1:
         raise ConfigError(f"sidebands needs max_n + max_order <= {MAX_DIM // 2 - 1}, the --nmax limit")
     _check_rows((2 * max_order + 1) * (max_n + 1))
-    k_max = cfg.get("kmax")
-    k_max = int(k_max) if k_max is not None else None
 
     columns = ["sideband", "order", "n", "n_g", "n_e", "shift", "shift_hz"]
     rows: list[list] = []
@@ -406,14 +392,14 @@ def cmd_sidebands(cfg: Resolved) -> int:
             else:
                 ng = ne = n
                 kind = "carrier"
-            shift = bs_shift(SidebandId(ng, ne), params, k_max=k_max).delta_omega_full
+            shift = bs_shift(SidebandId(ng, ne), params, k_max=args.kmax).delta_omega_full
             rows.append([
                 kind, abs(signed_order), n, ng, ne, shift, _hz(shift, omega_phys),
             ])
     config = {
         "command": "sidebands", **meta, "max_order": max_order, "max_n": max_n,
     }
-    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
+    write_output(config, columns, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -477,18 +463,17 @@ def run_checks(tol_scale: float = 1.0) -> list[tuple[str, float, float, bool]]:
     return results
 
 
-def cmd_check(cfg: Resolved) -> int:
-    tol_scale = float(cfg.get("tol_scale"))
-    if tol_scale <= 0:
+def cmd_check(args: argparse.Namespace) -> int:
+    if args.tol_scale <= 0:
         raise ConfigError("--tol-scale must be positive")
-    results = run_checks(tol_scale)
+    results = run_checks(args.tol_scale)
     columns = ["check", "measured", "threshold", "status"]
     rows = [
         [name, measured, threshold, "pass" if ok else "FAIL"]
         for name, measured, threshold, ok in results
     ]
-    config = {"command": "check", "tol_scale": tol_scale}
-    write_output(config, columns, rows, cfg.get("format"), cfg.get("out"))
+    config = {"command": "check", "tol_scale": args.tol_scale}
+    write_output(config, columns, rows, args.format, args.out)
     failed = [name for name, _, _, ok in results if not ok]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
@@ -504,34 +489,34 @@ _OPTIONS = {
     "config": {"help": "JSON file with option defaults; flags win on conflict"},
     "trap_freq": {"help": "trap frequency, e.g. 2pi*1.36MHz"},
     "rabi": {"help": "Rabi frequency, e.g. 2pi*53kHz or a ratio like 0.01"},
-    "eta": {"type": float, "help": "Lamb-Dicke parameter"},
-    "k_laser": {"type": float, "help": "laser wavenumber in rad/m (with --mass)"},
+    "eta": {"type": finite_float, "help": "Lamb-Dicke parameter"},
+    "k_laser": {"type": finite_float, "help": "laser wavenumber in rad/m (with --mass)"},
     "mass": {"help": "ion mass: kg, or with u/amu suffix, e.g. 40u"},
     "nmax": {"type": int, "help": "Fock-basis truncation for diagonalization"},
     "kmax": {"type": int, "help": "summation truncation for the closed-form shift"},
     "ng": {"type": int, "help": "ground-state vibrational number n_g"},
     "ne": {"type": int, "help": "excited-state vibrational number n_e"},
-    "ld": {"action": "store_true", "default": None, "help": "require the Lamb-Dicke expansion value"},
-    "delta_min": {"type": float, "help": "window start in omega_t units"},
-    "delta_max": {"type": float, "help": "window end in omega_t units"},
+    "ld": {"action": "store_true", "help": "require the Lamb-Dicke expansion value"},
+    "delta_min": {"type": finite_float, "help": "window start in omega_t units"},
+    "delta_max": {"type": finite_float, "help": "window end in omega_t units"},
     "points": {"type": int, "help": "grid points"},
     "levels": {"type": int, "help": "Fock levels per sector to emit"},
-    "bare": {"action": "store_true", "default": None, "help": "also emit the uncoupled lines"},
-    "eta_min": {"type": float, "help": "scan start"},
-    "eta_max": {"type": float, "help": "scan end"},
+    "bare": {"action": "store_true", "help": "also emit the uncoupled lines"},
+    "eta_min": {"type": finite_float, "help": "scan start"},
+    "eta_max": {"type": finite_float, "help": "scan end"},
     "max_order": {"type": int, "help": "highest sideband order"},
     "max_n": {"type": int, "help": "highest vibrational level"},
-    "tol_scale": {"type": float, "help": "scale all check thresholds"},
-    "format": {"choices": ("csv", "json"), "help": "output format (default csv)"},
+    "tol_scale": {"type": finite_float, "help": "scale all check thresholds"},
+    "format": {"choices": ("csv", "json"), "default": "csv", "help": "output format (default csv)"},
     "out": {"help": "output path (default stdout)"},
 }
 _PHYSICS = ("trap_freq", "rabi", "eta", "k_laser", "mass")
 
 #: Each subcommand: its function, its help, the options it reads besides
-#: --config/--format/--out, and its defaults.
+#: --config/--format/--out, and its parser defaults.
 COMMANDS = {
     "shift": (cmd_shift, "resonance shift of one sideband",
-              (*_PHYSICS, "nmax", "kmax", "ng", "ne", "ld"), SHIFT_DEFAULTS),
+              (*_PHYSICS, "nmax", "kmax", "ng", "ne", "ld"), {}),
     "sweep": (cmd_sweep, "dressed level curves over a detuning window",
               (*_PHYSICS, "nmax", "delta_min", "delta_max", "points", "levels", "bare"), SWEEP_DEFAULTS),
     "scan-eta": (cmd_scan_eta, "shift vs Lamb-Dicke parameter",
@@ -553,14 +538,24 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for dest in ("config", *options, "format", "out"):
             p.add_argument("--" + dest.replace("_", "-"), **_OPTIONS[dest])
-        p.set_defaults(run=run, defaults={"format": "csv", **defaults})
+        p.set_defaults(run=run, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse argv, then once more with the config file's values as flags before it.
+
+    argparse keeps the last value it sees, so flags win over the config file,
+    and every value, whatever its source, passes its option's type and choices.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.run(Resolved(args))
+        if args.config:
+            options = (*COMMANDS[args.command][2], "format", "out")
+            args = parser.parse_args([args.command, *_config_tokens(args.config, options), *argv[1:]])
+        return args.run(args)
     except TrapshiftError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

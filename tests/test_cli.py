@@ -19,6 +19,23 @@ def run_cli(args, capsys=None):
     return code
 
 
+def exit_code(argv):
+    """main's exit code, whether main returns it or argparse raises SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def fail_if_computed(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computation reached past input checking")
+
+    monkeypatch.setattr(np, "linspace", unreachable)
+    monkeypatch.setattr(cli, "bs_shift", unreachable)
+    monkeypatch.setattr(cli, "find_resonance", unreachable)
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -48,7 +65,7 @@ class TestFrequencyParsing:
         assert physical
         assert abs(again - angular) <= 1e-12 * angular
 
-    @pytest.mark.parametrize("bad", ["MHz", "2pi*0.3", "1.5qHz", "abc"])
+    @pytest.mark.parametrize("bad", ["MHz", "2pi*0.3", "1.5qHz", "abc", "1e999Hz", "2pi*-1e999kHz", "1e999"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(cli.ConfigError):
             cli.parse_frequency(bad)
@@ -56,8 +73,9 @@ class TestFrequencyParsing:
     def test_mass_parsing(self):
         assert cli.parse_mass("40u") == pytest.approx(40 * 1.66053906892e-27, rel=1e-6)
         assert cli.parse_mass("6.6e-26") == 6.6e-26
-        with pytest.raises(cli.ConfigError):
-            cli.parse_mass("heavy")
+        for bad in ("heavy", "1e999u", "nan"):
+            with pytest.raises(cli.ConfigError):
+                cli.parse_mass(bad)
 
     def test_lamb_dicke_from_physical(self):
         # 729 nm laser on a calcium ion in a 2pi*1.36 MHz trap gives eta ~ 0.06
@@ -213,6 +231,77 @@ class TestExitCodes:
         header, row = captured.out.splitlines()
         assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
         assert captured.err.startswith("not converged: the exact shift of (0,1) at eta=1.0")
+
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "2pi*1kHz", "--trap-freq", "0Hz", "--eta", "0.1"],
+        ["sidebands", "--trap-freq", "0Hz"],
+        ["sidebands", "--trap-freq=-1MHz"],
+    ])
+    def test_non_positive_trap_freq_rejected(self, argv, monkeypatch, capsys):
+        fail_if_computed(monkeypatch)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: a physical --trap-freq must be positive")
+
+    @pytest.mark.parametrize(("argv", "option"), [
+        (["sweep", "--delta-max", "inf"], "--delta-max"),
+        (["sweep", "--delta-min=-inf"], "--delta-min"),
+        (["scan-eta", "--eta-max", "inf"], "--eta-max"),
+        (["scan-eta", "--eta-min", "nan"], "--eta-min"),
+        (["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "nan"], "--eta"),
+        (["sidebands", "--k-laser", "inf", "--mass", "40u"], "--k-laser"),
+        (["check", "--tol-scale", "inf"], "--tol-scale"),
+    ])
+    def test_non_finite_float_rejected_when_parsed(self, argv, option, monkeypatch, capsys):
+        fail_if_computed(monkeypatch)
+        assert exit_code(argv) == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(("command", "bad", "named"), [
+        ("shift", {"format": "xml"}, "--format"),
+        ("sweep", {"bare": "no"}, "'bare'"),
+        ("sweep", {"points": 5.7}, "--points"),
+        ("shift", {"eta": True}, "'eta'"),
+        ("shift", {"nmax": [3]}, "'nmax'"),
+        ("shift", {"ld": "false"}, "'ld'"),
+        ("scan-eta", {"eta_max": math.inf}, "--eta-max"),
+    ])
+    def test_bad_value_is_config_error(self, command, bad, named, tmp_path, monkeypatch, capsys):
+        base = {"ng": 0, "ne": 1, "rabi": "0.01", "eta": 0.1} if command == "shift" else {}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**base, **bad}))
+        fail_if_computed(monkeypatch)
+        assert exit_code([command, "--config", str(config)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_null_means_not_set(self, tmp_path, capsys):
+        config = tmp_path / "null.json"
+        config.write_text(json.dumps({"points": None, "levels": 1}))
+        assert cli.main(["sweep", "--format", "json", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["points"] == 101
+
+    def test_readme_command_lines_as_config(self, tmp_path, capsys):
+        # every value takes the flags' path, so a config file holding a
+        # README line's flags writes the same bytes as the line itself
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [
+            shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith(("trapshift shift ", "trapshift sidebands ", "trapshift sweep --eta "))
+        ]
+        assert [argv[0] for argv in lines] == ["shift", "sweep", "sidebands"]
+        for command, *flags in lines:
+            config, it = {}, iter(flags)
+            for flag in it:
+                key = flag[2:].replace("-", "_")
+                config[key] = True if cli._OPTIONS[key].get("action") == "store_true" else next(it)
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            assert cli.main([command, *flags]) == 0
+            from_flags = capsys.readouterr().out
+            assert cli.main([command, "--config", str(path)]) == 0
+            assert capsys.readouterr().out == from_flags
 
 
 class TestBasisBound:
