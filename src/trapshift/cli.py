@@ -10,9 +10,9 @@ Subcommands::
 
 Frequencies are written ``2pi*<value><unit>`` (angular) or ``<value><unit>``
 (ordinary); bare numbers are dimensionless multiples of the trap frequency.
-All computation is done with omega_t = 1; physical units only scale inputs
-and outputs here.  Exit codes: 0 ok, 2 invalid configuration, 3 numeric
-failure or non-convergence, 4 failed self-check.
+The library works in units of omega_t; physical units exist only here, where
+they scale inputs and outputs.  Exit codes: 0 ok, 2 invalid configuration,
+3 numeric failure or non-convergence, 4 failed self-check.
 """
 
 from __future__ import annotations
@@ -143,8 +143,11 @@ def write_output(config: dict, columns: list[str], rows: list[list], fmt: str, o
         text = json.dumps({"config": config, "columns": columns, "rows": rows}, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _check_rows(rows: int) -> None:

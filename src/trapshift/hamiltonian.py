@@ -1,17 +1,19 @@
 """Time-independent laser-ion Hamiltonian on a truncated two-level ⊗ Fock basis.
 
-In the frame rotating with the laser (hbar = 1):
+In the frame rotating with the laser, with hbar = 1 and energies in units of
+the trap frequency omega_t:
 
-    H = omega_t * a^dag a - (delta/2) * sigma_z + (rabi/2) * [chi * sigma_+ + h.c.]
+    H = a^dag a - (delta/2) * sigma_z + (rabi/2) * [chi * sigma_+ + h.c.]
 
 Basis ordering is fixed: |g,0> .. |g,n_max| then |e,0> .. |e,n_max>, so the
 matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
 
-Every matrix starts from ``coupling_block``, which bounds n_max before
-anything is allocated.  ``build_hamiltonian`` assembles the complex matrix;
-``real_gauge_matrix`` alone constructs its exact real symmetric gauge,
-shared by ``HamiltonianMatrix.real_form`` and the detuning scans of
-``spectrum``, which rewrite only its diagonal (``set_detuning``) per sample.
+Every matrix starts from ``coupling_block``, which bounds n_max through
+``check_n_max`` before anything is allocated.  ``build_hamiltonian``
+assembles the complex matrix; ``real_gauge_matrix`` alone constructs its
+exact real symmetric gauge, shared by ``HamiltonianMatrix.real_form`` and
+the detuning scans of ``spectrum``, which rewrite only its diagonal
+(``set_detuning``) per sample.
 """
 
 from __future__ import annotations
@@ -32,23 +34,23 @@ MAX_DIM = 20_000
 
 
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
-    """Uncoupled level energy: E_{g,n} = n*omega_t + delta/2, E_{e,n} = n*omega_t - delta/2."""
+    """Uncoupled level energy: E_{g,n} = n + delta/2, E_{e,n} = n - delta/2."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     if state == GROUND:
-        return n * params.omega_t + 0.5 * params.delta
+        return n + 0.5 * params.delta
     if state == EXCITED:
-        return n * params.omega_t - 0.5 * params.delta
+        return n - 0.5 * params.delta
     raise ValueError(f"state must be 'g' or 'e', got {state!r}")
 
 
 def crossing_point(sideband: SidebandId, params: TrapParams) -> tuple[float, float]:
     """(E0, Delta0) where the bare lines of the sideband pair intersect.
 
-    E0 = (omega_t/2)(n_g + n_e) and Delta0 = (n_e - n_g) * omega_t.
+    E0 = (n_g + n_e)/2 and Delta0 = n_e - n_g, both returned as floats.
     """
-    e0 = 0.5 * params.omega_t * (sideband.n_g + sideband.n_e)
-    delta0 = (sideband.n_e - sideband.n_g) * params.omega_t
+    e0 = 0.5 * (sideband.n_g + sideband.n_e)
+    delta0 = float(sideband.n_e - sideband.n_g)
     return e0, delta0
 
 
@@ -100,27 +102,29 @@ def _gauge_phases(nb: int) -> np.ndarray:
     return np.asarray(PHASES)[np.arange(nb) % 4]
 
 
-def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
-    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian.
-
-    Raises ``ValueError`` before allocating when the Hamiltonian dimension
-    2 * (n_max + 1) would exceed ``MAX_DIM``.
-    """
+def check_n_max(n_max: int, why: str = "") -> None:
+    """Raise ``ValueError`` when the dimension 2 * (n_max + 1) exceeds ``MAX_DIM``;
+    ``why`` is appended to the message."""
     if 2 * (n_max + 1) > MAX_DIM:
         raise ValueError(
             f"basis dimension {2 * (n_max + 1)} is beyond the supported range "
-            f"(n_max <= {MAX_DIM // 2 - 1})"
+            f"(n_max <= {MAX_DIM // 2 - 1}){why}"
         )
+
+
+def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
+    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian, bounded by
+    ``check_n_max`` before anything is allocated."""
+    check_n_max(n_max)
     return 0.5 * params.rabi * coupling_table(params.eta, n_max).entries
 
 
-def set_detuning(h: np.ndarray, omega_t: float, delta: float) -> None:
-    """Write the bare energies n*omega_t +/- delta/2 onto the diagonal of h, in place."""
+def set_detuning(h: np.ndarray, delta: float) -> None:
+    """Write the bare energies n +/- delta/2 onto the diagonal of h, in place."""
     nb = len(h) // 2
     n = np.arange(nb)
-    energy = n * omega_t
-    h[n, n] = energy + 0.5 * delta
-    h[nb + n, nb + n] = energy - 0.5 * delta
+    h[n, n] = n + 0.5 * delta
+    h[nb + n, nb + n] = n - 0.5 * delta
 
 
 def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
@@ -136,7 +140,7 @@ def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
     h = np.zeros((2 * nb, 2 * nb))
     h[:nb, nb:] = real_block
     h[nb:, :nb] = real_block.T
-    set_detuning(h, params.omega_t, params.delta)
+    set_detuning(h, params.delta)
     return h
 
 
@@ -145,7 +149,7 @@ def build_hamiltonian(params: TrapParams, n_max: int) -> HamiltonianMatrix:
     block = coupling_block(params, n_max)
     nb = n_max + 1
     h = np.zeros((2 * nb, 2 * nb), dtype=complex)
-    set_detuning(h, params.omega_t, params.delta)
+    set_detuning(h, params.delta)
     h[:nb, nb:] = block
     h[nb:, :nb] = block.conj().T
     return HamiltonianMatrix(params=params, n_max=n_max, matrix=h)

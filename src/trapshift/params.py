@@ -1,9 +1,9 @@
 """Problem definition types: trap/laser parameters and sideband labels.
 
-Everything downstream works in hbar = 1 units.  The default ``omega_t = 1``
-puts all energies and detunings in units of the trap frequency; physical
-angular frequencies (rad/s) work equally well as long as all four fields use
-the same unit.
+Everything downstream works in hbar = 1 units with the trap frequency as the
+unit of energy and frequency: ``rabi`` and ``delta`` are ratios to omega_t.
+Physical units exist only at the command line, which converts on the way in
+and out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class PerturbativeRegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TrapParams:
-    """Trap frequency, Rabi frequency, Lamb-Dicke parameter and detuning.
+    """Rabi frequency, Lamb-Dicke parameter and detuning, in units of omega_t.
 
     ``delta`` is the laser detuning from the internal transition,
     ``omega_L - omega_0``; it is the swept variable of the spectra.
@@ -31,22 +31,19 @@ class TrapParams:
     rabi: float
     eta: float
     delta: float = 0.0
-    omega_t: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("rabi", "eta", "delta", "omega_t"):
+        for name in ("rabi", "eta", "delta"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.omega_t <= 0:
-            raise ValueError(f"omega_t must be positive, got {self.omega_t!r}")
         if self.rabi < 0:
             raise ValueError(f"rabi must be nonnegative, got {self.rabi!r}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
-        if self.rabi > PERTURBATIVE_RATIO_LIMIT * self.omega_t:
+        if self.rabi > PERTURBATIVE_RATIO_LIMIT:
             warnings.warn(
-                f"rabi/omega_t = {self.rabi / self.omega_t:.3g} exceeds "
+                f"rabi/omega_t = {self.rabi:.3g} exceeds "
                 f"{PERTURBATIVE_RATIO_LIMIT}; perturbative shift formulas "
                 "lose accuracy in this regime",
                 PerturbativeRegimeWarning,

@@ -9,10 +9,10 @@ avoided crossing.  At the bare crossing energy E0:
     R_ee = sum_{k != n_g} |Omega_{n_e,k}/2|^2 / (E0 - E_{g,k})
 
 and the resonance shift is delta_omega = R_ee - R_gg (hbar = 1), which
-collapses to
+collapses, with Omega_R and delta_omega in units of the trap frequency, to
 
-    delta_omega = (Omega_R^2 / 4 omega_t) * [ sum_{k != n_g} |chi_{n_e,k}|^2/(n_g - k)
-                                            - sum_{k != n_e} |chi_{n_g,k}|^2/(n_e - k) ]
+    delta_omega = (Omega_R^2 / 4) * [ sum_{k != n_g} |chi_{n_e,k}|^2/(n_g - k)
+                                    - sum_{k != n_e} |chi_{n_g,k}|^2/(n_e - k) ]
 
 valid at all eta for weak drive.  The quadratic-in-eta expansion and the
 superseded first-red-sideband literature formula are provided alongside for
@@ -176,7 +176,6 @@ def level_shift_diag(
 
     (s_gg,), k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max, to_excited)
     (s_ee,), k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta, k_max, to_ground)
-    tail_scale = half_sq / params.omega_t
     tail = _tail_bound(params.eta, sideband.n_g, d_gg) + _tail_bound(params.eta, sideband.n_e, d_ee)
     return LevelShiftElements(
         sideband=sideband,
@@ -185,7 +184,7 @@ def level_shift_diag(
         r_ge_abs=splitting_half(sideband, params),
         e0=e0,
         k_max_used=max(k_gg, k_ee),
-        tail_bound=tail_scale * tail,
+        tail_bound=half_sq * tail,
     )
 
 
@@ -214,7 +213,7 @@ def bs_shift(
 
     (s1, s_ee), _, _ = _sum_terms(n_e, n_g, params.eta, k_max, lambda k: float(n_g - k), to_ground)
     (s2, s_gg), _, _ = _sum_terms(n_g, n_e, params.eta, k_max, lambda k: float(n_e - k), to_excited)
-    prefactor = params.rabi**2 / (4.0 * params.omega_t)
+    prefactor = params.rabi**2 / 4.0
     shift = prefactor * (s1 - s2)
 
     half_sq = (0.5 * params.rabi) ** 2
@@ -228,11 +227,11 @@ def bs_shift(
         )
 
     r_ge_abs = splitting_half(sideband, params)
-    isolated = r_ge_abs <= ISOLATION_RATIO * params.omega_t
+    isolated = r_ge_abs <= ISOLATION_RATIO
     if not isolated:
         warnings.warn(
-            f"splitting {r_ge_abs:.3g} is not small against omega_t = "
-            f"{params.omega_t:.3g}; the isolated-resonance picture degrades",
+            f"splitting {r_ge_abs:.3g} is not small against omega_t = 1; "
+            "the isolated-resonance picture degrades",
             stacklevel=2,
         )
 
@@ -265,11 +264,11 @@ def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     n_g, n_e = sideband.n_g, sideband.n_e
     eta2 = params.eta**2
     weight = n_g + n_e + 1
-    carrier_term = params.rabi**2 * (1.0 - eta2 * weight) / (2.0 * (n_g - n_e) * params.omega_t)
+    carrier_term = params.rabi**2 * (1.0 - eta2 * weight) / (2.0 * (n_g - n_e))
     sideband_sum = sum(
         weight / (n_g - n_e + k) for k in (+1, -1) if n_g - n_e + k != 0
     )
-    sideband_term = eta2 * params.rabi**2 / (4.0 * params.omega_t) * sideband_sum
+    sideband_term = eta2 * params.rabi**2 / 4.0 * sideband_sum
     return PerturbativeShift(
         sideband=sideband,
         delta_omega_full=None,
@@ -291,9 +290,7 @@ def bs_shift_literature(
         raise ValueError(
             f"the literature formula applies to the first red sideband (1, 0) only, got {sideband}"
         )
-    return params.rabi**2 / (2.0 * params.omega_t) + params.eta**2 * params.rabi**2 / (
-        4.0 * params.omega_t
-    )
+    return params.rabi**2 / 2.0 + params.eta**2 * params.rabi**2 / 4.0
 
 
 def eta_zero_shift(sideband: SidebandId, params: TrapParams) -> float:

@@ -3,7 +3,7 @@
 The dressed levels E(delta) are eigenvalues of the full coupled Hamiltonian.
 A sideband resonance is located as the extremum of the dressed branch that
 enters the target anti-crossing from the tagged bare state; when the pair is
-decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION * omega_t``) the
+decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
 All heavy eigensolves run in the exact real-symmetric gauge built by
@@ -29,6 +29,7 @@ from .errors import ResonanceWindowError, TrackingAmbiguityError, TrapshiftError
 from .fock import chi_magnitude
 from .hamiltonian import (
     HamiltonianMatrix,
+    check_n_max,
     coupling_block,
     crossing_point,
     default_n_max,
@@ -37,16 +38,16 @@ from .hamiltonian import (
 )
 from .params import SidebandId, TrapParams
 
-#: Measured pair gaps below this fraction of omega_t count as true crossings.
+#: Measured pair gaps below this many omega_t count as true crossings.
 GAP_FLOOR_FRACTION = 1e-10
 #: Coarse scan resolution of the resonance window.
 COARSE_POINTS = 101
-#: Window half-width: max of this fraction of omega_t and 5x the gap estimate.
+#: Window half-width: max of this many omega_t and 5x the gap estimate.
 WINDOW_FRACTION = 0.1
 WINDOW_GAP_MULTIPLE = 5.0
-#: Centered finite-difference step for derivative residuals (units of omega_t).
+#: Centered finite-difference step for derivative residuals, in omega_t.
 FD_STEP_FRACTION = 1e-5
-#: Basis-margin doubling convergence thresholds.
+#: Basis-margin doubling convergence thresholds (the absolute one in omega_t).
 CONVERGENCE_RELATIVE = 1e-4
 CONVERGENCE_ABSOLUTE = 1e-12
 #: Hard cap: final dimension never exceeds 2 * (n_max_start + 240).
@@ -129,7 +130,7 @@ class _DetuningScan:
         self._h = real_gauge_matrix(params, coupling_block(params, n_max))
 
     def eigen(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        set_detuning(self._h, self.params.omega_t, delta)
+        set_detuning(self._h, delta)
         return np.linalg.eigh(self._h)
 
     def pair_levels(self, delta: float, sideband: SidebandId) -> tuple[float, float]:
@@ -163,11 +164,11 @@ def _local_minima(values: np.ndarray) -> list[int]:
     return out
 
 
-def _refine_maximum(fun, lo: float, hi: float, omega_t: float) -> float:
+def _refine_maximum(fun, lo: float, hi: float) -> float:
     """Successive parabolic interpolation for the branch extremum, then a
     Newton polish on the centered finite-difference slope."""
-    d_star, _ = _refine_minimum(lambda d: -fun(d), lo, hi, omega_t)
-    h = FD_STEP_FRACTION * omega_t
+    d_star, _ = _refine_minimum(lambda d: -fun(d), lo, hi)
+    h = FD_STEP_FRACTION
     for _ in range(4):
         f_plus, f_minus, f_mid = fun(d_star + h), fun(d_star - h), fun(d_star)
         slope = (f_plus - f_minus) / (2.0 * h)
@@ -178,17 +179,17 @@ def _refine_maximum(fun, lo: float, hi: float, omega_t: float) -> float:
         if abs(step) > (hi - lo):
             break
         d_star -= step
-        if abs(step) < 1e-13 * omega_t:
+        if abs(step) < 1e-13:
             break
     return min(max(d_star, lo), hi)
 
 
-def _refine_minimum(fun, lo: float, hi: float, omega_t: float) -> tuple[float, float]:
+def _refine_minimum(fun, lo: float, hi: float) -> tuple[float, float]:
     result = minimize_scalar(
         fun,
         bounds=(lo, hi),
         method="bounded",
-        options={"xatol": 1e-12 * omega_t, "maxiter": 200},
+        options={"xatol": 1e-12, "maxiter": 200},
     )
     return float(result.x), float(result.fun)
 
@@ -203,7 +204,7 @@ def _tagged_root(
 
     if difference(lo) * difference(hi) >= 0:
         return None
-    return float(brentq(difference, lo, hi, xtol=1e-14 * scan.params.omega_t))
+    return float(brentq(difference, lo, hi, xtol=1e-14))
 
 
 def _min_pair_gap(
@@ -216,9 +217,8 @@ def _min_pair_gap(
     minimizer's relative positioning floor, so the sign change of the tagged
     branch difference is root-found instead and the gap is sampled there.
     """
-    omega_t = scan.params.omega_t
-    _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), lo, hi, omega_t)
-    if gap_min < 1e-6 * omega_t:
+    _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), lo, hi)
+    if gap_min < 1e-6:
         root = _tagged_root(scan, sideband, lo, hi)
         if root is not None:
             gap_min = min(gap_min, scan.pair_gap(root, sideband))
@@ -235,13 +235,12 @@ def _search_window(
     (window half-width, coarse bracket of that maximum, minimal gap).
     """
     params = scan.params
-    omega_t = params.omega_t
     _, delta0 = crossing_point(sideband, params)
     gap_estimate = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
     half = window if window is not None else max(
-        WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION * omega_t
+        WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION
     )
-    shrink_floor = max(10.0 * gap_estimate, 1e-6 * omega_t)
+    shrink_floor = max(10.0 * gap_estimate, 1e-6)
 
     escalations = shrinks = 0
     while True:
@@ -280,11 +279,10 @@ def _locate(
     scan: _DetuningScan, sideband: SidebandId, window: float | None = None
 ) -> tuple[float, float, str]:
     """Locate the resonance: returns (delta_star, minimal gap, method)."""
-    omega_t = scan.params.omega_t
     _, delta0 = crossing_point(sideband, scan.params)
     half, (lo, hi), gap_min = _search_window(scan, sideband, window)
 
-    if gap_min < GAP_FLOOR_FRACTION * omega_t:
+    if gap_min < GAP_FLOOR_FRACTION:
         lo, hi = delta0 - half, delta0 + half
         delta_star = _tagged_root(scan, sideband, lo, hi)
         for _ in range(MAX_WINDOW_ESCALATIONS):
@@ -300,9 +298,7 @@ def _locate(
         gap_at = scan.pair_gap(delta_star, sideband)
         return delta_star, float(min(gap_min, gap_at)), "intersection"
 
-    delta_star = _refine_maximum(
-        lambda d: scan.pair_low(d, sideband), lo, hi, omega_t
-    )
+    delta_star = _refine_maximum(lambda d: scan.pair_low(d, sideband), lo, hi)
     return delta_star, gap_min, "extremum"
 
 
@@ -325,9 +321,7 @@ def _double_basis(
         n_next = min(base + margin, n_cap)
         star, _, _ = _locate(_DetuningScan(params, n_next), sideband)
         current = star - delta0
-        if abs(current - prev) <= max(
-            CONVERGENCE_RELATIVE * abs(current), CONVERGENCE_ABSOLUTE * params.omega_t
-        ):
+        if abs(current - prev) <= max(CONVERGENCE_RELATIVE * abs(current), CONVERGENCE_ABSOLUTE):
             return first, n_next, current, True
         if n_next >= n_cap:
             return first, n_next, current, False
@@ -346,6 +340,7 @@ def find_resonance(
     and reports delta_omega = delta_star - delta0.  The location is repeated
     once on the basis with doubled margin (the first step of
     ``convergence``), and ``converged`` says whether the two shifts agree.
+    That doubled basis is bounded by ``check_n_max`` before the first solve.
     Carriers are unshifted by symmetry and short-circuit analytically.
     """
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
@@ -359,7 +354,9 @@ def find_resonance(
     elif n_used <= base:
         raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
     else:
+        check_n_max(n_used)
         n_doubled = base + 2 * (n_used - base)
+        check_n_max(n_doubled, f"; the convergence check doubles the margin of n_max = {n_used}")
         location, _, _, converged = _double_basis(sideband, params, n_used, n_doubled)
     delta_star, gap, method = location
     return ShiftReport(

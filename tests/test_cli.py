@@ -321,6 +321,24 @@ class TestBasisBound:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: basis dimension 20002")
 
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"],
+        ["scan-eta", "--points", "2"],
+    ])
+    def test_doubled_basis_above_bound_is_config_error(self, argv, monkeypatch, capsys):
+        # --nmax 6000 is within the bound, but the convergence re-locate on the
+        # doubled margin is not; no basis may be built before that is known
+        from trapshift import spectrum
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a basis was solved before the doubled basis was bounded")
+
+        monkeypatch.setattr(spectrum, "_DetuningScan", unreachable)
+        assert cli.main([*argv, "--nmax", "6000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis dimension 24000")
+        assert "Traceback" not in err
+
 
 class TestRowBound:
     @pytest.mark.parametrize("argv", [
@@ -522,6 +540,16 @@ class TestSidebandsCommand:
 
 
 class TestStdout:
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0",
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {str(out)!r}")
+        assert captured.out == ""
+        assert not out.parent.exists()
+
     def test_writes_to_stdout_by_default(self, capsys):
         code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0"])
         assert code == 0

@@ -1,5 +1,6 @@
 """Bare energies, crossing points, and matrix assembly contracts."""
 
+import dataclasses
 import math
 import warnings
 
@@ -24,9 +25,13 @@ class TestTrapParams:
         with pytest.raises(ValueError):
             ts.TrapParams(rabi=0.1, eta=-0.1)
         with pytest.raises(ValueError):
-            ts.TrapParams(rabi=0.1, eta=0.1, omega_t=0.0)
-        with pytest.raises(ValueError):
             ts.TrapParams(rabi=float("inf"), eta=0.1)
+
+    def test_has_no_trap_frequency_field(self):
+        # energies are in units of omega_t; only the CLI knows physical units
+        assert [f.name for f in dataclasses.fields(ts.TrapParams)] == ["rabi", "eta", "delta"]
+        with pytest.raises(TypeError):
+            ts.TrapParams(rabi=0.01, eta=0.1, omega_t=2.0)
 
     def test_warns_outside_perturbative_regime(self):
         with pytest.warns(UserWarning):
@@ -88,9 +93,13 @@ class TestCrossingPoint:
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         assert ts.crossing_point(ts.SidebandId(1, 0), params) == (0.5, -1.0)
 
-    def test_scales_with_omega_t(self):
-        params = ts.TrapParams(rabi=0.01, eta=0.1, omega_t=2.0)
-        assert ts.crossing_point(ts.SidebandId(1, 2), params) == (3.0, 2.0)
+    def test_returns_floats(self):
+        # the CLI prints delta0 by repr, so an int would print as 1, not 1.0
+        params = ts.TrapParams(rabi=0.01, eta=0.1)
+        for sideband in (ts.SidebandId(0, 0), ts.SidebandId(0, 1), ts.SidebandId(3, 1)):
+            e0, delta0 = ts.crossing_point(sideband, params)
+            assert type(e0) is float and type(delta0) is float
+        assert repr(ts.crossing_point(ts.SidebandId(0, 1), params)) == "(0.5, 1.0)"
 
 
 class TestBuildHamiltonian:
@@ -181,6 +190,24 @@ class TestBasisBound:
             ts.build_hamiltonian(params, n_max)
         with pytest.raises(ValueError, match="beyond the supported range"):
             ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
+
+    def test_doubled_basis_rejected_before_first_solve(self, monkeypatch):
+        from trapshift import spectrum
+
+        class Reached(Exception):
+            pass
+
+        def first_solve(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(spectrum, "_DetuningScan", first_solve)
+        params = ts.TrapParams(rabi=0.01, eta=0.1)
+        # (0, 1) re-locates on n_max 1 + 2 (n - 1): 9999 at n = 5000, 10001 at 5001
+        with pytest.raises(Reached):
+            ts.find_resonance(ts.SidebandId(0, 1), params, n_max=5000)
+        for n_max in (5001, 6000):
+            with pytest.raises(ValueError, match="doubles the margin"):
+                ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
 
 
 class TestDefaultNMax:
