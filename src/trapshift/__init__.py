@@ -50,7 +50,6 @@ from .resolvent import (
 _SPECTRUM_NAMES = frozenset({
     "DressedSpectrum",
     "ShiftReport",
-    "convergence",
     "eigenlevels",
     "find_resonance",
     "measure_splitting",
@@ -91,7 +90,6 @@ __all__ = [
     "build_hamiltonian",
     "chi",
     "chi_magnitude",
-    "convergence",
     "coupling_table",
     "crossing_point",
     "default_n_max",

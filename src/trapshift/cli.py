@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -33,7 +34,7 @@ from .fock import chi_magnitude, coupling_table, displacement_oracle
 from .hamiltonian import MAX_DIM, bare_energy, default_n_max
 from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
 from .resolvent import bs_shift, bs_shift_literature, eta_zero_shift
-from .spectrum import ShiftReport, find_resonance, sweep_spectrum
+from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
 #: on the constants edition of the installed scipy.
@@ -150,6 +151,17 @@ def write_output(config: dict, columns: list[str], rows: list[list], fmt: str, o
         raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before any computation when ``--out`` is not in a writable directory."""
+    if out is None:
+        return
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise ConfigError(f"cannot write {out!r}: {str(parent)!r} is not a directory")
+    if not os.access(parent, os.W_OK):
+        raise ConfigError(f"cannot write {out!r}: {str(parent)!r} is not writable")
+
+
 def _check_rows(rows: int) -> None:
     if rows > MAX_ROWS:
         raise ConfigError(f"{rows} output rows exceed the limit of {MAX_ROWS}")
@@ -236,6 +248,8 @@ def _resolve_physics(
 def _sideband(args: argparse.Namespace) -> SidebandId:
     if args.ng is None or args.ne is None:
         raise ConfigError("sideband is undefined: give --ng and --ne")
+    if max(args.ng, args.ne) > MAX_DIM // 2 - 1:
+        raise ConfigError(f"--ng and --ne must be at most {MAX_DIM // 2 - 1}, the --nmax limit")
     return SidebandId(args.ng, args.ne)
 
 
@@ -261,6 +275,8 @@ def cmd_shift(args: argparse.Namespace) -> int:
     sideband = _sideband(args)
     if args.ld and sideband.is_carrier:
         raise ConfigError("--ld requested for a carrier: the Lamb-Dicke expansion needs n_g != n_e")
+    if not sideband.is_carrier:
+        check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, params.eta))
 
     pert = bs_shift(sideband, params, k_max=args.kmax)
     report = find_resonance(sideband, params, n_max=args.nmax)
@@ -347,6 +363,8 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
     rabi_value, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
         raise ConfigError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
+    # default_n_max grows with eta, so the largest bases are those at eta_max.
+    check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, hi))
 
     is_first_red = (sideband.n_g, sideband.n_e) == (1, 0)
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
@@ -558,6 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             options = (*COMMANDS[args.command][2], "format", "out")
             args = parser.parse_args([args.command, *_config_tokens(args.config, options), *argv[1:]])
+        _check_out(args.out)
         return args.run(args)
     except TrapshiftError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

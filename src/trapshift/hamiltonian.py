@@ -57,7 +57,7 @@ def crossing_point(sideband: SidebandId, params: TrapParams) -> tuple[float, flo
 def default_n_max(sideband: SidebandId, eta: float) -> int:
     """Default truncation: pair maximum plus a margin that grows with eta^2.
 
-    Validated downstream by the basis-doubling convergence check.
+    Validated downstream by the doubled-basis re-locate of ``find_resonance``.
     """
     return max(sideband.n_g, sideband.n_e) + 15 + math.ceil(25.0 * eta * eta)
 

@@ -10,8 +10,8 @@ All heavy eigensolves run in the exact real-symmetric gauge built by
 ``hamiltonian.real_gauge_matrix``; bare-state overlap magnitudes are gauge
 invariant, so nothing downstream can observe the difference.  Each job has
 one code path: ``_search_window`` is the coarse window and gap search behind
-both ``find_resonance`` and ``measure_splitting``, ``_double_basis`` the
-basis-doubling loop behind both ``find_resonance`` and ``convergence``, and
+both ``find_resonance`` and ``measure_splitting``, ``find_resonance`` the
+one basis-doubling check (one re-locate on the doubled margin), and
 ``sweep_spectrum`` the branch continuation behind ``track_branch``.  Scans
 are sequential and deterministic; share nothing across threads except the
 immutable inputs.
@@ -50,8 +50,6 @@ FD_STEP_FRACTION = 1e-5
 #: Basis-margin doubling convergence thresholds (the absolute one in omega_t).
 CONVERGENCE_RELATIVE = 1e-4
 CONVERGENCE_ABSOLUTE = 1e-12
-#: Hard cap: final dimension never exceeds 2 * (n_max_start + 240).
-CONVERGENCE_CAP_MARGIN = 239
 #: Branch continuation is trusted only above this eigenvector overlap.
 TRACK_OVERLAP_MIN = 0.5
 MAX_BISECTION_LEVELS = 12
@@ -302,30 +300,17 @@ def _locate(
     return delta_star, gap_min, "extremum"
 
 
-def _double_basis(
-    sideband: SidebandId, params: TrapParams, n_first: int, n_cap: int
-) -> tuple[tuple[float, float, str], int, float, bool]:
-    """The basis-doubling loop behind ``find_resonance`` and ``convergence``.
-
-    Locates the resonance on n_first, then doubles the margin over
-    max(n_g, n_e), capped at n_cap, until two successive shifts agree.
-    Returns (first location, final n_max, final shift, converged).
-    """
+def check_bases(sideband: SidebandId, n_max: int) -> int:
+    """Bound both bases ``find_resonance`` solves at before any is built: n_max
+    above max(n_g, n_e), and n_max and its doubled margin within ``check_n_max``.
+    Returns the doubled n_max."""
     base = max(sideband.n_g, sideband.n_e)
-    margin = n_first - base
-    _, delta0 = crossing_point(sideband, params)
-    first = _locate(_DetuningScan(params, n_first), sideband)
-    prev = first[0] - delta0
-    while True:
-        margin *= 2
-        n_next = min(base + margin, n_cap)
-        star, _, _ = _locate(_DetuningScan(params, n_next), sideband)
-        current = star - delta0
-        if abs(current - prev) <= max(CONVERGENCE_RELATIVE * abs(current), CONVERGENCE_ABSOLUTE):
-            return first, n_next, current, True
-        if n_next >= n_cap:
-            return first, n_next, current, False
-        prev = current
+    if n_max <= base:
+        raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_max!r}")
+    check_n_max(n_max)
+    n_doubled = base + 2 * (n_max - base)
+    check_n_max(n_doubled, f"; the convergence check doubles the margin of n_max = {n_max}")
+    return n_doubled
 
 
 def find_resonance(
@@ -337,28 +322,26 @@ def find_resonance(
 
     Scans the branch that enters the target anti-crossing from |g, n_g>,
     refines its extremum (or, for decoupled pairs, the branch intersection)
-    and reports delta_omega = delta_star - delta0.  The location is repeated
-    once on the basis with doubled margin (the first step of
-    ``convergence``), and ``converged`` says whether the two shifts agree.
-    That doubled basis is bounded by ``check_n_max`` before the first solve.
-    Carriers are unshifted by symmetry and short-circuit analytically.
+    and reports delta_omega = delta_star - delta0 on n_max.  The location is
+    repeated once on the basis with doubled margin over max(n_g, n_e), and
+    ``converged`` says whether the two shifts agree; a larger n_max is the
+    way to go further.  Both bases are bounded by ``check_bases`` before the
+    first solve.  Carriers are unshifted by symmetry and short-circuit
+    analytically.
     """
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
-    base = max(sideband.n_g, sideband.n_e)
     _, delta0 = crossing_point(sideband, params)
     if sideband.is_carrier:
         gap = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
-        location, converged = (0.0, gap, "carrier"), True
+        delta_star, method, converged = 0.0, "carrier", True
     elif params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
-    elif n_used <= base:
-        raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
     else:
-        check_n_max(n_used)
-        n_doubled = base + 2 * (n_used - base)
-        check_n_max(n_doubled, f"; the convergence check doubles the margin of n_max = {n_used}")
-        location, _, _, converged = _double_basis(sideband, params, n_used, n_doubled)
-    delta_star, gap, method = location
+        n_doubled = check_bases(sideband, n_used)
+        delta_star, gap, method = _locate(_DetuningScan(params, n_used), sideband)
+        shift = delta_star - delta0
+        doubled = _locate(_DetuningScan(params, n_doubled), sideband)[0] - delta0
+        converged = abs(doubled - shift) <= max(CONVERGENCE_RELATIVE * abs(doubled), CONVERGENCE_ABSOLUTE)
     return ShiftReport(
         sideband=sideband,
         delta0=delta0,
@@ -386,25 +369,6 @@ def measure_splitting(
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, _, gap = _search_window(_DetuningScan(params, n_used), sideband)
     return gap
-
-
-def convergence(
-    sideband: SidebandId, params: TrapParams, n_max_start: int | None = None
-) -> tuple[int, float, bool]:
-    """Double the basis margin until the located shift stabilizes.
-
-    Returns (n_max_final, delta_omega, converged); converged is False when the
-    dimension cap 2 * (n_max_start + 240) is reached without stabilizing.
-    """
-    start = n_max_start if n_max_start is not None else default_n_max(sideband, params.eta)
-    if sideband.is_carrier:
-        return start, 0.0, True
-    base = max(sideband.n_g, sideband.n_e)
-    n_first = base + max(start - base, 1)
-    _, n_final, shift, converged = _double_basis(
-        sideband, params, n_first, start + CONVERGENCE_CAP_MARGIN
-    )
-    return n_final, shift, converged
 
 
 def _assign(prev_vectors: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:

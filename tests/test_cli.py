@@ -339,6 +339,23 @@ class TestBasisBound:
         assert err.startswith("error: basis dimension 24000")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["shift", "--ng", "10000", "--ne", "0", "--nmax", "9999"], "--ng and --ne must be at most 9999"),
+        (["shift", "--ng", "100000000", "--ne", "0"], "--ng and --ne must be at most 9999"),
+        (["shift", "--ng", "100000000", "--ne", "100000000"], "--ng and --ne must be at most 9999"),
+        (["shift", "--ng", "9998", "--ne", "9999"], "basis dimension 20032"),
+        (["scan-eta", "--ng", "100000000", "--ne", "0", "--points", "2"], "--ng and --ne must be at most 9999"),
+        # within the bound at eta_min = 0, beyond it at eta_max = 1
+        (["scan-eta", "--ng", "9960", "--ne", "0", "--eta-max", "1.0", "--points", "2"], "basis dimension 20002"),
+    ])
+    def test_oversized_sideband_rejected_before_computing(self, argv, message, monkeypatch, capsys):
+        physics = ["--rabi", "0.01", "--eta", "0.1"] if argv[0] == "shift" else []
+        fail_if_computed(monkeypatch)
+        assert cli.main([*argv, *physics]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
 
 class TestRowBound:
     @pytest.mark.parametrize("argv", [
@@ -540,15 +557,23 @@ class TestSidebandsCommand:
 
 
 class TestStdout:
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+    def test_unwritable_out_is_config_error(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "missing" / "x.csv"
-        code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0",
-                         "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot write {str(out)!r}")
-        assert captured.out == ""
-        assert not out.parent.exists()
+        fail_if_computed(monkeypatch)  # the directory is checked before any computation
+        for argv in [
+            ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0"],
+            ["scan-eta"],
+        ]:
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: cannot write {str(out)!r}")
+            assert captured.out == ""
+            assert not out.parent.exists()
+
+    def test_write_error_is_config_error(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        with pytest.raises(cli.ConfigError, match="cannot write"):
+            cli.write_output({}, ["a"], [[1]], "csv", str(out))
 
     def test_writes_to_stdout_by_default(self, capsys):
         code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0"])

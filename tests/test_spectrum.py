@@ -120,10 +120,21 @@ class TestSweepSpectrum:
 
 class TestFindResonance:
     def test_frozen_first_blue(self):
-        report = ts.find_resonance(SB01, P01, n_max=20)
-        assert report.method == "extremum"
-        assert report.delta_omega == pytest.approx(-4.9256561e-5, abs=2e-11)
-        assert report.converged
+        # (params, n_max, frozen shift and tolerance, doubled basis of the re-locate)
+        cases = [
+            (P01, 20, pytest.approx(-4.9256561e-5, abs=2e-11), 39),
+            (P01, None, pytest.approx(-4.9256561e-5, abs=2e-11), 33),
+            (
+                ts.TrapParams(rabi=0.01, eta=0.8), None,
+                pytest.approx(-1.7995848780483215e-05, rel=1e-4), 63,
+            ),
+        ]
+        for params, n_max, frozen, n_doubled in cases:
+            report = ts.find_resonance(SB01, params, n_max=n_max)
+            assert report.method == "extremum"
+            assert report.delta_omega == frozen
+            assert report.converged
+            assert spectrum.check_bases(SB01, report.n_max_used) == n_doubled
 
     def test_matches_ld_to_quartic_order(self):
         report = ts.find_resonance(SB01, P01, n_max=20)
@@ -138,6 +149,8 @@ class TestFindResonance:
         assert report.delta_omega == pytest.approx(-5.0e-5, rel=1e-3)
         # exact closed form of the decoupled two-block problem
         assert report.delta_omega == pytest.approx(math.sqrt(1.0 - 1e-4) - 1.0, abs=1e-12)
+        assert report.converged
+        assert spectrum.check_bases(SB01, report.n_max_used) == 31
 
     def test_eta_zero_tight_agreement_at_weak_drive(self):
         params = ts.TrapParams(rabi=1e-3, eta=0.0)
@@ -149,9 +162,11 @@ class TestFindResonance:
             assert report.gap < 1e-10
 
     def test_carrier_analytic(self):
-        report = ts.find_resonance(ts.SidebandId(2, 2), P01)
-        assert report.method == "carrier"
-        assert report.delta_omega == 0.0
+        for carrier in [ts.SidebandId(2, 2), ts.SidebandId(1, 1)]:
+            report = ts.find_resonance(carrier, P01)
+            assert report.method == "carrier"
+            assert report.delta_omega == 0.0
+            assert report.converged
 
     def test_rejects_zero_field(self):
         with pytest.raises(ValueError):
@@ -207,31 +222,6 @@ class TestMeasureSplitting:
     def test_zero_field(self):
         gap = ts.measure_splitting(SB01, ts.TrapParams(rabi=0.0, eta=0.1))
         assert gap < 1e-12
-
-
-class TestConvergence:
-    def test_moderate_eta_converges_quickly(self):
-        n_final, shift, converged = ts.convergence(SB01, P01)
-        assert converged
-        assert n_final <= 40
-        assert shift == pytest.approx(-4.9256561e-5, abs=2e-11)
-
-    def test_eta_zero_minimal_basis(self):
-        n_final, shift, converged = ts.convergence(SB01, ts.TrapParams(rabi=0.01, eta=0.0))
-        assert converged
-        assert n_final <= 31
-        assert shift == pytest.approx(math.sqrt(1.0 - 1e-4) - 1.0, abs=1e-12)
-
-    def test_large_eta_needs_wide_basis(self):
-        params = ts.TrapParams(rabi=0.01, eta=0.8)
-        n_final, shift, converged = ts.convergence(SB01, params)
-        assert converged
-        assert n_final >= 40  # frozen from the doubling loop: stabilizes at 63
-        assert shift == pytest.approx(-1.7995848780483215e-05, rel=1e-4)
-
-    def test_carrier_trivial(self):
-        n_final, shift, converged = ts.convergence(ts.SidebandId(1, 1), P01)
-        assert converged and shift == 0.0
 
 
 class TestLazyImport:
