@@ -280,7 +280,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
 
     pert = bs_shift(sideband, params, k_max=args.kmax)
     report = find_resonance(sideband, params, n_max=args.nmax)
-    gap_expected = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
+    gap_expected = params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
     shift_eta0 = None if sideband.is_carrier else eta_zero_shift(sideband, params)
 
     columns = [
@@ -404,18 +404,11 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
     rows: list[list] = []
     for signed_order in range(-max_order, max_order + 1):
         for n in range(max_n + 1):
-            if signed_order < 0:  # red: n labels the lower level n_e
-                ng, ne = n - signed_order, n
-                kind = "red"
-            elif signed_order > 0:  # blue: n labels the lower level n_g
-                ng, ne = n, n + signed_order
-                kind = "blue"
-            else:
-                ng = ne = n
-                kind = "carrier"
-            shift = bs_shift(SidebandId(ng, ne), params, k_max=args.kmax).delta_omega_full
+            # n labels the lower level: n_e on a red sideband, n_g on a blue one.
+            sb = SidebandId(n + max(-signed_order, 0), n + max(signed_order, 0))
+            shift = bs_shift(sb, params, k_max=args.kmax).delta_omega_full
             rows.append([
-                kind, abs(signed_order), n, ng, ne, shift, _hz(shift, omega_phys),
+                sb.kind, abs(signed_order), n, sb.n_g, sb.n_e, shift, _hz(shift, omega_phys),
             ])
     config = {
         "command": "sidebands", **meta, "max_order": max_order, "max_n": max_n,

@@ -8,10 +8,6 @@ class TrapshiftError(Exception):
 class TrackingAmbiguityError(TrapshiftError):
     """Branch continuation stayed ambiguous after maximal grid refinement."""
 
-    def __init__(self, message: str, window: tuple[float, float]):
-        super().__init__(message)
-        self.window = window
-
 
 class ResonanceWindowError(TrapshiftError):
     """No usable extremum found inside the scan window after escalation."""

@@ -86,7 +86,8 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 
 
 def chi_magnitude(n: int, nprime: int, eta: float) -> float:
-    """|chi_{nn'}|, the phase-free part of the displacement matrix element.
+    """Real amplitude m of chi_{nn'} = i^|n-n'| * m; signed, since the Laguerre
+    factor changes sign in eta, so |chi_{nn'}| is its ``abs``.
 
     The factorial ratio goes through lgamma so the result stays finite for
     quantum numbers far beyond the n = 170 overflow of raw factorials.
@@ -123,10 +124,6 @@ class CouplingTable:
     eta: float
     n_max: int
     entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
 
     def row_norm(self, n: int) -> float:
         """sum_k |chi_{nk}|^2; tends to 1 with n_max by unitarity."""

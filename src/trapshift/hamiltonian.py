@@ -10,10 +10,9 @@ matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
 
 Every matrix starts from ``coupling_block``, which bounds n_max through
 ``check_n_max`` before anything is allocated.  ``build_hamiltonian``
-assembles the complex matrix; ``real_gauge_matrix`` alone constructs its
-exact real symmetric gauge, shared by ``HamiltonianMatrix.real_form`` and
-the detuning scans of ``spectrum``, which rewrite only its diagonal
-(``set_detuning``) per sample.
+assembles the complex matrix H above; ``real_gauge_matrix`` alone constructs
+its exact real symmetric gauge, which the detuning scans of ``spectrum``
+solve, rewriting only its diagonal (``set_detuning``) per sample.
 """
 
 from __future__ import annotations
@@ -83,19 +82,6 @@ class HamiltonianMatrix:
         if state == EXCITED:
             return self.n_max + 1 + n
         raise ValueError(f"state must be 'g' or 'e', got {state!r}")
-
-    def gauge_vector(self) -> np.ndarray:
-        """Diagonal phases i^n (per sector) that make the matrix real symmetric."""
-        phases = _gauge_phases(self.n_max + 1)
-        return np.concatenate([phases, phases])
-
-    def real_form(self) -> np.ndarray:
-        """Real symmetric gauge of the matrix; see ``real_gauge_matrix``.
-
-        Eigenvalues and bare-state overlap magnitudes are unchanged.
-        """
-        nb = self.n_max + 1
-        return real_gauge_matrix(self.params, self.matrix[:nb, nb:])
 
 
 def _gauge_phases(nb: int) -> np.ndarray:

@@ -82,6 +82,3 @@ class SidebandId:
     @property
     def is_carrier(self) -> bool:
         return self.n_g == self.n_e
-
-    def swapped(self) -> SidebandId:
-        return SidebandId(self.n_e, self.n_g)

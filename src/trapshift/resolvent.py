@@ -190,7 +190,7 @@ def level_shift_diag(
 
 def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
     """|R_ge| = |Omega_{n_g,n_e}|/2, half the closest-approach gap of the pair."""
-    return 0.5 * params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
+    return 0.5 * params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
 
 
 def bs_shift(
@@ -278,18 +278,13 @@ def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     )
 
 
-def bs_shift_literature(
-    params: TrapParams, sideband: SidebandId = SidebandId(1, 0)
-) -> float:
-    """Earlier published first-red-sideband shift, kept for comparison curves.
+def bs_shift_literature(params: TrapParams) -> float:
+    """Earlier published shift of the first red sideband (n_g, n_e) = (1, 0),
+    the only sideband it describes; kept for comparison curves.
 
     Differs from the quadratic expansion by the eta^2 correction of the
-    off-resonant carrier coupling; defined for (n_g, n_e) = (1, 0) only.
+    off-resonant carrier coupling.
     """
-    if (sideband.n_g, sideband.n_e) != (1, 0):
-        raise ValueError(
-            f"the literature formula applies to the first red sideband (1, 0) only, got {sideband}"
-        )
     return params.rabi**2 / 2.0 + params.eta**2 * params.rabi**2 / 4.0
 
 

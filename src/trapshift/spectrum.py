@@ -89,20 +89,15 @@ class DressedSpectrum:
 def eigenlevels(h: HamiltonianMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    ``HamiltonianMatrix`` inputs are solved in the exact real gauge and the
-    eigenvectors are rotated back, so V diagonalizes the original complex
-    matrix.  The residual ||Hv - lambda v|| is verified against 1e-10 ||H||.
+    The matrix is solved as given; a ``HamiltonianMatrix`` stands for its
+    complex ``matrix``.  The residual ||Hv - lambda v|| is verified against
+    1e-10 ||H||.
     """
-    if isinstance(h, HamiltonianMatrix):
-        matrix, solved = h.matrix, h.real_form()
-    else:
-        matrix = solved = np.asarray(h)
+    matrix = h.matrix if isinstance(h, HamiltonianMatrix) else np.asarray(h)
     try:
-        values, vectors = np.linalg.eigh(solved)
+        values, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise TrapshiftError(f"eigensolver failed on dim {matrix.shape[0]} matrix: {exc}") from exc
-    if isinstance(h, HamiltonianMatrix):
-        vectors = h.gauge_vector().conj()[:, None] * vectors
     scale = max(float(np.max(np.abs(values))), 1e-300)
     residual = np.linalg.norm(matrix @ vectors - vectors * values[None, :], axis=0)
     worst = float(np.max(residual))
@@ -179,7 +174,7 @@ def _refine_maximum(fun, lo: float, hi: float) -> float:
         d_star -= step
         if abs(step) < 1e-13:
             break
-    return min(max(d_star, lo), hi)
+    return float(min(max(d_star, lo), hi))
 
 
 def _refine_minimum(fun, lo: float, hi: float) -> tuple[float, float]:
@@ -224,7 +219,7 @@ def _min_pair_gap(
 
 
 def _search_window(
-    scan: _DetuningScan, sideband: SidebandId, window: float | None = None
+    scan: _DetuningScan, sideband: SidebandId
 ) -> tuple[float, tuple[float, float], float]:
     """Coarse scan of the pair around delta0 and the minimal gap inside it.
 
@@ -234,10 +229,8 @@ def _search_window(
     """
     params = scan.params
     _, delta0 = crossing_point(sideband, params)
-    gap_estimate = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
-    half = window if window is not None else max(
-        WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION
-    )
+    gap_estimate = params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
+    half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
     shrink_floor = max(10.0 * gap_estimate, 1e-6)
 
     escalations = shrinks = 0
@@ -273,21 +266,16 @@ def _search_window(
     return half, bracket, _min_pair_gap(scan, sideband, g_lo, g_hi)
 
 
-def _locate(
-    scan: _DetuningScan, sideband: SidebandId, window: float | None = None
-) -> tuple[float, float, str]:
-    """Locate the resonance: returns (delta_star, minimal gap, method)."""
+def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, str]:
+    """Locate the resonance: returns (delta_star, minimal gap, method).  A
+    decoupled pair is root-found on the window of ``_search_window``, whose
+    interior maximum of min(E_g, E_e) is the crossing of the tagged lines."""
     _, delta0 = crossing_point(sideband, scan.params)
-    half, (lo, hi), gap_min = _search_window(scan, sideband, window)
+    half, (lo, hi), gap_min = _search_window(scan, sideband)
 
     if gap_min < GAP_FLOOR_FRACTION:
         lo, hi = delta0 - half, delta0 + half
         delta_star = _tagged_root(scan, sideband, lo, hi)
-        for _ in range(MAX_WINDOW_ESCALATIONS):
-            if delta_star is not None:
-                break
-            lo, hi = delta0 - 2 * (delta0 - lo), delta0 + 2 * (hi - delta0)
-            delta_star = _tagged_root(scan, sideband, lo, hi)
         if delta_star is None:
             raise ResonanceWindowError(
                 f"tagged branches of {sideband} do not intersect inside "
@@ -332,7 +320,7 @@ def find_resonance(
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, delta0 = crossing_point(sideband, params)
     if sideband.is_carrier:
-        gap = params.rabi * chi_magnitude(sideband.n_g, sideband.n_e, params.eta)
+        gap = params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
         delta_star, method, converged = 0.0, "carrier", True
     elif params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
@@ -395,8 +383,7 @@ def _step_permutation(
     if depth >= MAX_BISECTION_LEVELS:
         raise TrackingAmbiguityError(
             f"branch continuation ambiguous between delta = {d_from!r} and {d_to!r} "
-            f"after {MAX_BISECTION_LEVELS} bisection levels (best overlap {worst:.3f})",
-            window=(d_from, d_to),
+            f"after {MAX_BISECTION_LEVELS} bisection levels (best overlap {worst:.3f})"
         )
     d_mid = 0.5 * (d_from + d_to)
     _, v_mid = scan.eigen(d_mid)
@@ -431,17 +418,18 @@ def sweep_spectrum(
         if tag not in bare_index:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
 
-    values, vectors = scan.eigen(deltas[0])
+    points = deltas.tolist()
+    values, vectors = scan.eigen(points[0])
     # Identify eigenvectors with bare states at the first grid point.
     perm, _ = _assign(np.eye(2 * nb), vectors)
 
     energy = {tag: np.empty(len(deltas)) for tag in tags}
     weight = {tag: np.empty(len(deltas)) for tag in tags}
-    for j in range(len(deltas)):
+    for j, delta in enumerate(points):
         if j > 0:
             prev_vectors = vectors
-            values, vectors = scan.eigen(deltas[j])
-            step = _step_permutation(scan, deltas[j - 1], prev_vectors, deltas[j], vectors)
+            values, vectors = scan.eigen(delta)
+            step = _step_permutation(scan, points[j - 1], prev_vectors, delta, vectors)
             perm = step[perm]
         for tag in tags:
             col = perm[bare_index[tag]]

@@ -127,6 +127,39 @@ class TestShiftCommand:
         assert float(record["shift_exact"]) == 0.0
         assert record["shift_ld"] == ""
 
+    def test_carrier_gap_columns_are_magnitudes(self, capsys):
+        # chi_11 is negative at eta = 1.2
+        argv = ["shift", "--ng", "1", "--ne", "1", "--rabi", "0.01", "--eta", "1.2"]
+        assert cli.main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        gap = float(record["gap"])
+        assert gap > 0
+        assert float(record["gap_coupling"]) == gap
+        assert float(record["gap_half"]) == 0.5 * gap
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_clamped_refinement_output_parses(self, fmt, capsys):
+        argv = [
+            "shift", "--ng", "0", "--ne", "1", "--rabi", "1.5", "--eta", "0.5",
+            "--nmax", "25", "--format", fmt,
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "np." not in out
+        if fmt == "json":
+            payload = json.loads(out)
+            record = dict(zip(payload["columns"], payload["rows"][0]))
+            assert record["converged"] is True
+        else:
+            header, row = out.splitlines()
+            record = dict(zip(header.split(","), row.split(",")))
+            assert record["converged"] == "true"
+        assert math.isfinite(float(record["delta_star"]))
+        assert math.isfinite(float(record["shift_exact"]))
+
     def test_json_csv_encode_same_numbers(self, tmp_path):
         args = ["shift", "--ng", "1", "--ne", "0", "--rabi", "0.01", "--eta", "0.1"]
         csv_path, json_path = tmp_path / "a.csv", tmp_path / "a.json"
@@ -221,6 +254,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "find_resonance", boom)
         code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"])
         assert code == 3
+
+    def test_window_escalation_exhausted_exits_three(self, capsys):
+        argv = ["shift", "--ng", "0", "--ne", "3", "--rabi", "3.0", "--eta", "0.05", "--nmax", "28"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: no interior extremum")
+
+    def test_bisection_exhausted_exits_three(self, monkeypatch, capsys):
+        from trapshift import spectrum
+
+        monkeypatch.setattr(spectrum, "TRACK_OVERLAP_MIN", 1.5)
+        assert cli.main(["sweep"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: branch continuation ambiguous")
 
     def test_shift_not_converged_exits_three(self, capsys):
         code = cli.main([

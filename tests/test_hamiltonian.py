@@ -146,18 +146,30 @@ class TestBuildHamiltonian:
             h.index_of("g", 4)
 
 
+def real_gauge(h: ts.HamiltonianMatrix) -> np.ndarray:
+    """The real symmetric gauge of an assembled Hamiltonian, from its g-e block."""
+    from trapshift.hamiltonian import real_gauge_matrix
+
+    nb = h.n_max + 1
+    return real_gauge_matrix(h.params, h.matrix[:nb, nb:])
+
+
 class TestRealGauge:
     def test_gauge_is_exactly_real(self):
+        from trapshift.hamiltonian import _gauge_phases
+
         params = quiet_params(rabi=0.2, eta=0.4, delta=0.7)
         h = ts.build_hamiltonian(params, 9)
-        gauge = h.gauge_vector()
+        phases = _gauge_phases(h.n_max + 1)
+        gauge = np.concatenate([phases, phases])
         rotated = (gauge[:, None] * h.matrix) * gauge.conj()[None, :]
         assert np.abs(rotated.imag).max() == 0.0
+        assert np.array_equal(rotated.real, real_gauge(h))
 
     def test_real_form_symmetric_same_spectrum(self):
         params = quiet_params(rabi=0.15, eta=0.3, delta=-0.4)
         h = ts.build_hamiltonian(params, 8)
-        real = h.real_form()
+        real = real_gauge(h)
         assert np.array_equal(real, real.T)
         w_complex = np.linalg.eigvalsh(h.matrix)
         w_real = np.linalg.eigvalsh(real)
@@ -171,7 +183,7 @@ class TestRealGauge:
         params = quiet_params(rabi=0.15, eta=eta, delta=delta)
         scan = _DetuningScan(params, 7)
         scan.eigen(delta)
-        real = ts.build_hamiltonian(params, 7).real_form()
+        real = real_gauge(ts.build_hamiltonian(params, 7))
         assert np.array_equal(scan._h, real)
         assert np.array_equal(np.signbit(scan._h), np.signbit(real))
 

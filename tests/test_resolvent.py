@@ -162,6 +162,16 @@ class TestBsShift:
         assert not result.well_isolated
         assert ts.bs_shift(SB10, P01).well_isolated
 
+    def test_isolation_uses_the_splitting_magnitude(self):
+        # chi_11 is negative at eta = 1.2, and |R_ge| = 0.107 exceeds 0.1
+        params = quiet_params(rabi=1.0, eta=1.2)
+        carrier = ts.SidebandId(1, 1)
+        assert ts.splitting_half(carrier, params) == pytest.approx(0.10709, abs=1e-5)
+        assert ts.level_shift_diag(carrier, params).r_ge_abs == ts.splitting_half(carrier, params)
+        with pytest.warns(UserWarning, match="not small against"):
+            result = ts.bs_shift(carrier, params)
+        assert not result.well_isolated
+
     def test_embeds_ld_and_literature(self):
         full = ts.bs_shift(SB10, P01)
         assert full.delta_omega_ld == ts.bs_shift_ld(SB10, P01).delta_omega_ld
@@ -226,10 +236,6 @@ class TestLiteratureFormula:
         diff = ts.bs_shift_ld(SB10, params).delta_omega_ld - ts.bs_shift_literature(params)
         target = -(eta**2) * 0.01**2
         assert abs(diff - target) <= 1e-12 * max(abs(target), 1e-30)
-
-    def test_other_sidebands_rejected(self):
-        with pytest.raises(ValueError):
-            ts.bs_shift_literature(P01, ts.SidebandId(0, 1))
 
 
 class TestEtaZeroShift:

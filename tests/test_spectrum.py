@@ -168,6 +168,23 @@ class TestFindResonance:
             assert report.delta_omega == 0.0
             assert report.converged
 
+    def test_carrier_gap_is_a_magnitude(self):
+        # chi_11 = exp(-eta^2/2) * (1 - eta^2) is negative beyond eta = 1
+        assert ts.chi_magnitude(1, 1, 1.2) < 0
+        report = ts.find_resonance(ts.SidebandId(1, 1), ts.TrapParams(rabi=0.01, eta=1.2))
+        assert report.gap == 0.01 * abs(ts.chi_magnitude(1, 1, 1.2))
+        assert report.gap > 0
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("eta", [0.5, 0.8])
+    def test_clamped_refinement_reports_python_scalars(self, pair, eta):
+        # at this drive the polished extremum is clamped to its coarse bracket
+        report = ts.find_resonance(ts.SidebandId(*pair), quiet_params(rabi=1.5, eta=eta), n_max=25)
+        for name in ("delta0", "delta_star", "delta_omega", "gap"):
+            assert type(getattr(report, name)) is float, name
+        assert type(report.converged) is bool
+        assert type(report.n_max_used) is int
+
     def test_rejects_zero_field(self):
         with pytest.raises(ValueError):
             ts.find_resonance(SB01, ts.TrapParams(rabi=0.0, eta=0.1))
@@ -200,6 +217,76 @@ class TestFindResonance:
         assert method == "extremum"
         assert abs(delta_star) <= 1e-10
         assert gap == pytest.approx(0.01 * abs(ts.chi(0, 0, 0.3)), rel=1e-4)
+
+
+SWEEP_PARAMS = quiet_params(rabi=0.3, eta=0.4)
+SWEEP_GRID = np.linspace(-2.5, 2.5, 101)
+SWEEP_N_MAX = ts.default_n_max(ts.SidebandId(0, 3), 0.4)  # the sweep command's defaults
+
+
+class TestLocatorFallbacks:
+    """Paths the locator and the continuation keep for inputs that need them."""
+
+    def test_window_escalation(self, monkeypatch):
+        halves = []
+        search = spectrum._search_window
+
+        def recording(*args):
+            found = search(*args)
+            halves.append(found[0])
+            return found
+
+        monkeypatch.setattr(spectrum, "_search_window", recording)
+        params = quiet_params(rabi=0.8, eta=0.05)
+        report = ts.find_resonance(SB01, params)
+        first = max(
+            spectrum.WINDOW_GAP_MULTIPLE * 0.8 * ts.chi_magnitude(0, 1, 0.05),
+            spectrum.WINDOW_FRACTION,
+        )
+        # the maximum sits 0.4 below delta0: two doublings on each basis, no shrink
+        assert [half / first for half in halves] == [4.0, 4.0]
+        assert report.method == "extremum"
+        assert report.converged
+        assert report.delta_star == pytest.approx(0.60195, abs=1e-5)
+        scan = _DetuningScan(params, report.n_max_used)
+        h = 1e-5
+        slope = (
+            scan.pair_low(report.delta_star + h, SB01)
+            - scan.pair_low(report.delta_star - h, SB01)
+        ) / (2.0 * h)
+        assert abs(slope) <= 1e-7
+
+    def test_window_escalation_exhausted(self):
+        with pytest.raises(ts.ResonanceWindowError, match="after escalation"):
+            ts.find_resonance(ts.SidebandId(0, 3), quiet_params(rabi=3.0, eta=0.05), n_max=28)
+
+    def test_forced_bisection_keeps_a_permutation(self, monkeypatch):
+        solves = []
+        eigen = _DetuningScan.eigen
+
+        def counting(self, delta):
+            solves.append(delta)
+            return eigen(self, delta)
+
+        monkeypatch.setattr(spectrum, "TRACK_OVERLAP_MIN", 0.9)
+        monkeypatch.setattr(_DetuningScan, "eigen", counting)
+        swept = ts.sweep_spectrum(SWEEP_PARAMS, SWEEP_GRID, SWEEP_N_MAX)
+        assert len(solves) - len(SWEEP_GRID) == 18
+        # Finer steps follow narrow anti-crossings adiabatically, so the
+        # branches may differ from the unforced sweep; the union may not.
+        scan = _DetuningScan(SWEEP_PARAMS, SWEEP_N_MAX)
+        stacked = np.stack([swept.branches[t] for t in swept.branches], axis=1)
+        for j, delta in enumerate(SWEEP_GRID):
+            raw, _ = eigen(scan, float(delta))
+            assert np.allclose(np.sort(stacked[j]), raw, rtol=0, atol=1e-12)
+
+    def test_bisection_exhausted(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "TRACK_OVERLAP_MIN", 1.5)
+        with pytest.raises(ts.TrackingAmbiguityError) as info:
+            ts.sweep_spectrum(SWEEP_PARAMS, SWEEP_GRID, SWEEP_N_MAX)
+        message = str(info.value)
+        assert message.startswith("branch continuation ambiguous between delta = -2.5 and ")
+        assert "np." not in message
 
 
 class TestMeasureSplitting:
