@@ -9,6 +9,7 @@ level-diagram and shift-scan datasets.
 """
 
 from .errors import (
+    PerturbativeRegimeWarning,
     ResonanceWindowError,
     TrackingAmbiguityError,
     TrapshiftError,
@@ -32,7 +33,7 @@ from .hamiltonian import (
     crossing_point,
     default_n_max,
 )
-from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
+from .params import SidebandId, TrapParams
 from .resolvent import (
     LevelShiftElements,
     PerturbativeShift,

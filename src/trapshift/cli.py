@@ -23,17 +23,16 @@ import math
 import os
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import TrapshiftError
-from .fock import chi_magnitude, coupling_table, displacement_oracle
+from .fock import coupling_table, displacement_oracle, rabi_coupling
 from .hamiltonian import MAX_DIM, bare_energy, default_n_max
-from .params import PerturbativeRegimeWarning, SidebandId, TrapParams
-from .resolvent import bs_shift, bs_shift_literature, eta_zero_shift
+from .params import SidebandId, TrapParams
+from .resolvent import bs_shift, eta_zero_shift
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
@@ -280,7 +279,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
 
     pert = bs_shift(sideband, params, k_max=args.kmax)
     report = find_resonance(sideband, params, n_max=args.nmax)
-    gap_expected = params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
+    gap_expected = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
     shift_eta0 = None if sideband.is_carrier else eta_zero_shift(sideband, params)
 
     columns = [
@@ -312,10 +311,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # The sweep diagonalizes exactly and uses no perturbative formula.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PerturbativeRegimeWarning)
-        params, omega_phys, meta = _resolve_physics(args, default_eta=0.4)
+    params, omega_phys, meta = _resolve_physics(args, default_eta=0.4)
     lo, hi, points, levels = args.delta_min, args.delta_max, args.points, args.levels
     if not (hi > lo and points >= 2 and levels >= 1):
         raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
@@ -366,7 +362,6 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
     # default_n_max grows with eta, so the largest bases are those at eta_max.
     check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, hi))
 
-    is_first_red = (sideband.n_g, sideband.n_e) == (1, 0)
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
     rows: list[list] = []
     all_converged = True
@@ -379,8 +374,7 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
             all_converged = False
         rows.append([
             float(eta), report.delta_omega, pert.delta_omega_full,
-            pert.delta_omega_ld,
-            bs_shift_literature(params) if is_first_red else None,
+            pert.delta_omega_ld, pert.delta_omega_lit,
         ])
     config = {
         "command": "scan-eta", "rabi_over_omega_t": rabi_value,

@@ -10,4 +10,8 @@ class TrackingAmbiguityError(TrapshiftError):
 
 
 class ResonanceWindowError(TrapshiftError):
-    """No usable extremum found inside the scan window after escalation."""
+    """No stationary point of the pair branch found inside the scan window."""
+
+
+class PerturbativeRegimeWarning(UserWarning):
+    """The drive is too strong for the perturbative shift formulas."""

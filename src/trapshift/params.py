@@ -9,15 +9,7 @@ and out.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
-
-#: Above this drive-to-trap ratio second-order perturbation theory degrades.
-PERTURBATIVE_RATIO_LIMIT = 0.1
-
-
-class PerturbativeRegimeWarning(UserWarning):
-    """The drive is too strong for the perturbative shift formulas."""
 
 
 @dataclass(frozen=True)
@@ -41,20 +33,10 @@ class TrapParams:
             raise ValueError(f"rabi must be nonnegative, got {self.rabi!r}")
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
-        if self.rabi > PERTURBATIVE_RATIO_LIMIT:
-            warnings.warn(
-                f"rabi/omega_t = {self.rabi:.3g} exceeds "
-                f"{PERTURBATIVE_RATIO_LIMIT}; perturbative shift formulas "
-                "lose accuracy in this regime",
-                PerturbativeRegimeWarning,
-                stacklevel=3,  # past the dataclass-generated __init__, to its caller
-            )
 
     def with_delta(self, delta: float) -> TrapParams:
         """Copy of these parameters at a different detuning."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return replace(self, delta=delta)
+        return replace(self, delta=delta)
 
 
 @dataclass(frozen=True, order=True)

@@ -26,10 +26,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import TrapshiftError
-from .fock import chi_magnitude
+from .errors import PerturbativeRegimeWarning, TrapshiftError
+from .fock import chi_magnitude, rabi_coupling
 from .hamiltonian import EXCITED, GROUND, bare_energy, crossing_point
 from .params import SidebandId, TrapParams
+
+#: Above this drive-to-trap ratio second-order perturbation theory degrades.
+PERTURBATIVE_RATIO_LIMIT = 0.1
 
 #: Hard truncation margin beyond max(n_g, n_e) when no k_max is given.
 DEFAULT_K_MARGIN = 60
@@ -74,6 +77,18 @@ class PerturbativeShift:
     delta_omega_ld: float | None = None
     delta_omega_lit: float | None = None
     well_isolated: bool = True
+
+
+def _warn_outside_regime(params: TrapParams) -> None:
+    """Warn the caller of a closed-form sum that the drive is too strong for it."""
+    if params.rabi > PERTURBATIVE_RATIO_LIMIT:
+        warnings.warn(
+            f"rabi/omega_t = {params.rabi:.3g} exceeds "
+            f"{PERTURBATIVE_RATIO_LIMIT}; perturbative shift formulas "
+            "lose accuracy in this regime",
+            PerturbativeRegimeWarning,
+            stacklevel=3,  # past the closed-form function, to its caller
+        )
 
 
 def _term_majorant(eta: float, center: int, d: int) -> float:
@@ -168,8 +183,9 @@ def level_shift_diag(
 
     Denominators are the literal bare-energy differences E0 - E evaluated at
     the crossing detuning; the resonant indices are excluded, so no retained
-    denominator can vanish.
+    denominator can vanish.  Warns above ``PERTURBATIVE_RATIO_LIMIT``.
     """
+    _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)
     e0, to_excited, to_ground = _level_shift_denominators(sideband, params)
     half_sq = (0.5 * params.rabi) ** 2
@@ -190,7 +206,7 @@ def level_shift_diag(
 
 def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
     """|R_ge| = |Omega_{n_g,n_e}|/2, half the closest-approach gap of the pair."""
-    return 0.5 * params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
+    return 0.5 * abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
 
 
 def bs_shift(
@@ -205,8 +221,10 @@ def bs_shift(
     indicates an implementation fault and raises.  The truncation bound is
     not computed here; ``level_shift_diag`` reports it as ``tail_bound``.
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
-    and n_e, by construction of the summation order.
+    and n_e, by construction of the summation order.  Warns above
+    ``PERTURBATIVE_RATIO_LIMIT``; ``well_isolated`` only flags a large splitting.
     """
+    _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)
     n_g, n_e = sideband.n_g, sideband.n_e
     _, to_excited, to_ground = _level_shift_denominators(sideband, params)
@@ -226,15 +244,7 @@ def bs_shift(
             f"level-shift difference {resolvent_shift!r}"
         )
 
-    r_ge_abs = splitting_half(sideband, params)
-    isolated = r_ge_abs <= ISOLATION_RATIO
-    if not isolated:
-        warnings.warn(
-            f"splitting {r_ge_abs:.3g} is not small against omega_t = 1; "
-            "the isolated-resonance picture degrades",
-            stacklevel=2,
-        )
-
+    isolated = splitting_half(sideband, params) <= ISOLATION_RATIO
     carrier_term = sideband_term = delta_ld = delta_lit = None
     if not sideband.is_carrier:
         ld = bs_shift_ld(sideband, params)

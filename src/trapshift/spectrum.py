@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError, TrapshiftError
-from .fock import chi_magnitude
+from .fock import rabi_coupling
 from .hamiltonian import (
     HamiltonianMatrix,
     check_n_max,
@@ -159,7 +159,7 @@ def _local_minima(values: np.ndarray) -> list[int]:
 
 def _refine_maximum(fun, lo: float, hi: float) -> float:
     """Successive parabolic interpolation for the branch extremum, then a
-    Newton polish on the centered finite-difference slope."""
+    Newton polish on the centered finite-difference slope; not clamped to [lo, hi]."""
     d_star, _ = _refine_minimum(lambda d: -fun(d), lo, hi)
     h = FD_STEP_FRACTION
     for _ in range(4):
@@ -174,7 +174,7 @@ def _refine_maximum(fun, lo: float, hi: float) -> float:
         d_star -= step
         if abs(step) < 1e-13:
             break
-    return float(min(max(d_star, lo), hi))
+    return float(d_star)
 
 
 def _refine_minimum(fun, lo: float, hi: float) -> tuple[float, float]:
@@ -229,7 +229,7 @@ def _search_window(
     """
     params = scan.params
     _, delta0 = crossing_point(sideband, params)
-    gap_estimate = params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
+    gap_estimate = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
     half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
     shrink_floor = max(10.0 * gap_estimate, 1e-6)
 
@@ -262,7 +262,7 @@ def _search_window(
     else:
         i_gap = int(np.argmin(gaps))
     g_lo, g_hi = grid[max(i_gap - 1, 0)], grid[min(i_gap + 1, COARSE_POINTS - 1)]
-    bracket = (grid[i_max - 1], grid[i_max + 1])
+    bracket = (float(grid[i_max - 1]), float(grid[i_max + 1]))
     return half, bracket, _min_pair_gap(scan, sideband, g_lo, g_hi)
 
 
@@ -285,6 +285,11 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
         return delta_star, float(min(gap_min, gap_at)), "intersection"
 
     delta_star = _refine_maximum(lambda d: scan.pair_low(d, sideband), lo, hi)
+    if not lo <= delta_star <= hi:
+        raise ResonanceWindowError(
+            f"no stationary point of the lower branch of {sideband} inside "
+            f"[{lo!r}, {hi!r}]: its refinement ends at {delta_star!r}"
+        )
     return delta_star, gap_min, "extremum"
 
 
@@ -320,7 +325,7 @@ def find_resonance(
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, delta0 = crossing_point(sideband, params)
     if sideband.is_carrier:
-        gap = params.rabi * abs(chi_magnitude(sideband.n_g, sideband.n_e, params.eta))
+        gap = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
         delta_star, method, converged = 0.0, "carrier", True
     elif params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
@@ -352,8 +357,6 @@ def measure_splitting(
     and the gap search are those of ``find_resonance``, which also means it
     raises ``ResonanceWindowError`` where ``find_resonance`` would.
     """
-    if params.rabi < 0:
-        raise ValueError("rabi must be nonnegative")
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, _, gap = _search_window(_DetuningScan(params, n_used), sideband)
     return gap

@@ -144,8 +144,15 @@ class TestShiftCommand:
             "shift", "--ng", "0", "--ne", "1", "--rabi", "1.5", "--eta", "0.5",
             "--nmax", "25", "--format", fmt,
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        # the refined extremum leaves its bracket at rabi 1.5: no row, exit 3
+        with pytest.warns(ts.PerturbativeRegimeWarning):
+            assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: no stationary point")
+        assert "np." not in captured.err
+        argv[argv.index("1.5")] = "1.0"
+        with pytest.warns(ts.PerturbativeRegimeWarning):
             assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert "np." not in out
@@ -257,8 +264,7 @@ class TestExitCodes:
 
     def test_window_escalation_exhausted_exits_three(self, capsys):
         argv = ["shift", "--ng", "0", "--ne", "3", "--rabi", "3.0", "--eta", "0.05", "--nmax", "28"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(ts.PerturbativeRegimeWarning):
             assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("numeric failure: no interior extremum")
 
@@ -571,6 +577,12 @@ class TestScanEtaCommand:
 
     def test_rejects_carrier(self, capsys):
         assert cli.main(["scan-eta", "--ng", "1", "--ne", "1", "--points", "3"]) == 2
+
+    def test_regime_warning_shows_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert cli.main(["scan-eta", "--rabi", "0.15", "--points", "3"]) == 0
+        assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning]
 
     def test_not_converged_exits_three(self, capsys):
         code = cli.main(["scan-eta", "--nmax", "3", "--eta-max", "1.0", "--points", "3"])

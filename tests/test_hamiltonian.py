@@ -12,12 +12,6 @@ from hypothesis import strategies as st
 import trapshift as ts
 
 
-def quiet_params(**kwargs) -> ts.TrapParams:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ts.TrapParams(**kwargs)
-
-
 class TestTrapParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -33,14 +27,12 @@ class TestTrapParams:
         with pytest.raises(TypeError):
             ts.TrapParams(rabi=0.01, eta=0.1, omega_t=2.0)
 
-    def test_warns_outside_perturbative_regime(self):
-        with pytest.warns(UserWarning):
-            ts.TrapParams(rabi=0.3, eta=0.1)
-
-    def test_warning_names_the_caller(self):
-        with pytest.warns(ts.PerturbativeRegimeWarning) as record:
-            ts.TrapParams(rabi=0.3, eta=0.1)
-        assert record[0].filename == __file__
+    def test_strong_drive_does_not_warn(self):
+        # the perturbative regime is a limit of the closed form, which warns
+        # (tests/test_resolvent.py::TestRegimeWarning); the value never does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts.TrapParams(rabi=3.0, eta=0.1)
 
     def test_with_delta(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
@@ -111,7 +103,7 @@ class TestBuildHamiltonian:
         assert np.abs(h.matrix - np.diag(expected)).max() == 0.0
 
     def test_eta_zero_block_is_scaled_identity(self):
-        params = quiet_params(rabi=0.3, eta=0.0)
+        params = ts.TrapParams(rabi=0.3, eta=0.0)
         h = ts.build_hamiltonian(params, 3)
         block = h.matrix[:4, 4:]
         assert np.abs(block - 0.15 * np.eye(4)).max() == 0.0
@@ -158,7 +150,7 @@ class TestRealGauge:
     def test_gauge_is_exactly_real(self):
         from trapshift.hamiltonian import _gauge_phases
 
-        params = quiet_params(rabi=0.2, eta=0.4, delta=0.7)
+        params = ts.TrapParams(rabi=0.2, eta=0.4, delta=0.7)
         h = ts.build_hamiltonian(params, 9)
         phases = _gauge_phases(h.n_max + 1)
         gauge = np.concatenate([phases, phases])
@@ -167,7 +159,7 @@ class TestRealGauge:
         assert np.array_equal(rotated.real, real_gauge(h))
 
     def test_real_form_symmetric_same_spectrum(self):
-        params = quiet_params(rabi=0.15, eta=0.3, delta=-0.4)
+        params = ts.TrapParams(rabi=0.15, eta=0.3, delta=-0.4)
         h = ts.build_hamiltonian(params, 8)
         real = real_gauge(h)
         assert np.array_equal(real, real.T)
@@ -180,7 +172,7 @@ class TestRealGauge:
     def test_scan_matrix_is_real_form_bit_for_bit(self, eta, delta):
         from trapshift.spectrum import _DetuningScan
 
-        params = quiet_params(rabi=0.15, eta=eta, delta=delta)
+        params = ts.TrapParams(rabi=0.15, eta=eta, delta=delta)
         scan = _DetuningScan(params, 7)
         scan.eigen(delta)
         real = real_gauge(ts.build_hamiltonian(params, 7))

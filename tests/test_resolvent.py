@@ -9,12 +9,6 @@ import trapshift as ts
 from trapshift import resolvent
 
 
-def quiet_params(**kwargs) -> ts.TrapParams:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ts.TrapParams(**kwargs)
-
-
 P01 = ts.TrapParams(rabi=0.01, eta=0.1)
 SB01 = ts.SidebandId(0, 1)
 SB10 = ts.SidebandId(1, 0)
@@ -156,19 +150,21 @@ class TestBsShift:
 
     def test_isolation_flag(self):
         # carrier coupling rabi * chi_11 / 2 = 0.246 exceeds the 0.1 threshold
-        params = quiet_params(rabi=0.5, eta=0.1)
-        with pytest.warns(UserWarning):
+        params = ts.TrapParams(rabi=0.5, eta=0.1)
+        with pytest.warns(ts.PerturbativeRegimeWarning):
             result = ts.bs_shift(ts.SidebandId(1, 1), params)
         assert not result.well_isolated
         assert ts.bs_shift(SB10, P01).well_isolated
 
     def test_isolation_uses_the_splitting_magnitude(self):
         # chi_11 is negative at eta = 1.2, and |R_ge| = 0.107 exceeds 0.1
-        params = quiet_params(rabi=1.0, eta=1.2)
+        params = ts.TrapParams(rabi=1.0, eta=1.2)
         carrier = ts.SidebandId(1, 1)
         assert ts.splitting_half(carrier, params) == pytest.approx(0.10709, abs=1e-5)
-        assert ts.level_shift_diag(carrier, params).r_ge_abs == ts.splitting_half(carrier, params)
-        with pytest.warns(UserWarning, match="not small against"):
+        with pytest.warns(ts.PerturbativeRegimeWarning):
+            elements = ts.level_shift_diag(carrier, params)
+        assert elements.r_ge_abs == ts.splitting_half(carrier, params)
+        with pytest.warns(ts.PerturbativeRegimeWarning):
             result = ts.bs_shift(carrier, params)
         assert not result.well_isolated
 
@@ -178,6 +174,28 @@ class TestBsShift:
         assert full.delta_omega_lit == ts.bs_shift_literature(P01)
         blue = ts.bs_shift(SB01, P01)
         assert blue.delta_omega_lit is None
+
+
+class TestRegimeWarning:
+    """The closed-form sums, not TrapParams, judge the perturbative regime."""
+
+    def test_warning_names_the_caller(self):
+        # |R_ge| = 0.148 exceeds ISOLATION_RATIO; that adds no second warning
+        carrier = ts.SidebandId(1, 1)
+        params = ts.TrapParams(rabi=0.3, eta=0.1)
+        for closed_form in (ts.bs_shift, ts.level_shift_diag):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                closed_form(carrier, params)
+            assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning], closed_form
+            assert caught[0].filename == __file__
+
+    def test_limit_itself_does_not_warn(self):
+        params = ts.TrapParams(rabi=resolvent.PERTURBATIVE_RATIO_LIMIT, eta=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts.bs_shift(SB10, params)
+            ts.level_shift_diag(SB10, params)
 
 
 class TestBsShiftLd:

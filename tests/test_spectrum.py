@@ -15,12 +15,6 @@ from trapshift import spectrum
 from trapshift.spectrum import _DetuningScan, _locate
 
 
-def quiet_params(**kwargs) -> ts.TrapParams:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ts.TrapParams(**kwargs)
-
-
 P01 = ts.TrapParams(rabi=0.01, eta=0.1)
 SB01 = ts.SidebandId(0, 1)
 
@@ -52,7 +46,7 @@ class TestEigenlevels:
         assert np.linalg.norm(rebuilt - h) <= 1e-10 * np.linalg.norm(h)
 
     def test_hamiltonian_matrix_path_diagonalizes_original(self):
-        params = quiet_params(rabi=0.2, eta=0.4, delta=0.6)
+        params = ts.TrapParams(rabi=0.2, eta=0.4, delta=0.6)
         h = ts.build_hamiltonian(params, 8)
         values, vectors = ts.eigenlevels(h)
         assert np.all(np.diff(values) >= 0)
@@ -76,7 +70,7 @@ class TestTrackBranch:
         assert np.all(branch.overlaps[("g", 0)] == 1.0)
 
     def test_single_extremum_in_anticrossing_window(self):
-        params = quiet_params(rabi=0.3, eta=0.1)
+        params = ts.TrapParams(rabi=0.3, eta=0.1)
         grid = np.linspace(0.8, 1.2, 81)
         branch = ts.track_branch(params, grid, ("g", 0), n_max=12)
         energy = branch.branches[("g", 0)]
@@ -87,7 +81,7 @@ class TestTrackBranch:
         assert sign_changes == 1
 
     def test_eta_zero_branches_cross(self):
-        params = quiet_params(rabi=0.3, eta=0.0)
+        params = ts.TrapParams(rabi=0.3, eta=0.0)
         grid = np.linspace(0.8, 1.2, 81)
         swept = ts.sweep_spectrum(params, grid, n_max=8, tags=[("g", 0), ("e", 1)])
         diff = swept.branches[("g", 0)] - swept.branches[("e", 1)]
@@ -100,7 +94,7 @@ class TestTrackBranch:
 
 class TestSweepSpectrum:
     def test_branch_union_is_permutation_of_raw_eigenvalues(self):
-        params = quiet_params(rabi=0.15, eta=0.3)
+        params = ts.TrapParams(rabi=0.15, eta=0.3)
         grid = np.linspace(-1.5, 1.5, 31)
         n_max = 5
         swept = ts.sweep_spectrum(params, grid, n_max)
@@ -116,6 +110,16 @@ class TestSweepSpectrum:
         swept = ts.sweep_spectrum(params, grid, 6, tags=[("g", 0), ("e", 0)])
         assert np.all(swept.overlaps[("g", 0)] > 0.5)
         assert np.all(swept.overlaps[("e", 0)] > 0.5)
+
+
+def test_exact_pipeline_does_not_warn():
+    # diagonalization has no weak-drive limit; only the closed form warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = ts.TrapParams(rabi=0.3, eta=0.1)
+        ts.build_hamiltonian(params, 8)
+        ts.sweep_spectrum(params, np.linspace(0.8, 1.2, 9), n_max=8)
+        assert ts.find_resonance(SB01, params).converged
 
 
 class TestFindResonance:
@@ -178,8 +182,11 @@ class TestFindResonance:
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
     @pytest.mark.parametrize("eta", [0.5, 0.8])
     def test_clamped_refinement_reports_python_scalars(self, pair, eta):
-        # at this drive the polished extremum is clamped to its coarse bracket
-        report = ts.find_resonance(ts.SidebandId(*pair), quiet_params(rabi=1.5, eta=eta), n_max=25)
+        # at rabi 1.5 the polished extremum leaves its coarse bracket, where
+        # the branch is not stationary: no shift is reported
+        with pytest.raises(ts.ResonanceWindowError, match="no stationary point"):
+            ts.find_resonance(ts.SidebandId(*pair), ts.TrapParams(rabi=1.5, eta=eta), n_max=25)
+        report = ts.find_resonance(ts.SidebandId(*pair), ts.TrapParams(rabi=1.0, eta=eta), n_max=25)
         for name in ("delta0", "delta_star", "delta_omega", "gap"):
             assert type(getattr(report, name)) is float, name
         assert type(report.converged) is bool
@@ -219,7 +226,7 @@ class TestFindResonance:
         assert gap == pytest.approx(0.01 * abs(ts.chi(0, 0, 0.3)), rel=1e-4)
 
 
-SWEEP_PARAMS = quiet_params(rabi=0.3, eta=0.4)
+SWEEP_PARAMS = ts.TrapParams(rabi=0.3, eta=0.4)
 SWEEP_GRID = np.linspace(-2.5, 2.5, 101)
 SWEEP_N_MAX = ts.default_n_max(ts.SidebandId(0, 3), 0.4)  # the sweep command's defaults
 
@@ -237,7 +244,7 @@ class TestLocatorFallbacks:
             return found
 
         monkeypatch.setattr(spectrum, "_search_window", recording)
-        params = quiet_params(rabi=0.8, eta=0.05)
+        params = ts.TrapParams(rabi=0.8, eta=0.05)
         report = ts.find_resonance(SB01, params)
         first = max(
             spectrum.WINDOW_GAP_MULTIPLE * 0.8 * ts.chi_magnitude(0, 1, 0.05),
@@ -258,7 +265,33 @@ class TestLocatorFallbacks:
 
     def test_window_escalation_exhausted(self):
         with pytest.raises(ts.ResonanceWindowError, match="after escalation"):
-            ts.find_resonance(ts.SidebandId(0, 3), quiet_params(rabi=3.0, eta=0.05), n_max=28)
+            ts.find_resonance(ts.SidebandId(0, 3), ts.TrapParams(rabi=3.0, eta=0.05), n_max=28)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
+    def test_window_shrink(self, pair, monkeypatch):
+        windows = []
+        pair_levels = _DetuningScan.pair_levels
+
+        def recording(self, delta, sideband):
+            windows.append(delta)
+            return pair_levels(self, delta, sideband)
+
+        monkeypatch.setattr(_DetuningScan, "pair_levels", recording)
+        params = ts.TrapParams(rabi=2.0, eta=0.2)
+        with pytest.raises(ts.ResonanceWindowError, match="after escalation"):
+            ts.find_resonance(ts.SidebandId(*pair), params)
+        first = max(
+            spectrum.WINDOW_GAP_MULTIPLE * abs(ts.rabi_coupling(*pair, params)),
+            spectrum.WINDOW_FRACTION,
+        )
+        points = spectrum.COARSE_POINTS
+        halves = [
+            (windows[i + points - 1] - windows[i]) / (2.0 * first)
+            for i in range(0, len(windows), points)
+        ]
+        # the window grows until the lower branch peaks inside it, then two
+        # gap minima halve it, twice, before the escalations run out
+        assert halves == pytest.approx([1, 2, 4, 8, 4, 8, 4], rel=1e-12)
 
     def test_forced_bisection_keeps_a_permutation(self, monkeypatch):
         solves = []
