@@ -568,6 +568,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrapshiftError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OverflowError as exc:
+        print(f"numeric failure: the inputs overflow double precision ({exc})", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import PerturbativeRegimeWarning, TrapshiftError
+from .errors import PerturbativeRegimeWarning
 from .fock import chi_magnitude, rabi_coupling
-from .hamiltonian import EXCITED, GROUND, bare_energy, crossing_point
+from .hamiltonian import crossing_point
 from .params import SidebandId, TrapParams
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
@@ -103,68 +102,45 @@ def _term_majorant(eta: float, center: int, d: int) -> float:
     return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))
 
 
-def _sum_terms(
-    chi_center: int,
-    exclude: int,
-    eta: float,
-    k_max: int,
-    *denoms: Callable[[int], float],
-) -> tuple[tuple[float, ...], int, int]:
-    """fsums of |chi_{chi_center,k}|^2 / denom(k) over k != exclude, 0 <= k <= k_max.
+def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float, int, int]:
+    """fsum of |chi_{center,k}|^2 / (exclude - k) over k != exclude, 0 <= k <= k_max.
 
-    Each |chi|^2 is evaluated once and divided by every denominator in
-    ``denoms``, giving one sum per denominator; the first denominator's terms
-    drive the stopping rule.  Returns (sums, largest retained k, distance d
-    reached), where d is where a tail bound would start.
+    The integers are the level-shift denominators: at the crossing detuning
+    Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
+    R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
+    exclude = n_g.  Returns (sum, largest retained k, distance d reached),
+    where d is where a tail bound would start.
 
-    Terms are generated in ascending |k - chi_center| so that the exactly
+    Terms are generated in ascending |k - center| so that the exactly
     rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
     order; this makes carrier nulls and sideband swaps cancel exactly.
     """
-    columns: tuple[list[float], ...] = tuple([] for _ in denoms)
-    lead = columns[0]
+    terms: list[float] = []
     running = 0.0
     k_used = 0
-    d_settle = abs(chi_center - exclude) + 1
+    d_settle = abs(center - exclude) + 1
     d = 0
     while True:
-        ks = (chi_center,) if d == 0 else (chi_center - d, chi_center + d)
+        ks = (center,) if d == 0 else (center - d, center + d)
         for k in ks:
             if k < 0 or k > k_max or k == exclude:
                 continue
-            m = chi_magnitude(chi_center, k, eta)
-            weight = m * m
-            for column, denom in zip(columns, denoms):
-                column.append(weight / denom(k))
-            running += abs(lead[-1])
+            m = chi_magnitude(center, k, eta)
+            term = m * m / (exclude - k)
+            terms.append(term)
+            running += abs(term)
             k_used = max(k_used, k)
         d += 1
-        if chi_center - d < 0 and chi_center + d > k_max:
+        if center - d < 0 and center + d > k_max:
             break
-        if d >= d_settle and _term_majorant(eta, chi_center, d) < TERM_CUTOFF * running:
+        if d >= d_settle and _term_majorant(eta, center, d) < TERM_CUTOFF * running:
             break
-    return tuple(math.fsum(column) for column in columns), k_used, d
+    return math.fsum(terms), k_used, d
 
 
 def _tail_bound(eta: float, center: int, d_start: int) -> float:
     """Majorant for everything beyond distance d_start (both sides of center)."""
     return 2.0 * math.fsum(_term_majorant(eta, center, d) for d in range(d_start, d_start + 60))
-
-
-def _level_shift_denominators(
-    sideband: SidebandId, params: TrapParams
-) -> tuple[float, Callable[[int], float], Callable[[int], float]]:
-    """(E0, k -> E0 - E_{e,k}, k -> E0 - E_{g,k}) at the crossing detuning.
-
-    The two maps are the denominators of R_gg and R_ee respectively.
-    """
-    e0, delta0 = crossing_point(sideband, params)
-    at_crossing = params.with_delta(delta0)
-    return (
-        e0,
-        lambda k: e0 - bare_energy(EXCITED, k, at_crossing),
-        lambda k: e0 - bare_energy(GROUND, k, at_crossing),
-    )
 
 
 def _resolve_k_max(sideband: SidebandId, k_max: int | None) -> int:
@@ -181,17 +157,19 @@ def level_shift_diag(
 ) -> LevelShiftElements:
     """Diagonal and coupling elements of the level-shift operator at the crossing.
 
-    Denominators are the literal bare-energy differences E0 - E evaluated at
-    the crossing detuning; the resonant indices are excluded, so no retained
-    denominator can vanish.  Warns above ``PERTURBATIVE_RATIO_LIMIT``.
+    At the crossing detuning the denominators E0 - E_{e,k} and E0 - E_{g,k}
+    are the integers n_e - k and n_g - k, so R_gg and R_ee are the two sums of
+    ``bs_shift`` scaled by (Omega_R/2)^2; the resonant indices are excluded,
+    so no retained denominator can vanish.  Warns above
+    ``PERTURBATIVE_RATIO_LIMIT``.
     """
     _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)
-    e0, to_excited, to_ground = _level_shift_denominators(sideband, params)
+    e0, _ = crossing_point(sideband, params)
     half_sq = (0.5 * params.rabi) ** 2
 
-    (s_gg,), k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max, to_excited)
-    (s_ee,), k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta, k_max, to_ground)
+    s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max)
+    s_ee, k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta, k_max)
     tail = _tail_bound(params.eta, sideband.n_g, d_gg) + _tail_bound(params.eta, sideband.n_e, d_ee)
     return LevelShiftElements(
         sideband=sideband,
@@ -214,12 +192,12 @@ def bs_shift(
 ) -> PerturbativeShift:
     """All-order-in-eta resonance shift of a sideband (Bloch-Siegert type).
 
-    One pass per side feeds two sums from the same |chi|^2 terms: the direct
-    sum over n_g - k (or n_e - k), and the level-shift sum R_ee - R_gg over
-    the literal bare-energy differences at the crossing, as in
-    ``level_shift_diag``.  The two must agree to rounding; a disagreement
-    indicates an implementation fault and raises.  The truncation bound is
-    not computed here; ``level_shift_diag`` reports it as ``tail_bound``.
+    delta_omega = R_ee - R_gg, one sum per side: |chi_{n_e,k}|^2/(n_g - k) for
+    R_ee and |chi_{n_g,k}|^2/(n_e - k) for R_gg.  At the crossing detuning
+    these integers are the denominators E0 - E_{g,k} and E0 - E_{e,k} (see
+    ``_sum_terms``), so the two sums are the ones ``level_shift_diag`` scales
+    into R_ee and R_gg.  The truncation bound is not computed here;
+    ``level_shift_diag`` reports it as ``tail_bound``.
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
     ``PERTURBATIVE_RATIO_LIMIT``; ``well_isolated`` only flags a large splitting.
@@ -227,22 +205,9 @@ def bs_shift(
     _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)
     n_g, n_e = sideband.n_g, sideband.n_e
-    _, to_excited, to_ground = _level_shift_denominators(sideband, params)
-
-    (s1, s_ee), _, _ = _sum_terms(n_e, n_g, params.eta, k_max, lambda k: float(n_g - k), to_ground)
-    (s2, s_gg), _, _ = _sum_terms(n_g, n_e, params.eta, k_max, lambda k: float(n_e - k), to_excited)
-    prefactor = params.rabi**2 / 4.0
-    shift = prefactor * (s1 - s2)
-
-    half_sq = (0.5 * params.rabi) ** 2
-    r_gg, r_ee = half_sq * s_gg, half_sq * s_ee
-    resolvent_shift = r_ee - r_gg
-    scale = max(abs(r_gg) + abs(r_ee), prefactor, 1e-300)
-    if abs(shift - resolvent_shift) > 1e-14 * scale:
-        raise TrapshiftError(
-            f"internal inconsistency for {sideband}: direct sum {shift!r} vs "
-            f"level-shift difference {resolvent_shift!r}"
-        )
+    s_ee, _, _ = _sum_terms(n_e, n_g, params.eta, k_max)
+    s_gg, _, _ = _sum_terms(n_g, n_e, params.eta, k_max)
+    shift = params.rabi**2 / 4.0 * (s_ee - s_gg)
 
     isolated = splitting_half(sideband, params) <= ISOLATION_RATIO
     carrier_term = sideband_term = delta_ld = delta_lit = None

@@ -288,6 +288,20 @@ class TestExitCodes:
         assert captured.err.startswith("not converged: the exact shift of (0,1) at eta=1.0")
 
     @pytest.mark.parametrize("argv", [
+        ["sidebands", "--rabi", "0.01", "--eta", "1000"],  # term majorant
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "1e200"],  # default n_max
+        ["sweep", "--eta", "1e200"],
+        ["scan-eta", "--eta-max", "1e200", "--points", "2"],
+        ["sidebands", "--rabi", "1e200", "--eta", "0.1"],  # rabi**2
+    ])
+    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    def test_overflowing_finite_input_exits_three(self, argv, capsys):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: the inputs overflow double precision")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["shift", "--ng", "0", "--ne", "1", "--rabi", "2pi*1kHz", "--trap-freq", "0Hz", "--eta", "0.1"],
         ["sidebands", "--trap-freq", "0Hz"],
         ["sidebands", "--trap-freq=-1MHz"],
@@ -615,6 +629,36 @@ class TestSidebandsCommand:
                 blue = by_key[("blue", order, n)]["shift"]
                 red = by_key[("red", order, n)]["shift"]
                 assert blue + red == 0.0
+
+    def test_default_stdout_bytes(self, capsys):
+        # pure closed form with no BLAS call: the bytes do not depend on the BLAS build or threads
+        assert cli.main(["sidebands"]) == 0
+        assert capsys.readouterr().out == SIDEBANDS_DEFAULT_STDOUT
+
+
+SIDEBANDS_DEFAULT_STDOUT = """\
+sideband,order,n,n_g,n_e,shift,shift_hz
+red,2,0,2,0,0.00038225193317908794,519.8626291235596
+red,2,1,3,1,0.00038392124228544877,522.1328895082105
+red,2,2,4,2,0.00038555380249105414,524.3531713878338
+red,2,3,5,3,0.0003871499267559694,526.5239003881185
+red,1,0,1,0,0.0007515425300218404,1022.097840829703
+red,1,1,2,1,0.0007437853820245184,1011.5481195533451
+red,1,2,3,2,0.0007360875766298665,1001.0791042166187
+red,1,3,4,3,0.0007284487562510941,990.6903085014882
+carrier,0,0,0,0,0.0,0.0
+carrier,0,1,1,1,0.0,0.0
+carrier,0,2,2,2,0.0,0.0
+carrier,0,3,3,3,0.0,0.0
+blue,1,0,0,1,-0.0007515425300218404,-1022.097840829703
+blue,1,1,1,2,-0.0007437853820245184,-1011.5481195533451
+blue,1,2,2,3,-0.0007360875766298665,-1001.0791042166187
+blue,1,3,3,4,-0.0007284487562510941,-990.6903085014882
+blue,2,0,0,2,-0.00038225193317908794,-519.8626291235596
+blue,2,1,1,3,-0.00038392124228544877,-522.1328895082105
+blue,2,2,2,4,-0.00038555380249105414,-524.3531713878338
+blue,2,3,3,5,-0.0003871499267559694,-526.5239003881185
+"""
 
 
 class TestStdout:

@@ -13,6 +13,22 @@ P01 = ts.TrapParams(rabi=0.01, eta=0.1)
 SB01 = ts.SidebandId(0, 1)
 SB10 = ts.SidebandId(1, 0)
 
+# (n_g, n_e, eta, delta_omega_full) at rabi 0.01
+FROZEN = [
+    (0, 1, 0.1, -4.925497922902111e-05),
+    (1, 0, 0.3, 4.364021409670116e-05),
+    (2, 4, 0.3, -2.800179264269982e-05),
+    (4, 2, 0.7, 1.5565034063838885e-05),
+    (3, 0, 0.5, 1.8971438346303213e-05),
+    (0, 3, 1.2, -1.9356302896237222e-05),
+    (5, 6, 1.2, 4.95526397867557e-07),
+    (7, 5, 0.9, -2.6989634713310985e-06),
+    (10, 7, 1.1, 7.566701599847419e-07),
+    (1, 2, 0.05, -4.9626091961587e-05),
+    (6, 9, 0.45, -2.1379879458715386e-05),
+    (9, 10, 0.83, -6.496756083550033e-07),
+]
+
 
 class TestLevelShiftDiag:
     def test_eta_zero_stark_pair(self):
@@ -39,6 +55,27 @@ class TestLevelShiftDiag:
         assert el.r_ee == pytest.approx(brute_ee, rel=1e-13)
         assert el.r_ee - el.r_gg == pytest.approx(-4.93e-5, abs=5e-8)
 
+    @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)
+    def test_matches_bare_energy_denominators(self, n_g, n_e, eta, frozen):
+        # the closed form writes E0 - E_{e,k} and E0 - E_{g,k} as n_e - k and
+        # n_g - k; here they are the literal bare energies at the crossing
+        sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
+        e0, delta0 = ts.crossing_point(sideband, params)
+        at_crossing = params.with_delta(delta0)
+        ks = range(max(n_g, n_e) + resolvent.DEFAULT_K_MARGIN + 1)
+
+        def brute(center, exclude, state):
+            return math.fsum(
+                (0.005 * abs(ts.chi(center, k, eta))) ** 2
+                / (e0 - ts.bare_energy(state, k, at_crossing))
+                for k in ks
+                if k != exclude
+            )
+
+        el = ts.level_shift_diag(sideband, params)
+        assert el.r_gg == pytest.approx(brute(n_g, n_e, "e"), rel=1e-13)
+        assert el.r_ee == pytest.approx(brute(n_e, n_g, "g"), rel=1e-13)
+
     def test_carrier_is_valid_input(self):
         el = ts.level_shift_diag(ts.SidebandId(2, 2), P01)
         assert el.r_gg == el.r_ee  # same sums by symmetry
@@ -57,9 +94,11 @@ class TestLevelShiftDiag:
 
 
 class TestBsShift:
-    def test_matches_level_shift_difference(self):
-        el = ts.level_shift_diag(SB01, P01)
-        shift = ts.bs_shift(SB01, P01).delta_omega_full
+    @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)
+    def test_matches_level_shift_difference(self, n_g, n_e, eta, frozen):
+        sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
+        el = ts.level_shift_diag(sideband, params)
+        shift = ts.bs_shift(sideband, params).delta_omega_full
         scale = abs(el.r_gg) + abs(el.r_ee)
         assert abs(shift - (el.r_ee - el.r_gg)) <= 1e-14 * scale
 
@@ -78,36 +117,12 @@ class TestBsShift:
         rev = ts.bs_shift(ts.SidebandId(b, a), params).delta_omega_full
         assert fwd + rev == 0.0
 
-    # delta_omega_full recorded before the direct and level-shift sums were
-    # merged into one pass per side; the merge must not move a single bit.
-    @pytest.mark.parametrize(
-        "n_g, n_e, eta, frozen",
-        [
-            (0, 1, 0.1, -4.925497922902111e-05),
-            (1, 0, 0.3, 4.364021409670116e-05),
-            (2, 4, 0.3, -2.800179264269982e-05),
-            (4, 2, 0.7, 1.5565034063838885e-05),
-            (3, 0, 0.5, 1.8971438346303213e-05),
-            (0, 3, 1.2, -1.9356302896237222e-05),
-            (5, 6, 1.2, 4.95526397867557e-07),
-            (7, 5, 0.9, -2.6989634713310985e-06),
-            (10, 7, 1.1, 7.566701599847419e-07),
-            (1, 2, 0.05, -4.9626091961587e-05),
-            (6, 9, 0.45, -2.1379879458715386e-05),
-            (9, 10, 0.83, -6.496756083550033e-07),
-        ],
-    )
+    # delta_omega_full recorded before the closed-form sums were first
+    # restructured; no restructuring of them may move a single bit.
+    @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)
     def test_frozen_bitwise(self, n_g, n_e, eta, frozen):
         params = ts.TrapParams(rabi=0.01, eta=eta)
         assert ts.bs_shift(ts.SidebandId(n_g, n_e), params).delta_omega_full == frozen
-
-    def test_cross_check_is_live(self, monkeypatch):
-        bare = resolvent.bare_energy
-        monkeypatch.setattr(
-            resolvent, "bare_energy", lambda state, n, params: bare(state, n, params) + 1e-6
-        )
-        with pytest.raises(ts.TrapshiftError, match="internal inconsistency"):
-            ts.bs_shift(SB01, P01)
 
     def test_one_chi_evaluation_per_retained_term(self, monkeypatch):
         calls = []
