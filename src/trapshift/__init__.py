@@ -13,6 +13,7 @@ from .errors import (
     ResonanceWindowError,
     TrackingAmbiguityError,
     TrapshiftError,
+    TruncationError,
 )
 from .fock import (
     CouplingTable,
@@ -46,8 +47,10 @@ from .resolvent import (
 )
 
 # Names of the exact-diagonalization pipeline.  ``spectrum`` imports
-# scipy.optimize, which roughly doubles the memory and import time of a
-# closed-form-only caller, so it is loaded on first access to one of these.
+# scipy.optimize, so it is loaded on first access to one of these: the
+# closed-form names above need numpy alone, and scipy, about twice the import
+# time and memory of numpy, is loaded only by the exact pipeline
+# (``spectrum``, ``coupling_table``, ``displacement_oracle``) and the CLI.
 _SPECTRUM_NAMES = frozenset({
     "DressedSpectrum",
     "ShiftReport",
@@ -84,6 +87,7 @@ __all__ = [
     "TrackingAmbiguityError",
     "TrapParams",
     "TrapshiftError",
+    "TruncationError",
     "bare_energy",
     "bs_shift",
     "bs_shift_ld",

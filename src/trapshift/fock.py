@@ -5,21 +5,27 @@ The central object is the matrix element
     chi_{nn'} = <n| exp(i*eta*(a + a^dag)) |n'>
               = exp(-eta^2/2) * (i*eta)^|n-n'| * sqrt(n_<!/n_>!) * L_{n_<}^{|n-n'|}(eta^2)
 
-with n_< (n_>) the lesser (greater) of n and n'.  ``chi_magnitude`` evaluates
-one element and ``coupling_table`` the whole truncated matrix, both through
-the three-term Laguerre recurrence in n; ``displacement_oracle`` rebuilds the
-same matrix by exponentiating the truncated tridiagonal operator
-i*eta*(a + a^dag) and serves as an independent cross-check of the Laguerre
-route.
+with n_< (n_>) the lesser (greater) of n and n'.  Every scalar value comes
+from one routine, ``_laguerre_column``, the three-term Laguerre recurrence in
+n at fixed order: ``laguerre`` and ``chi_magnitude`` take the last entry of a
+column, and the closed-form sums of ``resolvent`` take two entries of each
+column they run.  Those sums read log(k!) from a memo, ``_log_factorials``,
+that grows only as far as they reach; ``chi_magnitude`` calls lgamma itself,
+so one element at a large index allocates nothing.  ``coupling_table``
+evaluates the whole truncated matrix with the same recurrence vectorized
+over the order, and ``displacement_oracle`` rebuilds that matrix by
+exponentiating the truncated tridiagonal operator i*eta*(a + a^dag), an
+independent cross-check of the Laguerre route.  These two import their scipy
+function when called, so the scalar and closed-form paths need numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .params import TrapParams
 
@@ -37,15 +43,41 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
-def _laguerre_recurrence(n: int, alpha: float, x: float) -> float:
-    """L_n^alpha(x) by the three-term recurrence in n at fixed alpha."""
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(2, n + 1):
+#: lgamma(k + 1.0) = log(k!) for k = 0, 1, ...; read through ``_log_factorials``.
+_LOG_FACTORIALS: list[float] = []
+
+
+def _log_factorials(n: int) -> list[float]:
+    """The memo of lgamma(k + 1.0), grown to cover k = n and no further.
+
+    A grown memo is a new list bound in one assignment, so a concurrent
+    reader never sees an entry at the wrong index.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n >= len(table):
+        table = table + [math.lgamma(k + 1.0) for k in range(len(table), n + 1)]
+        _LOG_FACTORIALS = table
+    return table
+
+
+def _laguerre_column(n: int, alpha: float, x: float) -> Iterator[float]:
+    """L_0^alpha(x), ..., L_n^alpha(x) by the three-term recurrence in n at fixed alpha.
+
+    A generator, so that a caller wanting only L_n holds one entry at a time.
+    """
+    prev, cur = 0.0, 1.0  # L_{-1} = 0 and L_0 = 1 start the recurrence
+    yield cur
+    for k in range(1, n + 1):
         prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
-    return cur
+        yield cur
+
+
+def _laguerre_recurrence(n: int, alpha: float, x: float) -> float:
+    """L_n^alpha(x), the last entry of its ``_laguerre_column``."""
+    for value in _laguerre_column(n, alpha, x):
+        pass
+    return value
 
 
 def _chi_magnitudes(eta: float, n_max: int) -> np.ndarray:
@@ -54,6 +86,10 @@ def _chi_magnitudes(eta: float, n_max: int) -> np.ndarray:
     m[n, n'] = exp(-eta^2/2) * eta^|n-n'| * sqrt(n_<! / n_>!) * L_{n_<}^{|n-n'|}(eta^2),
     the factorial ratio taken through lgamma to stay finite at large n.
     """
+    # gammaln is this package's only use of scipy.special; imported here so
+    # that scalar and closed-form callers never load scipy.
+    from scipy.special import gammaln
+
     x = eta * eta
     nb = n_max + 1
     # lag[n, d] = L_n^d(x); recurrence in n, vectorized over the order d.
@@ -82,7 +118,7 @@ def laguerre(n: int, alpha: int, x: float) -> float:
     _check_index("alpha", alpha)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return float(_laguerre_recurrence(n, float(alpha), x))
+    return _laguerre_recurrence(n, float(alpha), x)
 
 
 def chi_magnitude(n: int, nprime: int, eta: float) -> float:
@@ -102,7 +138,7 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
         math.exp(-0.5 * x)
         * eta**d
         * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
-        * float(_laguerre_recurrence(lo, float(d), x))
+        * _laguerre_recurrence(lo, float(d), x)
     )
 
 

@@ -25,8 +25,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import PerturbativeRegimeWarning
-from .fock import chi_magnitude, rabi_coupling
+from .errors import PerturbativeRegimeWarning, TruncationError
+from .fock import _laguerre_column, _log_factorials, rabi_coupling
+from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
 from .hamiltonian import crossing_point
 from .params import SidebandId, TrapParams
 
@@ -99,7 +100,7 @@ def _term_majorant(eta: float, center: int, d: int) -> float:
         return 1.0
     if eta == 0.0:
         return 0.0
-    return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))
+    return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - _log_factorials(d)[d]))
 
 
 def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float, int, int]:
@@ -109,29 +110,56 @@ def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float
     Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
     R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
     exclude = n_g.  Returns (sum, largest retained k, distance d reached),
-    where d is where a tail bound would start.
+    where d is where a tail bound would start.  Raises ``TruncationError``
+    when 0..k_max runs out while the term at k_max, the edge the truncation
+    cuts, still exceeds ``TERM_CUTOFF`` times the accumulated magnitude.
 
     Terms are generated in ascending |k - center| so that the exactly
     rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
-    order; this makes carrier nulls and sideband swaps cancel exactly.
+    order; this makes carrier nulls and sideband swaps cancel exactly.  At
+    distance d both terms, k = center -+ d, come from one Laguerre column
+    L_0^d..L_center^d(eta^2), and each is the same product, in the same
+    order, as ``chi_magnitude(center, k, eta)**2 / (exclude - k)``.
     """
+    x = eta * eta
+    gauss = math.exp(-0.5 * x)
+    log_fact = _log_factorials(center)
     terms: list[float] = []
     running = 0.0
+    edge = 0.0
     k_used = 0
     d_settle = abs(center - exclude) + 1
     d = 0
     while True:
-        ks = (center,) if d == 0 else (center - d, center + d)
-        for k in ks:
+        power = eta**d
+        column = list(_laguerre_column(center, float(d), x))
+        for k in (center - d, center + d) if d else (center,):
             if k < 0 or k > k_max or k == exclude:
                 continue
-            m = chi_magnitude(center, k, eta)
+            if k < center:
+                lo, hi = k, center
+            else:
+                lo, hi = center, k
+                if k >= len(log_fact):
+                    log_fact = _log_factorials(k)
+            m = gauss * power * math.exp(0.5 * (log_fact[lo] - log_fact[hi])) * column[lo]
             term = m * m / (exclude - k)
             terms.append(term)
             running += abs(term)
-            k_used = max(k_used, k)
+            if k > k_used:
+                k_used = k
+            if k == k_max:
+                edge = term
         d += 1
         if center - d < 0 and center + d > k_max:
+            # k >= 0 ends the other side exactly; strict, so that an all-zero
+            # sum (a carrier at eta = 0) is exact
+            if abs(edge) > TERM_CUTOFF * running:
+                raise TruncationError(
+                    f"the closed-form sum around n = {center} reached k_max = {k_max} "
+                    f"with its term there {edge:.3g} not negligible against "
+                    f"{running:.3g}; raise k_max"
+                )
             break
         if d >= d_settle and _term_majorant(eta, center, d) < TERM_CUTOFF * running:
             break
@@ -161,7 +189,8 @@ def level_shift_diag(
     are the integers n_e - k and n_g - k, so R_gg and R_ee are the two sums of
     ``bs_shift`` scaled by (Omega_R/2)^2; the resonant indices are excluded,
     so no retained denominator can vanish.  Warns above
-    ``PERTURBATIVE_RATIO_LIMIT``.
+    ``PERTURBATIVE_RATIO_LIMIT``; raises ``TruncationError`` when k_max cuts
+    a sum short (see ``_sum_terms``).
     """
     _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)
@@ -201,6 +230,7 @@ def bs_shift(
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
     ``PERTURBATIVE_RATIO_LIMIT``; ``well_isolated`` only flags a large splitting.
+    Raises ``TruncationError`` when k_max cuts a sum short (see ``_sum_terms``).
     """
     _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)

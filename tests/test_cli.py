@@ -287,6 +287,20 @@ class TestExitCodes:
         assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
         assert captured.err.startswith("not converged: the exact shift of (0,1) at eta=1.0")
 
+    def test_truncated_closed_form_sum_exits_three(self, capsys):
+        # at eta 20 |chi_{n,k}|^2 has its weight near k = eta^2 = 400, far
+        # beyond the default k_max = max(n_g, n_e) + 60
+        assert cli.main(["sidebands", "--rabi", "0.01", "--eta", "20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: the closed-form sum around n = ")
+
+    def test_closed_form_sum_ending_in_negligible_terms_exits_zero(self, capsys):
+        # at eta 2.5 every sum runs out of 0..k_max, but its term at k_max is
+        # below 1e-31 of the sum
+        assert cli.main(["sidebands", "--rabi", "0.01", "--eta", "2.5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
+
     @pytest.mark.parametrize("argv", [
         ["sidebands", "--rabi", "0.01", "--eta", "1000"],  # term majorant
         ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "1e200"],  # default n_max

@@ -1,6 +1,9 @@
 """Laguerre/displacement-operator algebra against independent oracles."""
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapshift as ts
+from trapshift import fock
 from trapshift.fock import PHASES
 
 
@@ -50,6 +54,39 @@ class TestLaguerre:
             ts.laguerre(2, -1, 0.5)
         with pytest.raises(ValueError):
             ts.laguerre(2, 0, float("nan"))
+
+
+class TestLogFactorials:
+    def test_memo_matches_lgamma_and_grows_only_as_asked(self, monkeypatch):
+        monkeypatch.setattr(fock, "_LOG_FACTORIALS", [])
+        table = fock._log_factorials(7)
+        assert table == [math.lgamma(k + 1.0) for k in range(8)]
+        assert len(fock._LOG_FACTORIALS) == 8
+
+    def test_concurrent_growth_keeps_every_index(self, monkeypatch):
+        # more threads than cores and a short switch interval, so that growth
+        # of the shared memo interleaves; no caller may see a shifted entry
+        monkeypatch.setattr(fock, "_LOG_FACTORIALS", [])
+        expected = [math.lgamma(k + 1.0) for k in range(400)]
+        bad = []
+
+        def grow(seed):
+            for n in random.Random(seed).sample(range(400), 200):
+                if fock._log_factorials(n)[: n + 1] != expected[: n + 1]:
+                    bad.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
 
 
 class TestChi:

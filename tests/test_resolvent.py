@@ -29,6 +29,35 @@ FROZEN = [
     (9, 10, 0.83, -6.496756083550033e-07),
 ]
 
+DIFFERENTIAL_ETAS = [0.0, 1e-3, 0.083, 0.4, 1.2, 2.5, 4.0]
+
+
+def reference_sum(center, exclude, eta, k_max):
+    """``resolvent._sum_terms`` with one validated chi_magnitude call per term.
+
+    Returns (sum, largest retained k, distance reached, truncated), where
+    truncated marks a run out of 0..k_max whose term at k_max still exceeds
+    TERM_CUTOFF times the accumulated magnitude.
+    """
+    terms, running, k_used, d = [], 0.0, 0, 0
+    while True:
+        for k in (center - d, center + d) if d else (center,):
+            if 0 <= k <= k_max and k != exclude:
+                m = ts.chi_magnitude(center, k, eta)
+                terms.append(m * m / (exclude - k))
+                running += abs(terms[-1])
+                k_used = max(k_used, k)
+        d += 1
+        if center - d < 0 and center + d > k_max:
+            edge = ts.chi_magnitude(center, k_max, eta) ** 2 / (exclude - k_max)
+            truncated = abs(edge) > resolvent.TERM_CUTOFF * running
+            return math.fsum(terms), k_used, d, truncated
+        if d > abs(center - exclude):
+            # |chi_{center,k}|^2 <= ((eta * sqrt(center + d))^d / d!)^2 at distance d
+            log_root = d * math.log(eta * math.sqrt(center + d)) if eta else -math.inf
+            if math.exp(2.0 * (log_root - math.lgamma(d + 1.0))) < resolvent.TERM_CUTOFF * running:
+                return math.fsum(terms), k_used, d, False
+
 
 class TestLevelShiftDiag:
     def test_eta_zero_stark_pair(self):
@@ -124,22 +153,49 @@ class TestBsShift:
         params = ts.TrapParams(rabi=0.01, eta=eta)
         assert ts.bs_shift(ts.SidebandId(n_g, n_e), params).delta_omega_full == frozen
 
-    def test_one_chi_evaluation_per_retained_term(self, monkeypatch):
-        calls = []
-        chi_magnitude = resolvent.chi_magnitude
+    @pytest.mark.parametrize("eta", DIFFERENTIAL_ETAS)
+    def test_sums_match_per_term_chi(self, eta):
+        # every (sum, largest k, distance) equals the per-term reference bit
+        # for bit, and the sum raises exactly where the reference runs out of
+        # k with a term that is not negligible
+        for center in range(31):
+            for exclude in range(31):
+                top = max(center, exclude)
+                for k_max in (top + 1, top + 3, top + 10, top + resolvent.DEFAULT_K_MARGIN):
+                    *expected, truncated = reference_sum(center, exclude, eta, k_max)
+                    if truncated:
+                        with pytest.raises(ts.TruncationError):
+                            resolvent._sum_terms(center, exclude, eta, k_max)
+                    else:
+                        got = resolvent._sum_terms(center, exclude, eta, k_max)
+                        assert got == tuple(expected), (center, exclude, k_max)
 
-        def counting(n, k, eta):
-            calls.append((n, k))
-            return chi_magnitude(n, k, eta)
+    @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)
+    def test_bs_shift_and_level_shift_diag_retain_the_same_k(self, n_g, n_e, eta, frozen):
+        sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
+        k_max = max(n_g, n_e) + resolvent.DEFAULT_K_MARGIN
+        s_gg, k_gg, _, _ = reference_sum(n_g, n_e, eta, k_max)
+        s_ee, k_ee, _, _ = reference_sum(n_e, n_g, eta, k_max)
+        el = ts.level_shift_diag(sideband, params)
+        assert (el.r_gg, el.r_ee) == ((0.5 * 0.01) ** 2 * s_gg, (0.5 * 0.01) ** 2 * s_ee)
+        assert el.k_max_used == max(k_gg, k_ee)
+        # bs_shift reports no k; equal bit for bit to the difference of the
+        # reference sums, it summed the terms level_shift_diag retained
+        assert ts.bs_shift(sideband, params).delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg)
 
-        monkeypatch.setattr(resolvent, "chi_magnitude", counting)
-        sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)
-        ts.level_shift_diag(sideband, params)
-        retained = sorted(calls)  # every retained term of both sides, plus chi_{n_g,n_e}
-        calls.clear()
-        ts.bs_shift(sideband, params)
-        assert len(calls) == len(set(calls))
-        assert sorted(calls) == retained
+    def test_truncated_sum_raises(self):
+        params = ts.TrapParams(rabi=0.01, eta=20.0)
+        with pytest.raises(ts.TruncationError, match="k_max = 62"):
+            ts.bs_shift(ts.SidebandId(2, 0), params)
+        with pytest.raises(ts.TruncationError):
+            ts.level_shift_diag(ts.SidebandId(2, 0), params)
+
+    def test_truncation_is_judged_at_k_max(self):
+        # k_max = 11 cuts the sum around n = 10 after k = 11 (a 1.2% error in
+        # the shift), while its last term, at k = 0, is below 1e-20 of the sum
+        params = ts.TrapParams(rabi=0.01, eta=0.2)
+        with pytest.raises(ts.TruncationError, match="around n = 10 reached k_max = 11"):
+            ts.bs_shift(ts.SidebandId(9, 10), params, k_max=11)
 
     def test_frozen_first_blue(self):
         shift = ts.bs_shift(SB01, P01).delta_omega_full

@@ -344,33 +344,48 @@ class TestMeasureSplitting:
         assert gap < 1e-12
 
 
+def run_probe(probe: str) -> str:
+    """stdout of ``probe`` run in a fresh interpreter that imports this package."""
+    src = str(Path(ts.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
 class TestLazyImport:
     def test_closed_form_import_leaves_spectrum_unloaded(self):
-        src = str(Path(ts.__file__).resolve().parents[1])
         probe = (
             "import sys, trapshift.resolvent; "
             "print(sorted({'trapshift.spectrum', 'scipy.optimize'} & set(sys.modules)))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        assert run_probe(probe) == "[]"
 
     def test_closed_form_import_leaves_scipy_linalg_unloaded(self):
-        src = str(Path(ts.__file__).resolve().parents[1])
         probe = "import sys, trapshift.resolvent; print('scipy.linalg' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "False"
+        assert run_probe(probe) == "False"
+
+    def test_closed_form_route_loads_no_scipy(self):
+        probe = "\n".join([
+            "import sys",
+            "import trapshift as ts",
+            "from trapshift import bs_shift, chi_magnitude, laguerre, level_shift_diag",
+            "sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)",
+            "bs_shift(sideband, params)",
+            "level_shift_diag(sideband, params)",
+            "chi_magnitude(3, 5, 0.3)",
+            "laguerre(4, 2, 0.09)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "table = ts.coupling_table(0.3, 6)",
+            "print(max(abs(table.entries[n, k] - ts.chi(n, k, 0.3)) for n in range(7) for k in range(7)))",
+        ])
+        loaded, table_error = run_probe(probe).splitlines()
+        assert loaded == "[]"
+        assert float(table_error) <= 1e-15
 
     def test_package_names_resolve(self):
         assert ts.find_resonance is spectrum.find_resonance
