@@ -8,6 +8,8 @@ branch tracking (``spectrum``), plus a CLI that regenerates the standard
 level-diagram and shift-scan datasets.
 """
 
+import importlib
+
 from .errors import (
     PerturbativeRegimeWarning,
     ResonanceWindowError,
@@ -15,26 +17,8 @@ from .errors import (
     TrapshiftError,
     TruncationError,
 )
-from .fock import (
-    CouplingTable,
-    chi,
-    chi_magnitude,
-    coupling_table,
-    displacement_oracle,
-    laguerre,
-    oracle_pad,
-    rabi_coupling,
-)
-from .hamiltonian import (
-    EXCITED,
-    GROUND,
-    HamiltonianMatrix,
-    bare_energy,
-    build_hamiltonian,
-    crossing_point,
-    default_n_max,
-)
-from .params import SidebandId, TrapParams
+from .fock import chi, chi_magnitude, laguerre, rabi_coupling
+from .params import SidebandId, TrapParams, crossing_point
 from .resolvent import (
     LevelShiftElements,
     PerturbativeShift,
@@ -46,28 +30,37 @@ from .resolvent import (
     splitting_half,
 )
 
-# Names of the exact-diagonalization pipeline.  ``spectrum`` imports
-# scipy.optimize, so it is loaded on first access to one of these: the
-# closed-form names above need numpy alone, and scipy, about twice the import
-# time and memory of numpy, is loaded only by the exact pipeline
-# (``spectrum``, ``coupling_table``, ``displacement_oracle``) and the CLI.
-_SPECTRUM_NAMES = frozenset({
-    "DressedSpectrum",
-    "ShiftReport",
-    "eigenlevels",
-    "find_resonance",
-    "measure_splitting",
-    "sweep_spectrum",
-    "track_branch",
-})
+# The names above, the closed form, need only the standard library.  numpy
+# serves the chi tables and Hamiltonians (``hamiltonian``) and scipy the
+# exact pipeline (``spectrum``), so each name below is served from its module
+# on first access: ``import trapshift`` and every closed-form call load
+# neither numpy nor scipy.
+_LAZY_MODULES = {
+    "CouplingTable": "hamiltonian",
+    "EXCITED": "hamiltonian",
+    "GROUND": "hamiltonian",
+    "HamiltonianMatrix": "hamiltonian",
+    "bare_energy": "hamiltonian",
+    "build_hamiltonian": "hamiltonian",
+    "coupling_table": "hamiltonian",
+    "default_n_max": "hamiltonian",
+    "displacement_oracle": "hamiltonian",
+    "oracle_pad": "hamiltonian",
+    "DressedSpectrum": "spectrum",
+    "ShiftReport": "spectrum",
+    "eigenlevels": "spectrum",
+    "find_resonance": "spectrum",
+    "measure_splitting": "spectrum",
+    "sweep_spectrum": "spectrum",
+    "track_branch": "spectrum",
+}
 
 
 def __getattr__(name: str):
-    if name in _SPECTRUM_NAMES:
-        from . import spectrum
-
-        return getattr(spectrum, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 __version__ = "0.1.0"

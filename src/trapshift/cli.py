@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import TrapshiftError
-from .fock import coupling_table, displacement_oracle, rabi_coupling
-from .hamiltonian import MAX_DIM, bare_energy, default_n_max
+from .fock import rabi_coupling
+from .hamiltonian import MAX_DIM, bare_energy, coupling_table, default_n_max, displacement_oracle
 from .params import SidebandId, TrapParams
 from .resolvent import bs_shift, eta_zero_shift
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum

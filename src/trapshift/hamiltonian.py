@@ -8,6 +8,16 @@ the trap frequency omega_t:
 Basis ordering is fixed: |g,0> .. |g,n_max| then |e,0> .. |e,n_max>, so the
 matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
 
+The chi tables come first: ``coupling_table`` evaluates the truncated
+matrix of chi_{nn'} (see ``fock``) with the Laguerre recurrence vectorized
+over the order, and ``displacement_oracle`` rebuilds it by exponentiating
+the truncated operator i*eta*(a + a^dag), an independent cross-check of the
+Laguerre route.  This is the package's numpy layer: the closed form
+(``fock``, ``resolvent``) needs only the standard library, and scipy, which
+serves the exact pipeline of ``spectrum``, is imported here only inside the
+functions that call it: ``gammaln`` for ``coupling_table``, ``expm`` for the
+oracle.
+
 Every matrix starts from ``coupling_block``, which bounds n_max through
 ``check_n_max`` before anything is allocated.  ``build_hamiltonian``
 assembles the complex matrix H above; ``real_gauge_matrix`` alone constructs
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, coupling_table
+from .fock import PHASES, _check_eta, _check_index
 from .params import SidebandId, TrapParams
 
 GROUND = "g"
@@ -30,6 +40,91 @@ EXCITED = "e"
 
 #: Largest supported Hamiltonian dimension 2 * (n_max + 1).
 MAX_DIM = 20_000
+
+
+def _chi_magnitudes(eta: float, n_max: int) -> np.ndarray:
+    """Real magnitude table m[n, n'] with chi_{nn'} = i^|n-n'| * m[n, n'].
+
+    m[n, n'] = exp(-eta^2/2) * eta^|n-n'| * sqrt(n_<! / n_>!) * L_{n_<}^{|n-n'|}(eta^2),
+    the factorial ratio taken through lgamma to stay finite at large n.
+    """
+    # gammaln is this package's only use of scipy.special; imported here so
+    # that importing this module loads no scipy.
+    from scipy.special import gammaln
+
+    x = eta * eta
+    nb = n_max + 1
+    # lag[n, d] = L_n^d(x); recurrence in n, vectorized over the order d.
+    lag = np.ones((nb, nb))
+    if nb > 1:
+        d = np.arange(nb, dtype=float)
+        lag[1, :] = 1.0 + d - x
+        for n in range(2, nb):
+            lag[n, :] = ((2.0 * n - 1.0 + d - x) * lag[n - 1, :] - (n - 1.0 + d) * lag[n - 2, :]) / n
+    idx = np.arange(nb)
+    lo = np.minimum.outer(idx, idx)
+    hi = np.maximum.outer(idx, idx)
+    dd = hi - lo
+    lg = gammaln(np.arange(nb, dtype=float) + 1.0)
+    mag = math.exp(-0.5 * x) * (eta ** dd) * np.exp(0.5 * (lg[lo] - lg[hi])) * lag[lo, dd]
+    return mag
+
+
+@dataclass(frozen=True, eq=False)
+class CouplingTable:
+    """Matrix of chi_{nn'} over the truncated basis 0..n_max."""
+
+    eta: float
+    n_max: int
+    entries: np.ndarray
+
+    def row_norm(self, n: int) -> float:
+        """sum_k |chi_{nk}|^2; tends to 1 with n_max by unitarity."""
+        return float(np.sum(np.abs(self.entries[n]) ** 2))
+
+
+def coupling_table(eta: float, n_max: int) -> CouplingTable:
+    """Batch-evaluate chi_{nn'} for 0 <= n, n' <= n_max from the closed form."""
+    _check_index("n_max", n_max)
+    _check_eta(eta)
+    mag = _chi_magnitudes(eta, n_max)
+    idx = np.arange(n_max + 1)
+    d = np.abs(idx[:, None] - idx[None, :])
+    phase = np.asarray(PHASES)[d % 4]
+    return CouplingTable(eta=eta, n_max=n_max, entries=phase * mag)
+
+
+def oracle_pad(eta: float, n_max: int) -> int:
+    """Basis padding for the matrix-exponential oracle.
+
+    Exponentiating a truncated operator corrupts the last rows and columns;
+    the displacement mixes of order eta*sqrt(n) levels, so the pad grows with
+    both eta and n_max before the result is cropped back.
+    """
+    return max(20, 4 * math.ceil(eta * math.sqrt(max(n_max, 1))))
+
+
+def displacement_oracle(eta: float, n_max: int, pad: int | None = None) -> CouplingTable:
+    """chi table via scaled-and-squared exponentiation of i*eta*(a + a^dag).
+
+    Independent of the Laguerre closed form: builds the tridiagonal ladder
+    operator on a padded basis, exponentiates, and crops to (n_max+1)^2.
+    """
+    # expm is this package's only use of scipy.linalg; imported here so that
+    # only the oracle loads it (``spectrum`` loads it through scipy.optimize).
+    from scipy.linalg import expm
+
+    _check_index("n_max", n_max)
+    _check_eta(eta)
+    if pad is None:
+        pad = oracle_pad(eta, n_max)
+    dim = n_max + 1 + pad
+    ladder = np.sqrt(np.arange(1.0, dim))
+    position = np.zeros((dim, dim))
+    position[np.arange(dim - 1), np.arange(1, dim)] = ladder
+    position[np.arange(1, dim), np.arange(dim - 1)] = ladder
+    full = expm(1j * eta * position)
+    return CouplingTable(eta=eta, n_max=n_max, entries=full[: n_max + 1, : n_max + 1])
 
 
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
@@ -41,16 +136,6 @@ def bare_energy(state: str, n: int, params: TrapParams) -> float:
     if state == EXCITED:
         return n - 0.5 * params.delta
     raise ValueError(f"state must be 'g' or 'e', got {state!r}")
-
-
-def crossing_point(sideband: SidebandId, params: TrapParams) -> tuple[float, float]:
-    """(E0, Delta0) where the bare lines of the sideband pair intersect.
-
-    E0 = (n_g + n_e)/2 and Delta0 = n_e - n_g, both returned as floats.
-    """
-    e0 = 0.5 * (sideband.n_g + sideband.n_e)
-    delta0 = float(sideband.n_e - sideband.n_g)
-    return e0, delta0
 
 
 def default_n_max(sideband: SidebandId, eta: float) -> int:

@@ -64,3 +64,13 @@ class SidebandId:
     @property
     def is_carrier(self) -> bool:
         return self.n_g == self.n_e
+
+
+def crossing_point(sideband: SidebandId, params: TrapParams) -> tuple[float, float]:
+    """(E0, Delta0) where the bare lines of the sideband pair intersect.
+
+    E0 = (n_g + n_e)/2 and Delta0 = n_e - n_g, both returned as floats.
+    """
+    e0 = 0.5 * (sideband.n_g + sideband.n_e)
+    delta0 = float(sideband.n_e - sideband.n_g)
+    return e0, delta0

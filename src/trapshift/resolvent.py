@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from .errors import PerturbativeRegimeWarning, TruncationError
 from .fock import _laguerre_column, _log_factorials, rabi_coupling
 from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
-from .hamiltonian import crossing_point
-from .params import SidebandId, TrapParams
+from .params import SidebandId, TrapParams, crossing_point
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
@@ -110,9 +109,10 @@ def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float
     Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
     R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
     exclude = n_g.  Returns (sum, largest retained k, distance d reached),
-    where d is where a tail bound would start.  Raises ``TruncationError``
-    when 0..k_max runs out while the term at k_max, the edge the truncation
-    cuts, still exceeds ``TERM_CUTOFF`` times the accumulated magnitude.
+    where d is the distance at which the sum stopped (see ``_tail_bound``).
+    Raises ``TruncationError`` when 0..k_max runs out while the term at
+    k_max, the edge the truncation cuts, still exceeds ``TERM_CUTOFF`` times
+    the accumulated magnitude.
 
     Terms are generated in ascending |k - center| so that the exactly
     rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
@@ -166,8 +166,13 @@ def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float
     return math.fsum(terms), k_used, d
 
 
-def _tail_bound(eta: float, center: int, d_start: int) -> float:
-    """Majorant for everything beyond distance d_start (both sides of center)."""
+def _tail_bound(eta: float, center: int, d_reached: int, k_max: int) -> float:
+    """Majorant for every term a sum around center left out (both sides).
+
+    The sum stopped at distance d_reached, but k_max cuts its upper side
+    from distance k_max - center + 1 on, which may come first.
+    """
+    d_start = min(d_reached, k_max - center + 1)
     return 2.0 * math.fsum(_term_majorant(eta, center, d) for d in range(d_start, d_start + 60))
 
 
@@ -199,7 +204,8 @@ def level_shift_diag(
 
     s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max)
     s_ee, k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta, k_max)
-    tail = _tail_bound(params.eta, sideband.n_g, d_gg) + _tail_bound(params.eta, sideband.n_e, d_ee)
+    tail = _tail_bound(params.eta, sideband.n_g, d_gg, k_max)
+    tail += _tail_bound(params.eta, sideband.n_e, d_ee, k_max)
     return LevelShiftElements(
         sideband=sideband,
         r_gg=half_sq * s_gg,

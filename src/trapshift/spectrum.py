@@ -31,12 +31,11 @@ from .hamiltonian import (
     HamiltonianMatrix,
     check_n_max,
     coupling_block,
-    crossing_point,
     default_n_max,
     real_gauge_matrix,
     set_detuning,
 )
-from .params import SidebandId, TrapParams
+from .params import SidebandId, TrapParams, crossing_point
 
 #: Measured pair gaps below this many omega_t count as true crossings.
 GAP_FLOOR_FRACTION = 1e-10

@@ -121,6 +121,20 @@ class TestLevelShiftDiag:
         with pytest.raises(ValueError):
             ts.level_shift_diag(ts.SidebandId(0, 4), P01, k_max=3)
 
+    def test_tail_bound_covers_terms_cut_by_k_max(self):
+        # k_max = 40 cuts the upper sides (k >= 41) at distance 16 and 17,
+        # before the sums stop on their majorant at distance 21.
+        sideband, params, k_max = ts.SidebandId(25, 24), ts.TrapParams(rabi=0.01, eta=0.5), 40
+        el = ts.level_shift_diag(sideband, params, k_max=k_max)
+        cut = math.fsum(
+            abs(ts.chi_magnitude(center, k, params.eta) ** 2 / (exclude - k))
+            for center, exclude in ((25, 24), (24, 25))
+            for k in range(k_max + 1, 400)
+        )
+        cut *= (0.5 * params.rabi) ** 2
+        assert cut > 1e-19  # 6.6e-19, against a bound of 6.1e-22 from distance 21
+        assert el.tail_bound >= cut
+
 
 class TestBsShift:
     @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)

@@ -387,6 +387,32 @@ class TestLazyImport:
         assert loaded == "[]"
         assert float(table_error) <= 1e-15
 
+    def test_closed_form_route_loads_no_numpy(self):
+        probe = "\n".join([
+            "import sys",
+            "import trapshift as ts",
+            "sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)",
+            "ts.bs_shift(sideband, params)",
+            "ts.level_shift_diag(sideband, params)",
+            "ts.bs_shift_ld(sideband, params)",
+            "ts.eta_zero_shift(sideband, params)",
+            "ts.chi(3, 5, 0.3)",
+            "ts.chi_magnitude(3, 5, 0.3)",
+            "ts.laguerre(4, 2, 0.09)",
+            "ts.rabi_coupling(3, 5, params)",
+            "ts.crossing_point(sideband, params)",
+            "print('numpy' in sys.modules)",
+        ])
+        assert run_probe(probe) == "False"
+
+    def test_every_public_name_resolves_in_a_fresh_process(self):
+        probe = "\n".join([
+            "import trapshift as ts, trapshift.hamiltonian",
+            "missing = [name for name in ts.__all__ if not hasattr(ts, name)]",
+            "print(missing, ts.coupling_table is trapshift.hamiltonian.coupling_table)",
+        ])
+        assert run_probe(probe) == "[] True"
+
     def test_package_names_resolve(self):
         assert ts.find_resonance is spectrum.find_resonance
         assert ts.ShiftReport is spectrum.ShiftReport
