@@ -8,15 +8,16 @@ The central object is the matrix element
 with n_< (n_>) the lesser (greater) of n and n'.  Every scalar value comes
 from one routine, ``_laguerre_column``, the three-term Laguerre recurrence in
 n at fixed order: ``laguerre`` and ``chi_magnitude`` take the last entry of a
-column, and the closed-form sums of ``resolvent`` take two entries of each
-column they run.  Those sums read log(k!) from a memo, ``_log_factorials``,
-that grows only as far as they reach; ``chi_magnitude`` calls lgamma itself,
-so one element at a large index allocates nothing.
+column, the closed-form sums of ``resolvent`` two entries of each column they
+run, and the table ``hamiltonian.coupling_table`` every entry.  The sums and
+the table read log(k!) from a memo, ``_log_factorials``, that grows only as
+far as they reach; ``chi_magnitude`` calls lgamma itself, so one element at a
+large index allocates nothing.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
-library, so the closed form loads no numpy.  The numpy tables of the same
-elements, ``hamiltonian.coupling_table`` and its matrix-exponential
-cross-check ``hamiltonian.displacement_oracle``, live with the matrices.
+library, so the closed form loads no numpy.  The exact route takes the same
+elements from the operator, ``hamiltonian.displacement_oracle``, never from
+this module.
 """
 
 from __future__ import annotations

@@ -8,21 +8,21 @@ the trap frequency omega_t:
 Basis ordering is fixed: |g,0> .. |g,n_max| then |e,0> .. |e,n_max>, so the
 matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
 
-The chi tables come first: ``coupling_table`` evaluates the truncated
-matrix of chi_{nn'} (see ``fock``) with the Laguerre recurrence vectorized
-over the order, and ``displacement_oracle`` rebuilds it by exponentiating
-the truncated operator i*eta*(a + a^dag), an independent cross-check of the
-Laguerre route.  This is the package's numpy layer: the closed form
-(``fock``, ``resolvent``) needs only the standard library, and scipy, which
-serves the exact pipeline of ``spectrum``, is imported here only inside the
-functions that call it: ``gammaln`` for ``coupling_table``, ``expm`` for the
-oracle.
+The two routes build their chi tables apart.  ``displacement_oracle`` is
+the exact route's: it exponentiates the truncated operator i*eta*(a + a^dag)
+on a padded basis and crops it, and every Hamiltonian takes its coupling
+block from it.  ``coupling_table`` is the closed form's: the Laguerre formula
+of ``fock``, equal to ``chi`` entry for entry.  ``check`` and the tests
+compare the two.  This is the package's numpy layer: the closed form
+(``fock``, ``resolvent``) needs only the standard library, and scipy's
+``expm`` is imported only inside ``displacement_oracle``.
 
 Every matrix starts from ``coupling_block``, which bounds n_max through
-``check_n_max`` before anything is allocated.  ``build_hamiltonian``
-assembles the complex matrix H above; ``real_gauge_matrix`` alone constructs
-its exact real symmetric gauge, which the detuning scans of ``spectrum``
-solve, rewriting only its diagonal (``set_detuning``) per sample.
+``check_n_max`` before anything is allocated; ``displacement_oracle`` bounds
+its padded basis the same way.  ``build_hamiltonian`` assembles the complex
+matrix H above; ``real_gauge_matrix`` alone constructs its exact real
+symmetric gauge, which the detuning scans of ``spectrum`` solve, rewriting
+only its diagonal (``set_detuning``) per sample.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _check_eta, _check_index
+from .fock import PHASES, _check_eta, _check_index, _laguerre_column, _log_factorials
 from .params import SidebandId, TrapParams
 
 GROUND = "g"
@@ -40,34 +40,6 @@ EXCITED = "e"
 
 #: Largest supported Hamiltonian dimension 2 * (n_max + 1).
 MAX_DIM = 20_000
-
-
-def _chi_magnitudes(eta: float, n_max: int) -> np.ndarray:
-    """Real magnitude table m[n, n'] with chi_{nn'} = i^|n-n'| * m[n, n'].
-
-    m[n, n'] = exp(-eta^2/2) * eta^|n-n'| * sqrt(n_<! / n_>!) * L_{n_<}^{|n-n'|}(eta^2),
-    the factorial ratio taken through lgamma to stay finite at large n.
-    """
-    # gammaln is this package's only use of scipy.special; imported here so
-    # that importing this module loads no scipy.
-    from scipy.special import gammaln
-
-    x = eta * eta
-    nb = n_max + 1
-    # lag[n, d] = L_n^d(x); recurrence in n, vectorized over the order d.
-    lag = np.ones((nb, nb))
-    if nb > 1:
-        d = np.arange(nb, dtype=float)
-        lag[1, :] = 1.0 + d - x
-        for n in range(2, nb):
-            lag[n, :] = ((2.0 * n - 1.0 + d - x) * lag[n - 1, :] - (n - 1.0 + d) * lag[n - 2, :]) / n
-    idx = np.arange(nb)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    dd = hi - lo
-    lg = gammaln(np.arange(nb, dtype=float) + 1.0)
-    mag = math.exp(-0.5 * x) * (eta ** dd) * np.exp(0.5 * (lg[lo] - lg[hi])) * lag[lo, dd]
-    return mag
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +56,32 @@ class CouplingTable:
 
 
 def coupling_table(eta: float, n_max: int) -> CouplingTable:
-    """Batch-evaluate chi_{nn'} for 0 <= n, n' <= n_max from the closed form."""
+    """chi_{nn'} for 0 <= n, n' <= n_max from the Laguerre closed form.
+
+    One ``_laguerre_column`` per order d = |n - n'| fills both diagonals at
+    distance d; each entry is the same product, in the same order and bit for
+    bit, as ``chi(n, n', eta)`` and the terms of the closed-form sums.
+    """
     _check_index("n_max", n_max)
     _check_eta(eta)
-    mag = _chi_magnitudes(eta, n_max)
-    idx = np.arange(n_max + 1)
-    d = np.abs(idx[:, None] - idx[None, :])
-    phase = np.asarray(PHASES)[d % 4]
-    return CouplingTable(eta=eta, n_max=n_max, entries=phase * mag)
+    x = eta * eta
+    gauss = math.exp(-0.5 * x)
+    log_fact = _log_factorials(n_max)
+    entries = np.empty((n_max + 1, n_max + 1), dtype=complex)
+    for d in range(n_max + 1):
+        power = eta**d
+        column = [
+            PHASES[d % 4] * (gauss * power * math.exp(0.5 * (log_fact[lo] - log_fact[lo + d])) * lag)
+            for lo, lag in enumerate(_laguerre_column(n_max - d, float(d), x))
+        ]
+        idx = np.arange(n_max + 1 - d)
+        entries[idx, idx + d] = column
+        entries[idx + d, idx] = column
+    return CouplingTable(eta=eta, n_max=n_max, entries=entries)
 
 
 def oracle_pad(eta: float, n_max: int) -> int:
-    """Basis padding for the matrix-exponential oracle.
+    """Basis padding for ``displacement_oracle``, the exact route's chi.
 
     Exponentiating a truncated operator corrupts the last rows and columns;
     the displacement mixes of order eta*sqrt(n) levels, so the pad grows with
@@ -107,18 +93,24 @@ def oracle_pad(eta: float, n_max: int) -> int:
 def displacement_oracle(eta: float, n_max: int, pad: int | None = None) -> CouplingTable:
     """chi table via scaled-and-squared exponentiation of i*eta*(a + a^dag).
 
-    Independent of the Laguerre closed form: builds the tridiagonal ladder
-    operator on a padded basis, exponentiates, and crops to (n_max+1)^2.
+    The exact route's chi, independent of the Laguerre closed form: builds
+    the tridiagonal ladder operator on a padded basis, exponentiates, and
+    crops to (n_max+1)^2.  A padded basis beyond ``MAX_DIM // 2`` levels is
+    a ``ValueError`` before any array is allocated.
     """
-    # expm is this package's only use of scipy.linalg; imported here so that
-    # only the oracle loads it (``spectrum`` loads it through scipy.optimize).
-    from scipy.linalg import expm
-
     _check_index("n_max", n_max)
     _check_eta(eta)
     if pad is None:
         pad = oracle_pad(eta, n_max)
     dim = n_max + 1 + pad
+    if dim > MAX_DIM // 2:
+        raise ValueError(
+            f"padded basis of {dim} levels (n_max {n_max} + 1 + pad {pad}) is beyond "
+            f"the supported range ({MAX_DIM // 2} levels)"
+        )
+    # imported here so that importing this module loads no scipy
+    from scipy.linalg import expm
+
     ladder = np.sqrt(np.arange(1.0, dim))
     position = np.zeros((dim, dim))
     position[np.arange(dim - 1), np.arange(1, dim)] = ladder
@@ -184,10 +176,10 @@ def check_n_max(n_max: int, why: str = "") -> None:
 
 
 def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
-    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian, bounded by
-    ``check_n_max`` before anything is allocated."""
+    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian, chi from the operator
+    (``displacement_oracle``); ``check_n_max`` first bounds n_max."""
     check_n_max(n_max)
-    return 0.5 * params.rabi * coupling_table(params.eta, n_max).entries
+    return 0.5 * params.rabi * displacement_oracle(params.eta, n_max).entries
 
 
 def set_detuning(h: np.ndarray, delta: float) -> None:
@@ -201,9 +193,10 @@ def set_detuning(h: np.ndarray, delta: float) -> None:
 def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
     """The Hamiltonian in its exact real symmetric gauge, from its g-e block.
 
-    The coupling entries are exactly (real) * i^|n-n'|, so conjugating by the
-    i^n phases of each sector cancels every imaginary part identically, not
-    just to roundoff; the e-g block is then the transpose of the g-e block.
+    The coupling entries are exactly (real) * i^|n-n'|, as a + a^dag links
+    only levels of opposite parity, so conjugating by the i^n phases of each
+    sector cancels every imaginary part identically and ``.real`` drops
+    nothing; the e-g block is then the transpose of the g-e block.
     """
     nb = len(block)
     phases = _gauge_phases(nb)

@@ -7,11 +7,13 @@ decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
 All heavy eigensolves run in the exact real-symmetric gauge built by
-``hamiltonian.real_gauge_matrix``; bare-state overlap magnitudes are gauge
-invariant, so nothing downstream can observe the difference.  Each job has
-one code path: ``_search_window`` is the coarse window and gap search behind
-both ``find_resonance`` and ``measure_splitting``, ``find_resonance`` the
-one basis-doubling check (one re-locate on the doubled margin), and
+``hamiltonian.real_gauge_matrix`` from chi of the operator itself
+(``hamiltonian.displacement_oracle``), never of the Laguerre formula that
+``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
+nothing downstream can observe the gauge.  Each job has one code path:
+``_search_window`` is the coarse window and gap search behind both
+``find_resonance`` and ``measure_splitting``, ``find_resonance`` the one
+basis-doubling check (one re-locate on the doubled margin), and
 ``sweep_spectrum`` the branch continuation behind ``track_branch``.  Scans
 are sequential and deterministic; share nothing across threads except the
 immutable inputs.
@@ -226,9 +228,9 @@ def _search_window(
     maximum, and narrowed while the gap has several local minima.  Returns
     (window half-width, coarse bracket of that maximum, minimal gap).
     """
-    params = scan.params
-    _, delta0 = crossing_point(sideband, params)
-    gap_estimate = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
+    _, delta0 = crossing_point(sideband, scan.params)
+    # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
+    gap_estimate = 2.0 * abs(float(scan._h[sideband.n_g, scan.nb + sideband.n_e]))
     half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
     shrink_floor = max(10.0 * gap_estimate, 1e-6)
 
@@ -319,7 +321,8 @@ def find_resonance(
     ``converged`` says whether the two shifts agree; a larger n_max is the
     way to go further.  Both bases are bounded by ``check_bases`` before the
     first solve.  Carriers are unshifted by symmetry and short-circuit
-    analytically.
+    analytically, with the closed-form gap |Omega_{n,n}|: the one place the
+    exact route reads the closed form.
     """
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, delta0 = crossing_point(sideband, params)

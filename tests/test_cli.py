@@ -396,13 +396,23 @@ class TestBasisBound:
     def test_nmax_above_bound_is_config_error(self, argv, monkeypatch, capsys):
         from trapshift import hamiltonian
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("coupling_table reached beyond the basis bound")
-
-        monkeypatch.setattr(hamiltonian, "coupling_table", unreachable)
+        # any array made in hamiltonian now fails with NameError
+        monkeypatch.delattr(hamiltonian, "np")
         code = cli.main([*argv, "--nmax", str(hamiltonian.MAX_DIM // 2)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: basis dimension 20002")
+
+    def test_padded_basis_above_bound_is_config_error(self, monkeypatch, capsys):
+        # --nmax 9990 is within the bound, but the operator exponential of the
+        # coupling block pads it beyond; no array may be made before that is known
+        from trapshift import hamiltonian
+
+        # any array made in hamiltonian now fails with NameError
+        monkeypatch.delattr(hamiltonian, "np")
+        assert cli.main(["sweep", "--eta", "0.1", "--nmax", "9990"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: padded basis of 10031 levels")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"],

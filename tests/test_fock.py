@@ -185,6 +185,14 @@ class TestCouplingTable:
                     ts.chi(n, nprime, 0.45), rel=1e-13, abs=1e-16
                 )
 
+    @pytest.mark.parametrize("eta", [0.0, 0.083, 0.4, 1.2, 2.0])
+    def test_equals_scalar_chi_bit_for_bit(self, eta):
+        # the table is the closed form itself, not a second evaluation of it
+        table = ts.coupling_table(eta, 40).entries
+        for n in range(41):
+            for nprime in range(41):
+                assert table[n, nprime] == ts.chi(n, nprime, eta), (n, nprime)
+
     def test_magnitude_symmetry(self):
         entries = ts.coupling_table(0.6, 25).entries
         mags = np.abs(entries)

@@ -158,6 +158,16 @@ class TestRealGauge:
         assert np.abs(rotated.imag).max() == 0.0
         assert np.array_equal(rotated.real, real_gauge(h))
 
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_max", [16, 164])
+    def test_conjugated_operator_block_has_no_imaginary_part(self, eta, n_max):
+        # so the .real of real_gauge_matrix drops nothing of the expm block
+        from trapshift.hamiltonian import _gauge_phases, coupling_block
+
+        block = coupling_block(ts.TrapParams(rabi=0.01, eta=eta), n_max)
+        phases = _gauge_phases(n_max + 1)
+        assert np.all(((phases[:, None] * block) * phases.conj()[None, :]).imag == 0)
+
     def test_real_form_symmetric_same_spectrum(self):
         params = ts.TrapParams(rabi=0.15, eta=0.3, delta=-0.4)
         h = ts.build_hamiltonian(params, 8)
@@ -184,16 +194,34 @@ class TestBasisBound:
     def test_rejected_before_allocating(self, monkeypatch):
         from trapshift import hamiltonian
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("coupling_table reached beyond the basis bound")
-
-        monkeypatch.setattr(hamiltonian, "coupling_table", unreachable)
+        # any array made in hamiltonian now fails with NameError
+        monkeypatch.delattr(hamiltonian, "np")
         n_max = hamiltonian.MAX_DIM // 2
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         with pytest.raises(ValueError, match="beyond the supported range"):
             ts.build_hamiltonian(params, n_max)
         with pytest.raises(ValueError, match="beyond the supported range"):
             ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
+
+    def test_padded_basis_rejected_before_allocating(self, monkeypatch):
+        # n_max 9990 passes check_n_max, but the operator exponential pads it
+        # by oracle_pad(0.1, 9990) = 40 levels, to 10031 > MAX_DIM // 2
+        from trapshift import hamiltonian
+
+        # any array made in hamiltonian now fails with NameError
+        monkeypatch.delattr(hamiltonian, "np")
+        params = ts.TrapParams(rabi=0.01, eta=0.1)
+        hamiltonian.check_n_max(9990)
+        assert ts.oracle_pad(0.1, 9990) == 40
+        message = "padded basis of 10031 levels .* beyond the supported range"
+        with pytest.raises(ValueError, match=message):
+            ts.displacement_oracle(0.1, 9990)
+        with pytest.raises(ValueError, match=message):
+            ts.build_hamiltonian(params, 9990)
+        with pytest.raises(ValueError, match=message):
+            ts.sweep_spectrum(params, [0.0, 1.0], 9990)
+        with pytest.raises(ValueError, match="padded basis of 10001 levels"):
+            ts.displacement_oracle(0.0, 9980, pad=20)
 
     def test_doubled_basis_rejected_before_first_solve(self, monkeypatch):
         from trapshift import spectrum

@@ -226,6 +226,22 @@ class TestFindResonance:
         assert gap == pytest.approx(0.01 * abs(ts.chi(0, 0, 0.3)), rel=1e-4)
 
 
+def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
+    # chi of the exact route comes from the operator, so a wrong factor in the
+    # closed form cannot enter both routes; only carriers read the closed form
+    from trapshift import fock
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the exact route evaluated the Laguerre closed form")
+
+    monkeypatch.setattr(fock, "_laguerre_column", unreachable)
+    assert ts.find_resonance(SB01, P01).method == "extremum"
+    assert ts.find_resonance(SB01, ts.TrapParams(rabi=0.01, eta=0.0)).method == "intersection"
+    assert ts.measure_splitting(SB01, P01) > 0
+    swept = ts.sweep_spectrum(P01, np.linspace(0.9, 1.1, 5), 8)
+    assert len(swept.branches) == 18
+
+
 SWEEP_PARAMS = ts.TrapParams(rabi=0.3, eta=0.4)
 SWEEP_GRID = np.linspace(-2.5, 2.5, 101)
 SWEEP_N_MAX = ts.default_n_max(ts.SidebandId(0, 3), 0.4)  # the sweep command's defaults
@@ -379,13 +395,13 @@ class TestLazyImport:
             "level_shift_diag(sideband, params)",
             "chi_magnitude(3, 5, 0.3)",
             "laguerre(4, 2, 0.09)",
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             "table = ts.coupling_table(0.3, 6)",
-            "print(max(abs(table.entries[n, k] - ts.chi(n, k, 0.3)) for n in range(7) for k in range(7)))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "print(all(table.entries[n, k] == ts.chi(n, k, 0.3) for n in range(7) for k in range(7)))",
         ])
-        loaded, table_error = run_probe(probe).splitlines()
+        loaded, table_exact = run_probe(probe).splitlines()
         assert loaded == "[]"
-        assert float(table_error) <= 1e-15
+        assert table_exact == "True"
 
     def test_closed_form_route_loads_no_numpy(self):
         probe = "\n".join([
