@@ -48,9 +48,7 @@ _LAZY_MODULES = {
     "oracle_pad": "hamiltonian",
     "DressedSpectrum": "spectrum",
     "ShiftReport": "spectrum",
-    "eigenlevels": "spectrum",
     "find_resonance": "spectrum",
-    "measure_splitting": "spectrum",
     "sweep_spectrum": "spectrum",
     "track_branch": "spectrum",
 }
@@ -92,12 +90,10 @@ __all__ = [
     "crossing_point",
     "default_n_max",
     "displacement_oracle",
-    "eigenlevels",
     "eta_zero_shift",
     "find_resonance",
     "laguerre",
     "level_shift_diag",
-    "measure_splitting",
     "oracle_pad",
     "rabi_coupling",
     "splitting_half",

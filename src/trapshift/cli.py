@@ -275,7 +275,8 @@ def cmd_shift(args: argparse.Namespace) -> int:
     if args.ld and sideband.is_carrier:
         raise ConfigError("--ld requested for a carrier: the Lamb-Dicke expansion needs n_g != n_e")
     if not sideband.is_carrier:
-        check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, params.eta))
+        n_max = args.nmax if args.nmax is not None else default_n_max(sideband, params.eta)
+        check_bases(sideband, n_max, params.eta)
 
     pert = bs_shift(sideband, params, k_max=args.kmax)
     report = find_resonance(sideband, params, n_max=args.nmax)
@@ -359,8 +360,9 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
     rabi_value, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
         raise ConfigError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
-    # default_n_max grows with eta, so the largest bases are those at eta_max.
-    check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, hi))
+    # default_n_max and the padding of the operator's chi grow with eta, so
+    # the largest bases are those at eta_max.
+    check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, hi), hi)
 
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
     rows: list[list] = []

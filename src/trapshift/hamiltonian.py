@@ -18,11 +18,13 @@ compare the two.  This is the package's numpy layer: the closed form
 ``expm`` is imported only inside ``displacement_oracle``.
 
 Every matrix starts from ``coupling_block``, which bounds n_max through
-``check_n_max`` before anything is allocated; ``displacement_oracle`` bounds
-its padded basis the same way.  ``build_hamiltonian`` assembles the complex
-matrix H above; ``real_gauge_matrix`` alone constructs its exact real
-symmetric gauge, which the detuning scans of ``spectrum`` solve, rewriting
-only its diagonal (``set_detuning``) per sample.
+``check_n_max`` before anything is allocated; ``check_padded_basis`` bounds
+the padded basis of ``displacement_oracle`` the same way.  One function,
+``real_gauge_matrix``, assembles the Hamiltonian: H in its exact real
+symmetric gauge, which ``build_hamiltonian`` returns and the detuning scans
+of ``spectrum`` solve, rewriting only its diagonal (``set_detuning``) per
+sample.  The gauge is a diagonal unitary, so its eigenvalues and bare-state
+weights are those of H.
 """
 
 from __future__ import annotations
@@ -95,19 +97,12 @@ def displacement_oracle(eta: float, n_max: int, pad: int | None = None) -> Coupl
 
     The exact route's chi, independent of the Laguerre closed form: builds
     the tridiagonal ladder operator on a padded basis, exponentiates, and
-    crops to (n_max+1)^2.  A padded basis beyond ``MAX_DIM // 2`` levels is
-    a ``ValueError`` before any array is allocated.
+    crops to (n_max+1)^2.  ``check_padded_basis`` bounds the padded basis
+    before any array is allocated.
     """
     _check_index("n_max", n_max)
     _check_eta(eta)
-    if pad is None:
-        pad = oracle_pad(eta, n_max)
-    dim = n_max + 1 + pad
-    if dim > MAX_DIM // 2:
-        raise ValueError(
-            f"padded basis of {dim} levels (n_max {n_max} + 1 + pad {pad}) is beyond "
-            f"the supported range ({MAX_DIM // 2} levels)"
-        )
+    dim = check_padded_basis(eta, n_max, pad)
     # imported here so that importing this module loads no scipy
     from scipy.linalg import expm
 
@@ -140,25 +135,12 @@ def default_n_max(sideband: SidebandId, eta: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
-    """Hermitian matrix of the coupled system plus its basis bookkeeping."""
+    """H in its real symmetric gauge (``real_gauge_matrix``) on the basis
+    |g,0> .. |g,n_max>, |e,0> .. |e,n_max>, with the parameters it was built from."""
 
     params: TrapParams
     n_max: int
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.n_max + 1)
-
-    def index_of(self, state: str, n: int) -> int:
-        """Flat basis index of |state, n| in the g-block-then-e-block ordering."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n must be in [0, {self.n_max}], got {n!r}")
-        if state == GROUND:
-            return n
-        if state == EXCITED:
-            return self.n_max + 1 + n
-        raise ValueError(f"state must be 'g' or 'e', got {state!r}")
 
 
 def _gauge_phases(nb: int) -> np.ndarray:
@@ -173,6 +155,21 @@ def check_n_max(n_max: int, why: str = "") -> None:
             f"basis dimension {2 * (n_max + 1)} is beyond the supported range "
             f"(n_max <= {MAX_DIM // 2 - 1}){why}"
         )
+
+
+def check_padded_basis(eta: float, n_max: int, pad: int | None = None, why: str = "") -> int:
+    """Levels n_max + 1 + pad of the basis ``displacement_oracle`` exponentiates
+    on (pad from ``oracle_pad`` unless given); ``ValueError`` beyond
+    ``MAX_DIM // 2`` levels, with ``why`` appended to the message."""
+    if pad is None:
+        pad = oracle_pad(eta, n_max)
+    dim = n_max + 1 + pad
+    if dim > MAX_DIM // 2:
+        raise ValueError(
+            f"padded basis of {dim} levels (n_max {n_max} + 1 + pad {pad}) is beyond "
+            f"the supported range ({MAX_DIM // 2} levels){why}"
+        )
+    return dim
 
 
 def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
@@ -209,11 +206,5 @@ def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(params: TrapParams, n_max: int) -> HamiltonianMatrix:
-    """Assemble the full matrix: bare energies on the diagonal, chi couplings off it."""
-    block = coupling_block(params, n_max)
-    nb = n_max + 1
-    h = np.zeros((2 * nb, 2 * nb), dtype=complex)
-    set_detuning(h, params.delta)
-    h[:nb, nb:] = block
-    h[nb:, :nb] = block.conj().T
-    return HamiltonianMatrix(params=params, n_max=n_max, matrix=h)
+    """H on the basis 0..n_max, in the real symmetric gauge the exact route solves."""
+    return HamiltonianMatrix(params, n_max, real_gauge_matrix(params, coupling_block(params, n_max)))

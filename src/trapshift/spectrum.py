@@ -6,17 +6,17 @@ enters the target anti-crossing from the tagged bare state; when the pair is
 decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
-All heavy eigensolves run in the exact real-symmetric gauge built by
-``hamiltonian.real_gauge_matrix`` from chi of the operator itself
-(``hamiltonian.displacement_oracle``), never of the Laguerre formula that
-``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
-nothing downstream can observe the gauge.  Each job has one code path:
-``_search_window`` is the coarse window and gap search behind both
-``find_resonance`` and ``measure_splitting``, ``find_resonance`` the one
-basis-doubling check (one re-locate on the doubled margin), and
-``sweep_spectrum`` the branch continuation behind ``track_branch``.  Scans
-are sequential and deterministic; share nothing across threads except the
-immutable inputs.
+Every eigensolve runs on the one Hamiltonian the package assembles,
+``hamiltonian.real_gauge_matrix`` (H in its exact real symmetric gauge),
+built from chi of the operator itself (``hamiltonian.displacement_oracle``),
+never of the Laguerre formula that ``resolvent`` sums; bare-state overlap
+magnitudes are gauge invariant, so nothing downstream can observe the gauge.
+Each job has one code path: ``_search_window`` is the coarse window and gap
+search behind ``find_resonance``, whose ``gap`` is the measured splitting of
+the pair; ``find_resonance`` is the one basis-doubling check (one re-locate
+on the doubled margin), and ``sweep_spectrum`` the branch continuation behind
+``track_branch``.  Scans are sequential and deterministic; share nothing
+across threads except the immutable inputs.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
-from .errors import ResonanceWindowError, TrackingAmbiguityError, TrapshiftError
+from .errors import ResonanceWindowError, TrackingAmbiguityError
 from .fock import rabi_coupling
 from .hamiltonian import (
-    HamiltonianMatrix,
     check_n_max,
+    check_padded_basis,
     coupling_block,
     default_n_max,
     real_gauge_matrix,
@@ -85,29 +85,6 @@ class DressedSpectrum:
     branches: dict[tuple[str, int], np.ndarray]
     overlaps: dict[tuple[str, int], np.ndarray]
     n_max: int
-
-
-def eigenlevels(h: HamiltonianMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    The matrix is solved as given; a ``HamiltonianMatrix`` stands for its
-    complex ``matrix``.  The residual ||Hv - lambda v|| is verified against
-    1e-10 ||H||.
-    """
-    matrix = h.matrix if isinstance(h, HamiltonianMatrix) else np.asarray(h)
-    try:
-        values, vectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise TrapshiftError(f"eigensolver failed on dim {matrix.shape[0]} matrix: {exc}") from exc
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    residual = np.linalg.norm(matrix @ vectors - vectors * values[None, :], axis=0)
-    worst = float(np.max(residual))
-    if worst > 1e-10 * scale:
-        raise TrapshiftError(
-            f"eigenpair residual {worst:.3e} exceeds 1e-10 * ||H|| = {1e-10 * scale:.3e} "
-            f"(dim {matrix.shape[0]})"
-        )
-    return values, vectors
 
 
 class _DetuningScan:
@@ -294,16 +271,19 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
     return delta_star, gap_min, "extremum"
 
 
-def check_bases(sideband: SidebandId, n_max: int) -> int:
+def check_bases(sideband: SidebandId, n_max: int, eta: float) -> int:
     """Bound both bases ``find_resonance`` solves at before any is built: n_max
-    above max(n_g, n_e), and n_max and its doubled margin within ``check_n_max``.
-    Returns the doubled n_max."""
+    above max(n_g, n_e), and n_max and its doubled margin within ``check_n_max``
+    and, padded for the chi of ``displacement_oracle`` at ``eta``, within
+    ``check_padded_basis``.  Returns the doubled n_max."""
     base = max(sideband.n_g, sideband.n_e)
     if n_max <= base:
         raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_max!r}")
-    check_n_max(n_max)
     n_doubled = base + 2 * (n_max - base)
-    check_n_max(n_doubled, f"; the convergence check doubles the margin of n_max = {n_max}")
+    doubles = f"; the convergence check doubles the margin of n_max = {n_max}"
+    for n, why in ((n_max, ""), (n_doubled, doubles)):
+        check_n_max(n, why)
+        check_padded_basis(eta, n, why=why)
     return n_doubled
 
 
@@ -320,7 +300,9 @@ def find_resonance(
     repeated once on the basis with doubled margin over max(n_g, n_e), and
     ``converged`` says whether the two shifts agree; a larger n_max is the
     way to go further.  Both bases are bounded by ``check_bases`` before the
-    first solve.  Carriers are unshifted by symmetry and short-circuit
+    first solve.  ``gap`` is the measured splitting, the minimal separation
+    of the pair over the scan window: it approaches |Omega_{n_g,n_e}| for a
+    resolved anti-crossing and collapses to zero for a decoupled pair.  Carriers are unshifted by symmetry and short-circuit
     analytically, with the closed-form gap |Omega_{n,n}|: the one place the
     exact route reads the closed form.
     """
@@ -332,7 +314,7 @@ def find_resonance(
     elif params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
     else:
-        n_doubled = check_bases(sideband, n_used)
+        n_doubled = check_bases(sideband, n_used, params.eta)
         delta_star, gap, method = _locate(_DetuningScan(params, n_used), sideband)
         shift = delta_star - delta0
         doubled = _locate(_DetuningScan(params, n_doubled), sideband)[0] - delta0
@@ -347,21 +329,6 @@ def find_resonance(
         n_max_used=n_used,
         converged=converged,
     )
-
-
-def measure_splitting(
-    sideband: SidebandId, params: TrapParams, n_max: int | None = None
-) -> float:
-    """Minimal measured separation of the sideband pair over the scan window.
-
-    For a resolved anti-crossing this approaches |Omega_{n_g,n_e}| (twice the
-    |R_ge| convention); for decoupled pairs it collapses to zero.  The window
-    and the gap search are those of ``find_resonance``, which also means it
-    raises ``ResonanceWindowError`` where ``find_resonance`` would.
-    """
-    n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
-    _, _, gap = _search_window(_DetuningScan(params, n_used), sideband)
-    return gap
 
 
 def _assign(prev_vectors: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, float]:

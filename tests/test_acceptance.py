@@ -174,7 +174,7 @@ def test_criterion_08_splitting():
     for pair in ((0, 1), (1, 2)):
         sideband = ts.SidebandId(*pair)
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        gap = ts.measure_splitting(sideband, params)
+        gap = ts.find_resonance(sideband, params).gap
         coupling = params.rabi * abs(ts.chi(*pair, params.eta))
         assert abs(gap - coupling) <= 0.01 * coupling
         # both conventions: the full gap and the half-gap |R_ge|

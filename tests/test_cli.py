@@ -432,6 +432,19 @@ class TestBasisBound:
         assert err.startswith("error: basis dimension 24000")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(("argv", "levels"), [
+        (["shift", "--rabi", "0.01", "--eta", "0.1"], 10002),
+        (["scan-eta"], 10162),  # padded at the default eta_max 0.5
+    ])
+    def test_padded_doubled_basis_is_config_error(self, argv, levels, monkeypatch, capsys):
+        # --nmax 4981 doubles to 9961, within check_n_max, but not once padded
+        # for the operator exponential of the convergence re-locate
+        fail_if_computed(monkeypatch)
+        assert cli.main([*argv, "--ng", "0", "--ne", "1", "--nmax", "4981"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: padded basis of {levels} levels")
+        assert "doubles the margin of n_max = 4981" in err
+
     @pytest.mark.parametrize(("argv", "message"), [
         (["shift", "--ng", "10000", "--ne", "0", "--nmax", "9999"], "--ng and --ne must be at most 9999"),
         (["shift", "--ng", "100000000", "--ne", "0"], "--ng and --ne must be at most 9999"),

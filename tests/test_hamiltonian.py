@@ -94,6 +94,31 @@ class TestCrossingPoint:
         assert repr(ts.crossing_point(ts.SidebandId(0, 1), params)) == "(0.5, 1.0)"
 
 
+def complex_hamiltonian(params: ts.TrapParams, n_max: int) -> np.ndarray:
+    """Oracle: the rotating-frame H in its complex form, from the operator's
+    coupling block: bare energies n +/- delta/2 on the diagonal, the g-e block
+    (rabi/2) chi above it and its Hermitian conjugate below."""
+    from trapshift.hamiltonian import coupling_block
+
+    block = coupling_block(params, n_max)
+    nb = n_max + 1
+    n = np.arange(nb)
+    h = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    h[n, n] = n + 0.5 * params.delta
+    h[nb + n, nb + n] = n - 0.5 * params.delta
+    h[:nb, nb:] = block
+    h[nb:, :nb] = block.conj().T
+    return h
+
+
+def conjugate_by_number_phases(h: np.ndarray) -> np.ndarray:
+    """G H G^dag with G = diag(i^n) on each sector, a diagonal unitary."""
+    nb = len(h) // 2
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(nb) % 4]
+    gauge = np.concatenate([phases, phases])
+    return (gauge[:, None] * h) * gauge.conj()[None, :]
+
+
 class TestBuildHamiltonian:
     def test_zero_field_is_diagonal_bare(self):
         params = ts.TrapParams(rabi=0.0, eta=0.2, delta=0.3)
@@ -109,11 +134,12 @@ class TestBuildHamiltonian:
         assert np.abs(block - 0.15 * np.eye(4)).max() == 0.0
 
     def test_single_quantum_entry(self):
+        # chi_01 = i * eta * exp(-eta^2/2); the gauge phases 1 and i^-1 make it real
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         h = ts.build_hamiltonian(params, 5)
-        entry = h.matrix[h.index_of("g", 0), h.index_of("e", 1)]
-        assert entry == pytest.approx(0.005 * 0.1 * math.exp(-0.005) * 1j, abs=1e-18)
-        assert entry == pytest.approx(0.005 * 0.099501j, abs=5e-9)
+        entry = h.matrix[0, 6 + 1]  # |g,0>, |e,1>
+        assert entry == pytest.approx(0.005 * 0.1 * math.exp(-0.005), abs=1e-18)
+        assert entry == pytest.approx(0.005 * 0.099501, abs=5e-9)
 
     @given(
         rabi=st.floats(0.0, 0.1),
@@ -122,41 +148,47 @@ class TestBuildHamiltonian:
         n_max=st.integers(1, 12),
     )
     @settings(max_examples=60, deadline=None)
-    def test_hermitian(self, rabi, eta, delta, n_max):
+    def test_symmetric(self, rabi, eta, delta, n_max):
         params = ts.TrapParams(rabi=rabi, eta=eta, delta=delta)
         h = ts.build_hamiltonian(params, n_max).matrix
-        scale = max(np.abs(h).max(), 1.0)
-        assert np.abs(h - h.conj().T).max() <= 1e-14 * scale
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
 
-    def test_index_of(self):
-        params = ts.TrapParams(rabi=0.01, eta=0.1)
+    def test_basis_ordering(self):
+        # |g,0> .. |g,n_max> then |e,0> .. |e,n_max>
+        params = ts.TrapParams(rabi=0.01, eta=0.1, delta=0.3)
         h = ts.build_hamiltonian(params, 3)
-        assert h.index_of("g", 2) == 2
-        assert h.index_of("e", 0) == 4
-        assert h.dim == 8
-        with pytest.raises(ValueError):
-            h.index_of("g", 4)
-
-
-def real_gauge(h: ts.HamiltonianMatrix) -> np.ndarray:
-    """The real symmetric gauge of an assembled Hamiltonian, from its g-e block."""
-    from trapshift.hamiltonian import real_gauge_matrix
-
-    nb = h.n_max + 1
-    return real_gauge_matrix(h.params, h.matrix[:nb, nb:])
+        assert h.matrix.shape == (8, 8)
+        assert h.matrix[2, 2] == ts.bare_energy("g", 2, params)
+        assert h.matrix[4, 4] == ts.bare_energy("e", 0, params)
 
 
 class TestRealGauge:
-    def test_gauge_is_exactly_real(self):
-        from trapshift.hamiltonian import _gauge_phases
+    @given(
+        rabi=st.floats(0.0, 0.5),
+        eta=st.floats(0.0, 1.5),
+        delta=st.floats(-2.0, 2.0),
+        n_max=st.integers(1, 24),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_gauge_is_exactly_real(self, rabi, eta, delta, n_max):
+        from trapshift.spectrum import _DetuningScan
 
-        params = ts.TrapParams(rabi=0.2, eta=0.4, delta=0.7)
-        h = ts.build_hamiltonian(params, 9)
-        phases = _gauge_phases(h.n_max + 1)
-        gauge = np.concatenate([phases, phases])
-        rotated = (gauge[:, None] * h.matrix) * gauge.conj()[None, :]
-        assert np.abs(rotated.imag).max() == 0.0
-        assert np.array_equal(rotated.real, real_gauge(h))
+        # The structural zeros of the oracle's g-g and e-e blocks pick up signs
+        # from the phase products, so signbits are compared on the g-e block;
+        # the e-g block is its transpose.
+        params = ts.TrapParams(rabi=rabi, eta=eta, delta=delta)
+        rotated = conjugate_by_number_phases(complex_hamiltonian(params, n_max))
+        assert np.all(rotated.imag == 0)
+        real = rotated.real
+        built = ts.build_hamiltonian(params, n_max).matrix
+        nb = n_max + 1
+        assert np.array_equal(built, real)
+        assert np.array_equal(np.signbit(built[:nb, nb:]), np.signbit(real[:nb, nb:]))
+        assert np.array_equal(np.signbit(built), np.signbit(built.T))
+        scanned = _DetuningScan(params, n_max)._h
+        assert np.array_equal(scanned, built)
+        assert np.array_equal(np.signbit(scanned), np.signbit(built))
 
     @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n_max", [16, 164])
@@ -170,10 +202,9 @@ class TestRealGauge:
 
     def test_real_form_symmetric_same_spectrum(self):
         params = ts.TrapParams(rabi=0.15, eta=0.3, delta=-0.4)
-        h = ts.build_hamiltonian(params, 8)
-        real = real_gauge(h)
+        real = ts.build_hamiltonian(params, 8).matrix
         assert np.array_equal(real, real.T)
-        w_complex = np.linalg.eigvalsh(h.matrix)
+        w_complex = np.linalg.eigvalsh(complex_hamiltonian(params, 8))
         w_real = np.linalg.eigvalsh(real)
         assert np.abs(w_complex - w_real).max() < 1e-12
 
@@ -185,7 +216,7 @@ class TestRealGauge:
         params = ts.TrapParams(rabi=0.15, eta=eta, delta=delta)
         scan = _DetuningScan(params, 7)
         scan.eigen(delta)
-        real = real_gauge(ts.build_hamiltonian(params, 7))
+        real = ts.build_hamiltonian(params, 7).matrix
         assert np.array_equal(scan._h, real)
         assert np.array_equal(np.signbit(scan._h), np.signbit(real))
 
@@ -234,11 +265,18 @@ class TestBasisBound:
 
         monkeypatch.setattr(spectrum, "_DetuningScan", first_solve)
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        # (0, 1) re-locates on n_max 1 + 2 (n - 1): 9999 at n = 5000, 10001 at 5001
+        # (0, 1) re-locates on n_max 1 + 2 (n - 1), and its chi is exponentiated
+        # on oracle_pad(0.1, .) = 40 more levels: the doubled basis pads to
+        # 9959 + 1 + 40 = 10000 levels at n = 4980 and to 10002 at n = 4981
+        assert spectrum.check_bases(ts.SidebandId(0, 1), 4980, 0.1) == 9959
+        assert ts.oracle_pad(0.1, 9959) == ts.oracle_pad(0.1, 9961) == 40
         with pytest.raises(Reached):
-            ts.find_resonance(ts.SidebandId(0, 1), params, n_max=5000)
+            ts.find_resonance(ts.SidebandId(0, 1), params, n_max=4980)
+        for n_max in (4981, 5000):
+            with pytest.raises(ValueError, match="padded basis .* doubles the margin"):
+                ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
         for n_max in (5001, 6000):
-            with pytest.raises(ValueError, match="doubles the margin"):
+            with pytest.raises(ValueError, match="basis dimension .* doubles the margin"):
                 ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
 
 

@@ -19,11 +19,18 @@ P01 = ts.TrapParams(rabi=0.01, eta=0.1)
 SB01 = ts.SidebandId(0, 1)
 
 
+def solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of h, with each eigenpair's residual checked against 1e-10 ||H||."""
+    values, vectors = np.linalg.eigh(h)
+    residual = np.linalg.norm(h @ vectors - vectors * values[None, :], axis=0).max()
+    assert residual <= 1e-10 * max(np.abs(values).max(), 1e-300)
+    return values, vectors
+
+
 class TestEigenlevels:
     def test_zero_field_sorted_bare(self):
         params = ts.TrapParams(rabi=0.0, eta=0.2, delta=0.3)
-        h = ts.build_hamiltonian(params, 6)
-        values, _ = ts.eigenlevels(h)
+        values, _ = solve(ts.build_hamiltonian(params, 6).matrix)
         bare = sorted(
             [ts.bare_energy("g", n, params) for n in range(7)]
             + [ts.bare_energy("e", n, params) for n in range(7)]
@@ -32,33 +39,25 @@ class TestEigenlevels:
 
     def test_two_level_splitting(self):
         # restriction to {|g,0>, |e,1>} at the crossing detuning
-        coupling = 0.005 * ts.chi(0, 1, 0.1)
-        h = np.array([[0.5, coupling], [np.conj(coupling), 0.5]])
-        values, _ = ts.eigenlevels(h)
+        h = ts.build_hamiltonian(ts.TrapParams(rabi=0.01, eta=0.1, delta=1.0), 3).matrix
+        pair = [0, 4 + 1]  # |g,0> and |e,1> at n_max 3
+        values, _ = solve(h[np.ix_(pair, pair)])
         assert values[1] - values[0] == pytest.approx(9.9501e-4, abs=1e-8)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(7)
-        raw = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        h = 0.5 * (raw + raw.conj().T)
-        values, vectors = ts.eigenlevels(h)
-        rebuilt = (vectors * values[None, :]) @ vectors.conj().T
-        assert np.linalg.norm(rebuilt - h) <= 1e-10 * np.linalg.norm(h)
+        for _ in range(5):
+            rabi, eta, delta = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.5), rng.uniform(-2.0, 2.0)
+            h = ts.build_hamiltonian(ts.TrapParams(rabi=rabi, eta=eta, delta=delta), 10).matrix
+            values, vectors = solve(h)
+            rebuilt = (vectors * values[None, :]) @ vectors.T
+            assert np.linalg.norm(rebuilt - h) <= 1e-10 * np.linalg.norm(h)
 
     def test_hamiltonian_matrix_path_diagonalizes_original(self):
         params = ts.TrapParams(rabi=0.2, eta=0.4, delta=0.6)
-        h = ts.build_hamiltonian(params, 8)
-        values, vectors = ts.eigenlevels(h)
+        values, vectors = solve(ts.build_hamiltonian(params, 8).matrix)
         assert np.all(np.diff(values) >= 0)
-        residual = np.linalg.norm(
-            h.matrix @ vectors - vectors * values[None, :], axis=0
-        ).max()
-        assert residual <= 1e-10 * np.abs(values).max()
-
-    def test_non_hermitian_rejected_by_residual(self):
-        bad = np.array([[0.0, 1.0], [3.0, 0.0]])
-        with pytest.raises(ts.TrapshiftError):
-            ts.eigenlevels(bad)
+        assert np.allclose(vectors.T @ vectors, np.eye(18), rtol=0, atol=1e-12)
 
 
 class TestTrackBranch:
@@ -138,7 +137,7 @@ class TestFindResonance:
             assert report.method == "extremum"
             assert report.delta_omega == frozen
             assert report.converged
-            assert spectrum.check_bases(SB01, report.n_max_used) == n_doubled
+            assert spectrum.check_bases(SB01, report.n_max_used, params.eta) == n_doubled
 
     def test_matches_ld_to_quartic_order(self):
         report = ts.find_resonance(SB01, P01, n_max=20)
@@ -154,7 +153,7 @@ class TestFindResonance:
         # exact closed form of the decoupled two-block problem
         assert report.delta_omega == pytest.approx(math.sqrt(1.0 - 1e-4) - 1.0, abs=1e-12)
         assert report.converged
-        assert spectrum.check_bases(SB01, report.n_max_used) == 31
+        assert spectrum.check_bases(SB01, report.n_max_used, params.eta) == 31
 
     def test_eta_zero_tight_agreement_at_weak_drive(self):
         params = ts.TrapParams(rabi=1e-3, eta=0.0)
@@ -235,9 +234,9 @@ def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
         raise AssertionError("the exact route evaluated the Laguerre closed form")
 
     monkeypatch.setattr(fock, "_laguerre_column", unreachable)
-    assert ts.find_resonance(SB01, P01).method == "extremum"
+    report = ts.find_resonance(SB01, P01)
+    assert report.method == "extremum" and report.gap > 0
     assert ts.find_resonance(SB01, ts.TrapParams(rabi=0.01, eta=0.0)).method == "intersection"
-    assert ts.measure_splitting(SB01, P01) > 0
     swept = ts.sweep_spectrum(P01, np.linspace(0.9, 1.1, 5), 8)
     assert len(swept.branches) == 18
 
@@ -339,25 +338,29 @@ class TestLocatorFallbacks:
 
 
 class TestMeasureSplitting:
+    """The measured splitting is ``find_resonance``'s ``gap``: the minimal
+    separation of the pair over its scan window."""
+
     def test_first_blue_gap(self):
-        gap = ts.measure_splitting(SB01, P01)
+        gap = ts.find_resonance(SB01, P01).gap
         expected = 0.01 * abs(ts.chi(0, 1, 0.1))
         assert gap == pytest.approx(9.95e-4, abs=1e-6)
         assert abs(gap - expected) <= 0.01 * expected
 
     def test_second_pair_gap(self):
         sb = ts.SidebandId(1, 2)
-        gap = ts.measure_splitting(sb, P01)
+        gap = ts.find_resonance(sb, P01).gap
         expected = 0.01 * abs(ts.chi(1, 2, 0.1))
         assert abs(gap - expected) <= 0.01 * expected
 
     def test_eta_zero_true_crossing(self):
-        gap = ts.measure_splitting(SB01, ts.TrapParams(rabi=0.01, eta=0.0))
+        gap = ts.find_resonance(SB01, ts.TrapParams(rabi=0.01, eta=0.0)).gap
         assert gap < 1e-10
 
     def test_zero_field(self):
-        gap = ts.measure_splitting(SB01, ts.TrapParams(rabi=0.0, eta=0.1))
-        assert gap < 1e-12
+        # no coupling, no anti-crossing to locate
+        with pytest.raises(ValueError, match="requires rabi > 0"):
+            ts.find_resonance(SB01, ts.TrapParams(rabi=0.0, eta=0.1))
 
 
 def run_probe(probe: str) -> str:
