@@ -16,7 +16,8 @@ large index allocates nothing.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
 library, so the closed form loads no numpy.  The exact route takes the same
-elements from the operator, ``hamiltonian.displacement_oracle``, never from
+elements from the operator, the real exponential exp(eta*(a - a^dag)) of
+``hamiltonian`` (``displacement_oracle`` restores its i^n phases), never from
 this module.
 """
 

@@ -8,18 +8,20 @@ the trap frequency omega_t:
 Basis ordering is fixed: |g,0> .. |g,n_max| then |e,0> .. |e,n_max>, so the
 matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
 
-The two routes build their chi tables apart.  ``displacement_oracle`` is
-the exact route's: it exponentiates the truncated operator i*eta*(a + a^dag)
-on a padded basis and crops it, and every Hamiltonian takes its coupling
-block from it.  ``coupling_table`` is the closed form's: the Laguerre formula
-of ``fock``, equal to ``chi`` entry for entry.  ``check`` and the tests
-compare the two.  This is the package's numpy layer: the closed form
-(``fock``, ``resolvent``) needs only the standard library, and scipy's
-``expm`` is imported only inside ``displacement_oracle``.
+The two routes build their chi tables apart.  The exact route's is the
+operator itself: ``_real_displacement`` exponentiates the real generator
+eta*(a - a^dag), i*eta*(a + a^dag) in the gauge of the i^n phases, on a
+padded basis and crops it.  Every Hamiltonian takes its real coupling block
+from it; ``displacement_oracle`` is the same matrix with the phases restored.
+``coupling_table`` is the closed form's: the Laguerre formula of ``fock``,
+equal to ``chi`` entry for entry.  ``check`` and the tests compare the two.
+This is the package's numpy layer: the closed form (``fock``, ``resolvent``)
+needs only the standard library, and scipy's ``expm`` is imported only
+inside ``_real_displacement``.
 
 Every matrix starts from ``coupling_block``, which bounds n_max through
 ``check_n_max`` before anything is allocated; ``check_padded_basis`` bounds
-the padded basis of ``displacement_oracle`` the same way.  One function,
+the padded basis of ``_real_displacement`` the same way.  One function,
 ``real_gauge_matrix``, assembles the Hamiltonian: H in its exact real
 symmetric gauge, which ``build_hamiltonian`` returns and the detuning scans
 of ``spectrum`` solve, rewriting only its diagonal (``set_detuning``) per
@@ -83,7 +85,7 @@ def coupling_table(eta: float, n_max: int) -> CouplingTable:
 
 
 def oracle_pad(eta: float, n_max: int) -> int:
-    """Basis padding for ``displacement_oracle``, the exact route's chi.
+    """Basis padding for ``_real_displacement``, the exact route's chi.
 
     Exponentiating a truncated operator corrupts the last rows and columns;
     the displacement mixes of order eta*sqrt(n) levels, so the pad grows with
@@ -92,26 +94,41 @@ def oracle_pad(eta: float, n_max: int) -> int:
     return max(20, 4 * math.ceil(eta * math.sqrt(max(n_max, 1))))
 
 
-def displacement_oracle(eta: float, n_max: int, pad: int | None = None) -> CouplingTable:
-    """chi table via scaled-and-squared exponentiation of i*eta*(a + a^dag).
+def _real_displacement(eta: float, n_max: int) -> np.ndarray:
+    """exp(eta*(a - a^dag)) on the padded basis, cropped to (n_max+1)^2.
 
-    The exact route's chi, independent of the Laguerre closed form: builds
-    the tridiagonal ladder operator on a padded basis, exponentiates, and
-    crops to (n_max+1)^2.  ``check_padded_basis`` bounds the padded basis
-    before any array is allocated.
+    The real displacement operator: exp(i*eta*(a + a^dag)) conjugated by
+    G = diag(i^n), i.e. G chi G^dag.  ``check_padded_basis`` bounds the
+    padded basis before any array is allocated.
     """
     _check_index("n_max", n_max)
     _check_eta(eta)
-    dim = check_padded_basis(eta, n_max, pad)
+    dim = check_padded_basis(eta, n_max)
     # imported here so that importing this module loads no scipy
     from scipy.linalg import expm
 
-    ladder = np.sqrt(np.arange(1.0, dim))
-    position = np.zeros((dim, dim))
-    position[np.arange(dim - 1), np.arange(1, dim)] = ladder
-    position[np.arange(1, dim), np.arange(dim - 1)] = ladder
-    full = expm(1j * eta * position)
-    return CouplingTable(eta=eta, n_max=n_max, entries=full[: n_max + 1, : n_max + 1])
+    ladder = eta * np.sqrt(np.arange(1.0, dim))
+    generator = np.zeros((dim, dim))
+    generator[np.arange(dim - 1), np.arange(1, dim)] = ladder
+    generator[np.arange(1, dim), np.arange(dim - 1)] = -ladder
+    return expm(generator)[: n_max + 1, : n_max + 1]
+
+
+def displacement_oracle(eta: float, n_max: int) -> CouplingTable:
+    """chi table of exp(i*eta*(a + a^dag)): ``_real_displacement`` R with the
+    i^n phases restored, chi_{nn'} = i^(n' - n) R_{nn'}.
+
+    Each entry is +-R placed in the real or the imaginary part, exact to the
+    sign of every zero, which a complex product by i is not.
+    """
+    real = _real_displacement(eta, n_max)
+    n = np.arange(n_max + 1)
+    power = (n - n[:, None]) % 4
+    entries = np.zeros(real.shape, dtype=complex)
+    signed = np.where(power < 2, real, -real)
+    np.copyto(entries.real, signed, where=power % 2 == 0)
+    np.copyto(entries.imag, signed, where=power % 2 == 1)
+    return CouplingTable(eta=eta, n_max=n_max, entries=entries)
 
 
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
@@ -143,10 +160,6 @@ class HamiltonianMatrix:
     matrix: np.ndarray
 
 
-def _gauge_phases(nb: int) -> np.ndarray:
-    return np.asarray(PHASES)[np.arange(nb) % 4]
-
-
 def check_n_max(n_max: int, why: str = "") -> None:
     """Raise ``ValueError`` when the dimension 2 * (n_max + 1) exceeds ``MAX_DIM``;
     ``why`` is appended to the message."""
@@ -157,12 +170,11 @@ def check_n_max(n_max: int, why: str = "") -> None:
         )
 
 
-def check_padded_basis(eta: float, n_max: int, pad: int | None = None, why: str = "") -> int:
-    """Levels n_max + 1 + pad of the basis ``displacement_oracle`` exponentiates
-    on (pad from ``oracle_pad`` unless given); ``ValueError`` beyond
-    ``MAX_DIM // 2`` levels, with ``why`` appended to the message."""
-    if pad is None:
-        pad = oracle_pad(eta, n_max)
+def check_padded_basis(eta: float, n_max: int, why: str = "") -> int:
+    """Levels n_max + 1 + ``oracle_pad`` of the basis ``_real_displacement``
+    exponentiates on; ``ValueError`` beyond ``MAX_DIM // 2`` levels, with
+    ``why`` appended to the message."""
+    pad = oracle_pad(eta, n_max)
     dim = n_max + 1 + pad
     if dim > MAX_DIM // 2:
         raise ValueError(
@@ -173,10 +185,10 @@ def check_padded_basis(eta: float, n_max: int, pad: int | None = None, why: str 
 
 
 def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
-    """The g-e block (rabi/2) * chi_{nn'} of the Hamiltonian, chi from the operator
-    (``displacement_oracle``); ``check_n_max`` first bounds n_max."""
+    """The real g-e block (rabi/2) * G chi G^dag of the Hamiltonian, chi from the
+    operator (``_real_displacement``); ``check_n_max`` first bounds n_max."""
     check_n_max(n_max)
-    return 0.5 * params.rabi * displacement_oracle(params.eta, n_max).entries
+    return 0.5 * params.rabi * _real_displacement(params.eta, n_max)
 
 
 def set_detuning(h: np.ndarray, delta: float) -> None:
@@ -188,19 +200,12 @@ def set_detuning(h: np.ndarray, delta: float) -> None:
 
 
 def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
-    """The Hamiltonian in its exact real symmetric gauge, from its g-e block.
-
-    The coupling entries are exactly (real) * i^|n-n'|, as a + a^dag links
-    only levels of opposite parity, so conjugating by the i^n phases of each
-    sector cancels every imaginary part identically and ``.real`` drops
-    nothing; the e-g block is then the transpose of the g-e block.
-    """
+    """The Hamiltonian in its exact real symmetric gauge, from its real g-e block
+    (``coupling_block``); the e-g block is its transpose."""
     nb = len(block)
-    phases = _gauge_phases(nb)
-    real_block = ((phases[:, None] * block) * phases.conj()[None, :]).real
     h = np.zeros((2 * nb, 2 * nb))
-    h[:nb, nb:] = real_block
-    h[nb:, :nb] = real_block.T
+    h[:nb, nb:] = block
+    h[nb:, :nb] = block.T
     set_detuning(h, params.delta)
     return h
 

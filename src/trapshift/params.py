@@ -66,7 +66,7 @@ class SidebandId:
         return self.n_g == self.n_e
 
 
-def crossing_point(sideband: SidebandId, params: TrapParams) -> tuple[float, float]:
+def crossing_point(sideband: SidebandId) -> tuple[float, float]:
     """(E0, Delta0) where the bare lines of the sideband pair intersect.
 
     E0 = (n_g + n_e)/2 and Delta0 = n_e - n_g, both returned as floats.

@@ -199,7 +199,7 @@ def level_shift_diag(
     """
     _warn_outside_regime(params)
     k_max = _resolve_k_max(sideband, k_max)
-    e0, _ = crossing_point(sideband, params)
+    e0, _ = crossing_point(sideband)
     half_sq = (0.5 * params.rabi) ** 2
 
     s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max)
@@ -308,5 +308,5 @@ def eta_zero_shift(sideband: SidebandId, params: TrapParams) -> float:
     """
     if sideband.is_carrier:
         raise ValueError("carrier resonances have Delta0 = 0 and no eta = 0 shift")
-    _, delta0 = crossing_point(sideband, params)
+    _, delta0 = crossing_point(sideband)
     return -params.rabi**2 / (2.0 * delta0)

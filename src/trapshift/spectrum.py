@@ -7,10 +7,11 @@ decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
 Every eigensolve runs on the one Hamiltonian the package assembles,
-``hamiltonian.real_gauge_matrix`` (H in its exact real symmetric gauge),
-built from chi of the operator itself (``hamiltonian.displacement_oracle``),
-never of the Laguerre formula that ``resolvent`` sums; bare-state overlap
-magnitudes are gauge invariant, so nothing downstream can observe the gauge.
+``real_gauge_matrix`` of ``hamiltonian`` (H in its exact real symmetric
+gauge), built from the real displacement operator exp(eta*(a - a^dag)) that
+its ``coupling_block`` exponentiates, never from the Laguerre formula that
+``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
+nothing downstream can observe the gauge.
 Each job has one code path: ``_search_window`` is the coarse window and gap
 search behind ``find_resonance``, whose ``gap`` is the measured splitting of
 the pair; ``find_resonance`` is the one basis-doubling check (one re-locate
@@ -95,8 +96,6 @@ class _DetuningScan:
     """
 
     def __init__(self, params: TrapParams, n_max: int):
-        self.params = params
-        self.n_max = n_max
         self.nb = n_max + 1
         self._h = real_gauge_matrix(params, coupling_block(params, n_max))
 
@@ -205,7 +204,7 @@ def _search_window(
     maximum, and narrowed while the gap has several local minima.  Returns
     (window half-width, coarse bracket of that maximum, minimal gap).
     """
-    _, delta0 = crossing_point(sideband, scan.params)
+    _, delta0 = crossing_point(sideband)
     # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
     gap_estimate = 2.0 * abs(float(scan._h[sideband.n_g, scan.nb + sideband.n_e]))
     half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
@@ -248,7 +247,7 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
     """Locate the resonance: returns (delta_star, minimal gap, method).  A
     decoupled pair is root-found on the window of ``_search_window``, whose
     interior maximum of min(E_g, E_e) is the crossing of the tagged lines."""
-    _, delta0 = crossing_point(sideband, scan.params)
+    _, delta0 = crossing_point(sideband)
     half, (lo, hi), gap_min = _search_window(scan, sideband)
 
     if gap_min < GAP_FLOOR_FRACTION:
@@ -274,7 +273,7 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
 def check_bases(sideband: SidebandId, n_max: int, eta: float) -> int:
     """Bound both bases ``find_resonance`` solves at before any is built: n_max
     above max(n_g, n_e), and n_max and its doubled margin within ``check_n_max``
-    and, padded for the chi of ``displacement_oracle`` at ``eta``, within
+    and, padded for the operator exponential at ``eta``, within
     ``check_padded_basis``.  Returns the doubled n_max."""
     base = max(sideband.n_g, sideband.n_e)
     if n_max <= base:
@@ -307,7 +306,7 @@ def find_resonance(
     exact route reads the closed form.
     """
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
-    _, delta0 = crossing_point(sideband, params)
+    _, delta0 = crossing_point(sideband)
     if sideband.is_carrier:
         gap = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
         delta_star, method, converged = 0.0, "carrier", True

@@ -215,17 +215,17 @@ class TestDisplacementOracle:
 
     def test_matches_closed_form_mid_eta(self):
         table = ts.coupling_table(0.4, 10).entries
-        oracle = ts.displacement_oracle(0.4, 10, pad=20).entries
+        oracle = ts.displacement_oracle(0.4, 10).entries
         assert np.abs(table - oracle).max() < 1e-8
 
     @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3, 0.8])
     def test_oracle_equivalence_battery(self, eta):
         table = ts.coupling_table(eta, 20).entries
-        oracle = ts.displacement_oracle(eta, 20, pad=max(20, ts.oracle_pad(eta, 20))).entries
+        oracle = ts.displacement_oracle(eta, 20).entries
         assert np.abs(table - oracle).max() <= 1e-8
 
     def test_unitarity_of_oracle(self):
-        entries = ts.displacement_oracle(0.5, 8, pad=30).entries
+        entries = ts.displacement_oracle(0.5, 8).entries
         # cropped rows of a unitary: row norms slightly under 1
         norms = np.sum(np.abs(entries) ** 2, axis=1)
         assert np.all(norms <= 1.0 + 1e-12)

@@ -75,32 +75,33 @@ class TestBareEnergy:
 class TestCrossingPoint:
     def test_carrier(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.crossing_point(ts.SidebandId(0, 0), params) == (0.0, 0.0)
+        assert ts.crossing_point(ts.SidebandId(0, 0)) == (0.0, 0.0)
 
     def test_first_blue(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.crossing_point(ts.SidebandId(0, 1), params) == (0.5, 1.0)
+        assert ts.crossing_point(ts.SidebandId(0, 1)) == (0.5, 1.0)
 
     def test_first_red(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.crossing_point(ts.SidebandId(1, 0), params) == (0.5, -1.0)
+        assert ts.crossing_point(ts.SidebandId(1, 0)) == (0.5, -1.0)
 
     def test_returns_floats(self):
         # the CLI prints delta0 by repr, so an int would print as 1, not 1.0
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         for sideband in (ts.SidebandId(0, 0), ts.SidebandId(0, 1), ts.SidebandId(3, 1)):
-            e0, delta0 = ts.crossing_point(sideband, params)
+            e0, delta0 = ts.crossing_point(sideband)
             assert type(e0) is float and type(delta0) is float
-        assert repr(ts.crossing_point(ts.SidebandId(0, 1), params)) == "(0.5, 1.0)"
+        assert repr(ts.crossing_point(ts.SidebandId(0, 1))) == "(0.5, 1.0)"
 
 
 def complex_hamiltonian(params: ts.TrapParams, n_max: int) -> np.ndarray:
     """Oracle: the rotating-frame H in its complex form, from the operator's
-    coupling block: bare energies n +/- delta/2 on the diagonal, the g-e block
-    (rabi/2) chi above it and its Hermitian conjugate below."""
-    from trapshift.hamiltonian import coupling_block
-
-    block = coupling_block(params, n_max)
+    chi table: bare energies n +/- delta/2 on the diagonal, the g-e block
+    (rabi/2) chi above it and its Hermitian conjugate below.  The block is
+    scaled part by part, so that a zero keeps its sign."""
+    chi = ts.displacement_oracle(params.eta, n_max).entries
+    block = np.empty_like(chi)
+    block.real, block.imag = 0.5 * params.rabi * chi.real, 0.5 * params.rabi * chi.imag
     nb = n_max + 1
     n = np.arange(nb)
     h = np.zeros((2 * nb, 2 * nb), dtype=complex)
@@ -111,12 +112,20 @@ def complex_hamiltonian(params: ts.TrapParams, n_max: int) -> np.ndarray:
     return h
 
 
-def conjugate_by_number_phases(h: np.ndarray) -> np.ndarray:
-    """G H G^dag with G = diag(i^n) on each sector, a diagonal unitary."""
-    nb = len(h) // 2
-    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(nb) % 4]
-    gauge = np.concatenate([phases, phases])
-    return (gauge[:, None] * h) * gauge.conj()[None, :]
+def conjugate_by_number_phases(h: np.ndarray, sectors: int = 2) -> np.ndarray:
+    """G H G^dag with G = diag(i^n) on each of ``sectors`` sectors, a diagonal unitary.
+
+    Entry (n, n') is multiplied by i^(n - n') by swapping and negating its
+    parts, which is exact to the sign of every zero; a complex product by i
+    adds x*0 and 0*1, which can turn -0.0 into 0.0.
+    """
+    n = np.tile(np.arange(len(h) // sectors), sectors)
+    power = (n[:, None] - n[None, :]) % 4
+    a, b = h.real, h.imag
+    out = np.empty_like(h)
+    out.real = np.choose(power, [a, -b, -a, b])
+    out.imag = np.choose(power, [b, a, -b, -a])
+    return out
 
 
 class TestBuildHamiltonian:
@@ -174,9 +183,8 @@ class TestRealGauge:
     def test_gauge_is_exactly_real(self, rabi, eta, delta, n_max):
         from trapshift.spectrum import _DetuningScan
 
-        # The structural zeros of the oracle's g-g and e-e blocks pick up signs
-        # from the phase products, so signbits are compared on the g-e block;
-        # the e-g block is its transpose.
+        # Signbits are compared on the g-e block, where every entry is the
+        # operator's; the e-g block is its transpose.
         params = ts.TrapParams(rabi=rabi, eta=eta, delta=delta)
         rotated = conjugate_by_number_phases(complex_hamiltonian(params, n_max))
         assert np.all(rotated.imag == 0)
@@ -193,12 +201,44 @@ class TestRealGauge:
     @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n_max", [16, 164])
     def test_conjugated_operator_block_has_no_imaginary_part(self, eta, n_max):
-        # so the .real of real_gauge_matrix drops nothing of the expm block
-        from trapshift.hamiltonian import _gauge_phases, coupling_block
+        # the i^n conjugation of the operator's chi is real, and is the real
+        # exponential the Hamiltonian is built from, bit for bit
+        from trapshift.hamiltonian import coupling_block
 
-        block = coupling_block(ts.TrapParams(rabi=0.01, eta=eta), n_max)
-        phases = _gauge_phases(n_max + 1)
-        assert np.all(((phases[:, None] * block) * phases.conj()[None, :]).imag == 0)
+        rotated = conjugate_by_number_phases(ts.displacement_oracle(eta, n_max).entries, 1)
+        assert np.all(rotated.imag == 0)
+        block = coupling_block(ts.TrapParams(rabi=2.0, eta=eta), n_max)
+        assert block.dtype == np.float64
+        assert np.array_equal(rotated.real, block)
+        assert np.array_equal(np.signbit(rotated.real), np.signbit(block))
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_max", [16, 164])
+    def test_real_block_matches_laguerre_table(self, eta, n_max):
+        # the two routes' chi, compared in the real gauge
+        from trapshift.hamiltonian import coupling_block
+
+        rotated = conjugate_by_number_phases(ts.coupling_table(eta, n_max).entries, 1)
+        block = coupling_block(ts.TrapParams(rabi=2.0, eta=eta), n_max)
+        assert np.abs(rotated - block).max() <= 2e-13
+
+    def test_one_real_exponential_per_table(self, monkeypatch):
+        import scipy.linalg
+
+        from trapshift.hamiltonian import coupling_block
+
+        real_expm = scipy.linalg.expm
+        dtypes = []
+
+        def recording_expm(matrix):
+            dtypes.append(matrix.dtype)
+            return real_expm(matrix)
+
+        monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+        coupling_block(ts.TrapParams(rabi=0.01, eta=0.3), 12)
+        assert dtypes == [np.float64]
+        ts.displacement_oracle(0.3, 12)
+        assert dtypes == [np.float64, np.float64]
 
     def test_real_form_symmetric_same_spectrum(self):
         params = ts.TrapParams(rabi=0.15, eta=0.3, delta=-0.4)
@@ -252,7 +292,7 @@ class TestBasisBound:
         with pytest.raises(ValueError, match=message):
             ts.sweep_spectrum(params, [0.0, 1.0], 9990)
         with pytest.raises(ValueError, match="padded basis of 10001 levels"):
-            ts.displacement_oracle(0.0, 9980, pad=20)
+            ts.displacement_oracle(0.0, 9980)
 
     def test_doubled_basis_rejected_before_first_solve(self, monkeypatch):
         from trapshift import spectrum

@@ -89,7 +89,7 @@ class TestLevelShiftDiag:
         # the closed form writes E0 - E_{e,k} and E0 - E_{g,k} as n_e - k and
         # n_g - k; here they are the literal bare energies at the crossing
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
-        e0, delta0 = ts.crossing_point(sideband, params)
+        e0, delta0 = ts.crossing_point(sideband)
         at_crossing = params.with_delta(delta0)
         ks = range(max(n_g, n_e) + resolvent.DEFAULT_K_MARGIN + 1)
 
