@@ -15,7 +15,6 @@ from .errors import (
     ResonanceWindowError,
     TrackingAmbiguityError,
     TrapshiftError,
-    TruncationError,
 )
 from .fock import chi, chi_magnitude, laguerre, rabi_coupling
 from .params import SidebandId, TrapParams, crossing_point
@@ -78,7 +77,6 @@ __all__ = [
     "TrackingAmbiguityError",
     "TrapParams",
     "TrapshiftError",
-    "TruncationError",
     "bare_energy",
     "bs_shift",
     "bs_shift_ld",

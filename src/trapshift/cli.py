@@ -272,13 +272,11 @@ def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport)
 def cmd_shift(args: argparse.Namespace) -> int:
     params, omega_phys, meta = _resolve_physics(args)
     sideband = _sideband(args)
-    if args.ld and sideband.is_carrier:
-        raise ConfigError("--ld requested for a carrier: the Lamb-Dicke expansion needs n_g != n_e")
     if not sideband.is_carrier:
         n_max = args.nmax if args.nmax is not None else default_n_max(sideband, params.eta)
         check_bases(sideband, n_max, params.eta)
 
-    pert = bs_shift(sideband, params, k_max=args.kmax)
+    pert = bs_shift(sideband, params)
     report = find_resonance(sideband, params, n_max=args.nmax)
     gap_expected = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
     shift_eta0 = None if sideband.is_carrier else eta_zero_shift(sideband, params)
@@ -369,7 +367,7 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
     all_converged = True
     for eta in np.linspace(lo, hi, points):
         params = TrapParams(rabi=rabi_value, eta=float(eta))
-        pert = bs_shift(sideband, params, k_max=args.kmax)
+        pert = bs_shift(sideband, params)
         report = find_resonance(sideband, params, n_max=args.nmax)
         if not report.converged:
             _report_not_converged(sideband, params.eta, report)
@@ -402,7 +400,7 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
         for n in range(max_n + 1):
             # n labels the lower level: n_e on a red sideband, n_g on a blue one.
             sb = SidebandId(n + max(-signed_order, 0), n + max(signed_order, 0))
-            shift = bs_shift(sb, params, k_max=args.kmax).delta_omega_full
+            shift = bs_shift(sb, params).delta_omega_full
             rows.append([
                 sb.kind, abs(signed_order), n, sb.n_g, sb.n_e, shift, _hz(shift, omega_phys),
             ])
@@ -503,10 +501,8 @@ _OPTIONS = {
     "k_laser": {"type": finite_float, "help": "laser wavenumber in rad/m (with --mass)"},
     "mass": {"help": "ion mass: kg, or with u/amu suffix, e.g. 40u"},
     "nmax": {"type": int, "help": "Fock-basis truncation for diagonalization"},
-    "kmax": {"type": int, "help": "summation truncation for the closed-form shift"},
     "ng": {"type": int, "help": "ground-state vibrational number n_g"},
     "ne": {"type": int, "help": "excited-state vibrational number n_e"},
-    "ld": {"action": "store_true", "help": "require the Lamb-Dicke expansion value"},
     "delta_min": {"type": finite_float, "help": "window start in omega_t units"},
     "delta_max": {"type": finite_float, "help": "window end in omega_t units"},
     "points": {"type": int, "help": "grid points"},
@@ -526,13 +522,13 @@ _PHYSICS = ("trap_freq", "rabi", "eta", "k_laser", "mass")
 #: --config/--format/--out, and its parser defaults.
 COMMANDS = {
     "shift": (cmd_shift, "resonance shift of one sideband",
-              (*_PHYSICS, "nmax", "kmax", "ng", "ne", "ld"), {}),
+              (*_PHYSICS, "nmax", "ng", "ne"), {}),
     "sweep": (cmd_sweep, "dressed level curves over a detuning window",
               (*_PHYSICS, "nmax", "delta_min", "delta_max", "points", "levels", "bare"), SWEEP_DEFAULTS),
     "scan-eta": (cmd_scan_eta, "shift vs Lamb-Dicke parameter",
-                 ("rabi", "nmax", "kmax", "ng", "ne", "eta_min", "eta_max", "points"), SCAN_DEFAULTS),
+                 ("rabi", "nmax", "ng", "ne", "eta_min", "eta_max", "points"), SCAN_DEFAULTS),
     "sidebands": (cmd_sidebands, "shift table for the first few sidebands",
-                  (*_PHYSICS, "kmax", "max_order", "max_n"), SIDEBAND_DEFAULTS),
+                  (*_PHYSICS, "max_order", "max_n"), SIDEBAND_DEFAULTS),
     "check": (cmd_check, "run the self-test battery", ("tol_scale",), CHECK_DEFAULTS),
 }
 

@@ -13,9 +13,5 @@ class ResonanceWindowError(TrapshiftError):
     """No stationary point of the pair branch found inside the scan window."""
 
 
-class TruncationError(TrapshiftError):
-    """A closed-form sum reached k_max while its terms were still significant."""
-
-
 class PerturbativeRegimeWarning(UserWarning):
     """The drive is too strong for the perturbative shift formulas."""

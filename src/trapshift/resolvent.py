@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import PerturbativeRegimeWarning, TruncationError
+from .errors import PerturbativeRegimeWarning
 from .fock import _laguerre_column, _log_factorials, rabi_coupling
 from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
 from .params import SidebandId, TrapParams, crossing_point
@@ -33,10 +33,7 @@ from .params import SidebandId, TrapParams, crossing_point
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
 
-#: Hard truncation margin beyond max(n_g, n_e) when no k_max is given.
-DEFAULT_K_MARGIN = 60
-
-#: A summation stops once the next term's majorant drops below this fraction
+#: A summation stops once the next term's majorant drops to this fraction
 #: of the accumulated magnitude.
 TERM_CUTOFF = 1e-16
 
@@ -102,17 +99,17 @@ def _term_majorant(eta: float, center: int, d: int) -> float:
     return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - _log_factorials(d)[d]))
 
 
-def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float, int, int]:
-    """fsum of |chi_{center,k}|^2 / (exclude - k) over k != exclude, 0 <= k <= k_max.
+def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
+    """fsum of |chi_{center,k}|^2 / (exclude - k) over every k >= 0, k != exclude.
 
     The integers are the level-shift denominators: at the crossing detuning
     Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
     R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
     exclude = n_g.  Returns (sum, largest retained k, distance d reached),
-    where d is the distance at which the sum stopped (see ``_tail_bound``).
-    Raises ``TruncationError`` when 0..k_max runs out while the term at
-    k_max, the edge the truncation cuts, still exceeds ``TERM_CUTOFF`` times
-    the accumulated magnitude.
+    where d is the distance at which the sum stopped: the first past the
+    excluded level at which ``_term_majorant`` falls to ``TERM_CUTOFF``
+    times the accumulated magnitude (see ``_tail_bound``).  Raises
+    ``OverflowError`` when a term leaves double precision first.
 
     Terms are generated in ascending |k - center| so that the exactly
     rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
@@ -126,7 +123,6 @@ def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float
     log_fact = _log_factorials(center)
     terms: list[float] = []
     running = 0.0
-    edge = 0.0
     k_used = 0
     d_settle = abs(center - exclude) + 1
     d = 0
@@ -134,7 +130,7 @@ def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float
         power = eta**d
         column = list(_laguerre_column(center, float(d), x))
         for k in (center - d, center + d) if d else (center,):
-            if k < 0 or k > k_max or k == exclude:
+            if k < 0 or k == exclude:
                 continue
             if k < center:
                 lo, hi = k, center
@@ -148,64 +144,41 @@ def _sum_terms(center: int, exclude: int, eta: float, k_max: int) -> tuple[float
             running += abs(term)
             if k > k_used:
                 k_used = k
-            if k == k_max:
-                edge = term
         d += 1
-        if center - d < 0 and center + d > k_max:
-            # k >= 0 ends the other side exactly; strict, so that an all-zero
-            # sum (a carrier at eta = 0) is exact
-            if abs(edge) > TERM_CUTOFF * running:
-                raise TruncationError(
-                    f"the closed-form sum around n = {center} reached k_max = {k_max} "
-                    f"with its term there {edge:.3g} not negligible against "
-                    f"{running:.3g}; raise k_max"
-                )
-            break
-        if d >= d_settle and _term_majorant(eta, center, d) < TERM_CUTOFF * running:
+        if not math.isfinite(running):
+            # a Laguerre column or eta**d overflowed; nan would never end the sum
+            raise OverflowError(
+                f"the closed-form sum around n = {center} left double precision at distance {d - 1}"
+            )
+        # not strict, so that an all-zero sum (a carrier at eta = 0) ends
+        if d >= d_settle and _term_majorant(eta, center, d) <= TERM_CUTOFF * running:
             break
     return math.fsum(terms), k_used, d
 
 
-def _tail_bound(eta: float, center: int, d_reached: int, k_max: int) -> float:
-    """Majorant for every term a sum around center left out (both sides).
-
-    The sum stopped at distance d_reached, but k_max cuts its upper side
-    from distance k_max - center + 1 on, which may come first.
-    """
-    d_start = min(d_reached, k_max - center + 1)
-    return 2.0 * math.fsum(_term_majorant(eta, center, d) for d in range(d_start, d_start + 60))
+def _tail_bound(eta: float, center: int, d_reached: int) -> float:
+    """Majorant for every term a sum around center left out (both sides)."""
+    return 2.0 * math.fsum(_term_majorant(eta, center, d) for d in range(d_reached, d_reached + 60))
 
 
-def _resolve_k_max(sideband: SidebandId, k_max: int | None) -> int:
-    top = max(sideband.n_g, sideband.n_e)
-    if k_max is None:
-        return top + DEFAULT_K_MARGIN
-    if k_max < top + 1:
-        raise ValueError(f"k_max must be at least max(n_g, n_e) + 1 = {top + 1}, got {k_max!r}")
-    return k_max
-
-
-def level_shift_diag(
-    sideband: SidebandId, params: TrapParams, k_max: int | None = None
-) -> LevelShiftElements:
+def level_shift_diag(sideband: SidebandId, params: TrapParams) -> LevelShiftElements:
     """Diagonal and coupling elements of the level-shift operator at the crossing.
 
     At the crossing detuning the denominators E0 - E_{e,k} and E0 - E_{g,k}
     are the integers n_e - k and n_g - k, so R_gg and R_ee are the two sums of
     ``bs_shift`` scaled by (Omega_R/2)^2; the resonant indices are excluded,
-    so no retained denominator can vanish.  Warns above
-    ``PERTURBATIVE_RATIO_LIMIT``; raises ``TruncationError`` when k_max cuts
-    a sum short (see ``_sum_terms``).
+    so no retained denominator can vanish.  ``k_max_used`` is the largest k
+    either sum retained, and ``tail_bound`` bounds every term they left out.
+    Warns above ``PERTURBATIVE_RATIO_LIMIT``.
     """
     _warn_outside_regime(params)
-    k_max = _resolve_k_max(sideband, k_max)
     e0, _ = crossing_point(sideband)
     half_sq = (0.5 * params.rabi) ** 2
 
-    s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta, k_max)
-    s_ee, k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta, k_max)
-    tail = _tail_bound(params.eta, sideband.n_g, d_gg, k_max)
-    tail += _tail_bound(params.eta, sideband.n_e, d_ee, k_max)
+    s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta)
+    s_ee, k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta)
+    tail = _tail_bound(params.eta, sideband.n_g, d_gg)
+    tail += _tail_bound(params.eta, sideband.n_e, d_ee)
     return LevelShiftElements(
         sideband=sideband,
         r_gg=half_sq * s_gg,
@@ -222,9 +195,7 @@ def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
     return 0.5 * abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
 
 
-def bs_shift(
-    sideband: SidebandId, params: TrapParams, k_max: int | None = None
-) -> PerturbativeShift:
+def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     """All-order-in-eta resonance shift of a sideband (Bloch-Siegert type).
 
     delta_omega = R_ee - R_gg, one sum per side: |chi_{n_e,k}|^2/(n_g - k) for
@@ -236,13 +207,11 @@ def bs_shift(
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
     ``PERTURBATIVE_RATIO_LIMIT``; ``well_isolated`` only flags a large splitting.
-    Raises ``TruncationError`` when k_max cuts a sum short (see ``_sum_terms``).
     """
     _warn_outside_regime(params)
-    k_max = _resolve_k_max(sideband, k_max)
     n_g, n_e = sideband.n_g, sideband.n_e
-    s_ee, _, _ = _sum_terms(n_e, n_g, params.eta, k_max)
-    s_gg, _, _ = _sum_terms(n_g, n_e, params.eta, k_max)
+    s_ee, _, _ = _sum_terms(n_e, n_g, params.eta)
+    s_gg, _, _ = _sum_terms(n_g, n_e, params.eta)
     shift = params.rabi**2 / 4.0 * (s_ee - s_gg)
 
     isolated = splitting_half(sideband, params) <= ISOLATION_RATIO

@@ -56,7 +56,6 @@ CONVERGENCE_ABSOLUTE = 1e-12
 TRACK_OVERLAP_MIN = 0.5
 MAX_BISECTION_LEVELS = 12
 MAX_WINDOW_ESCALATIONS = 4
-MAX_WINDOW_SHRINKS = 10
 
 
 @dataclass(frozen=True)
@@ -201,39 +200,33 @@ def _search_window(
     """Coarse scan of the pair around delta0 and the minimal gap inside it.
 
     The window is widened until the lower pair branch has an interior
-    maximum, and narrowed while the gap has several local minima.  Returns
-    (window half-width, coarse bracket of that maximum, minimal gap).
+    maximum; of several local minima of the gap, the one nearest delta0 is
+    refined.  Returns (window half-width, coarse bracket of that maximum,
+    minimal gap).
     """
     _, delta0 = crossing_point(sideband)
     # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
     gap_estimate = 2.0 * abs(float(scan._h[sideband.n_g, scan.nb + sideband.n_e]))
     half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
-    shrink_floor = max(10.0 * gap_estimate, 1e-6)
 
-    escalations = shrinks = 0
+    escalations = 0
     while True:
         grid = np.linspace(delta0 - half, delta0 + half, COARSE_POINTS)
         levels = np.array([scan.pair_levels(d, sideband) for d in grid])
         low, gaps = levels[:, 0], levels[:, 1] - levels[:, 0]
 
         i_max = int(np.argmax(low))
-        if i_max in (0, COARSE_POINTS - 1):
-            if escalations >= MAX_WINDOW_ESCALATIONS:
-                raise ResonanceWindowError(
-                    f"no interior extremum for {sideband} within "
-                    f"[{delta0 - half!r}, {delta0 + half!r}] after escalation"
-                )
-            escalations += 1
-            half *= 2.0
-            continue
+        if i_max not in (0, COARSE_POINTS - 1):
+            break
+        if escalations >= MAX_WINDOW_ESCALATIONS:
+            raise ResonanceWindowError(
+                f"no interior extremum for {sideband} within "
+                f"[{delta0 - half!r}, {delta0 + half!r}] after escalation"
+            )
+        escalations += 1
+        half *= 2.0
 
-        minima = _local_minima(gaps)
-        if len(minima) > 1 and shrinks < MAX_WINDOW_SHRINKS and half * 0.5 > shrink_floor:
-            shrinks += 1
-            half *= 0.5
-            continue
-        break
-
+    minima = _local_minima(gaps)
     if minima:
         i_gap = min(minima, key=lambda i: abs(grid[i] - delta0))
     else:

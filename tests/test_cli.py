@@ -217,12 +217,6 @@ class TestExitCodes:
         code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "-0.1"])
         assert code == 2
 
-    def test_carrier_with_ld_flag(self, capsys):
-        code = cli.main([
-            "shift", "--ng", "1", "--ne", "1", "--rabi", "0.01", "--eta", "0.1", "--ld",
-        ])
-        assert code == 2
-
     def test_eta_and_klaser_conflict(self, capsys):
         code = cli.main([
             "shift", "--ng", "0", "--ne", "1", "--rabi", "0.01",
@@ -287,19 +281,30 @@ class TestExitCodes:
         assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
         assert captured.err.startswith("not converged: the exact shift of (0,1) at eta=1.0")
 
-    def test_truncated_closed_form_sum_exits_three(self, capsys):
-        # at eta 20 |chi_{n,k}|^2 has its weight near k = eta^2 = 400, far
-        # beyond the default k_max = max(n_g, n_e) + 60
-        assert cli.main(["sidebands", "--rabi", "0.01", "--eta", "20"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numeric failure: the closed-form sum around n = ")
-
     def test_closed_form_sum_ending_in_negligible_terms_exits_zero(self, capsys):
-        # at eta 2.5 every sum runs out of 0..k_max, but its term at k_max is
-        # below 1e-31 of the sum
+        # at eta 2.5 every sum runs until its majorant bounds the rest
         assert cli.main(["sidebands", "--rabi", "0.01", "--eta", "2.5"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
+
+    def test_closed_form_sums_reach_far_levels(self, capsys):
+        # at eta 4 |chi_{n,k}|^2 has its weight near k = eta^2 = 16, and the
+        # sums reach k = 155; each row is the per-term sum over k < 300
+        assert cli.main(["sidebands", "--rabi", "0.01", "--eta", "4"]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(rows) == 5 * 4
+
+        def per_term(center, exclude):
+            return math.fsum(
+                ts.chi_magnitude(center, k, 4.0) ** 2 / (exclude - k)
+                for k in range(300)
+                if k != exclude
+            )
+
+        for row in rows:
+            record = dict(zip(header, row))
+            n_g, n_e = int(record["n_g"]), int(record["n_e"])
+            expected = 0.01**2 / 4.0 * (per_term(n_e, n_g) - per_term(n_g, n_e))
+            assert float(record["shift"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("argv", [
         ["sidebands", "--rabi", "0.01", "--eta", "1000"],  # term majorant
@@ -307,6 +312,8 @@ class TestExitCodes:
         ["sweep", "--eta", "1e200"],
         ["scan-eta", "--eta-max", "1e200", "--points", "2"],
         ["sidebands", "--rabi", "1e200", "--eta", "0.1"],  # rabi**2
+        ["sidebands", "--rabi", "0.01", "--eta", "20"],  # eta**d
+        ["shift", "--ng", "0", "--ne", "800", "--rabi", "0.01", "--eta", "1"],  # Laguerre column
     ])
     @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
     def test_overflowing_finite_input_exits_three(self, argv, capsys):
@@ -347,7 +354,7 @@ class TestConfigFile:
         ("sweep", {"points": 5.7}, "--points"),
         ("shift", {"eta": True}, "'eta'"),
         ("shift", {"nmax": [3]}, "'nmax'"),
-        ("shift", {"ld": "false"}, "'ld'"),
+        ("sweep", {"bare": 0}, "'bare'"),
         ("scan-eta", {"eta_max": math.inf}, "--eta-max"),
     ])
     def test_bad_value_is_config_error(self, command, bad, named, tmp_path, monkeypatch, capsys):
@@ -486,7 +493,7 @@ class TestOptions:
         *[("check", flag) for flag in (
             "--trap-freq", "--rabi", "--eta", "--k-laser", "--mass", "--nmax", "--kmax",
         )],
-        ("sweep", "--kmax"),
+        *[(command, "--kmax") for command in ("sweep", "shift", "scan-eta", "sidebands")],
         ("sidebands", "--nmax"),
         *[("scan-eta", flag) for flag in ("--trap-freq", "--k-laser", "--mass", "--eta")],
         *[(command, "--units") for command in ("shift", "sweep", "scan-eta", "sidebands", "check")],

@@ -32,31 +32,26 @@ FROZEN = [
 DIFFERENTIAL_ETAS = [0.0, 1e-3, 0.083, 0.4, 1.2, 2.5, 4.0]
 
 
-def reference_sum(center, exclude, eta, k_max):
+def reference_sum(center, exclude, eta):
     """``resolvent._sum_terms`` with one validated chi_magnitude call per term.
 
-    Returns (sum, largest retained k, distance reached, truncated), where
-    truncated marks a run out of 0..k_max whose term at k_max still exceeds
-    TERM_CUTOFF times the accumulated magnitude.
+    Returns (sum, largest retained k, distance reached): the sum runs over
+    every k >= 0 until the majorant of the terms left bounds the rest.
     """
     terms, running, k_used, d = [], 0.0, 0, 0
     while True:
         for k in (center - d, center + d) if d else (center,):
-            if 0 <= k <= k_max and k != exclude:
+            if k >= 0 and k != exclude:
                 m = ts.chi_magnitude(center, k, eta)
                 terms.append(m * m / (exclude - k))
                 running += abs(terms[-1])
                 k_used = max(k_used, k)
         d += 1
-        if center - d < 0 and center + d > k_max:
-            edge = ts.chi_magnitude(center, k_max, eta) ** 2 / (exclude - k_max)
-            truncated = abs(edge) > resolvent.TERM_CUTOFF * running
-            return math.fsum(terms), k_used, d, truncated
         if d > abs(center - exclude):
             # |chi_{center,k}|^2 <= ((eta * sqrt(center + d))^d / d!)^2 at distance d
             log_root = d * math.log(eta * math.sqrt(center + d)) if eta else -math.inf
-            if math.exp(2.0 * (log_root - math.lgamma(d + 1.0))) < resolvent.TERM_CUTOFF * running:
-                return math.fsum(terms), k_used, d, False
+            if math.exp(2.0 * (log_root - math.lgamma(d + 1.0))) <= resolvent.TERM_CUTOFF * running:
+                return math.fsum(terms), k_used, d
 
 
 class TestLevelShiftDiag:
@@ -73,7 +68,7 @@ class TestLevelShiftDiag:
         assert el.r_gg == 0.0 and el.r_ee == 0.0 and el.r_ge_abs == 0.0
 
     def test_difference_matches_brute_force_sum(self):
-        el = ts.level_shift_diag(SB01, P01, k_max=30)
+        el = ts.level_shift_diag(SB01, P01)
         brute_gg = math.fsum(
             (0.005 * abs(ts.chi(0, k, 0.1))) ** 2 / (1.0 - k) for k in range(31) if k != 1
         )
@@ -91,7 +86,7 @@ class TestLevelShiftDiag:
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
         e0, delta0 = ts.crossing_point(sideband)
         at_crossing = params.with_delta(delta0)
-        ks = range(max(n_g, n_e) + resolvent.DEFAULT_K_MARGIN + 1)
+        ks = range(max(n_g, n_e) + 61)
 
         def brute(center, exclude, state):
             return math.fsum(
@@ -117,23 +112,6 @@ class TestLevelShiftDiag:
         el = ts.level_shift_diag(SB01, P01)
         assert el.tail_bound <= 1e-3 * max(abs(el.r_gg), abs(el.r_ee))
 
-    def test_k_max_validation(self):
-        with pytest.raises(ValueError):
-            ts.level_shift_diag(ts.SidebandId(0, 4), P01, k_max=3)
-
-    def test_tail_bound_covers_terms_cut_by_k_max(self):
-        # k_max = 40 cuts the upper sides (k >= 41) at distance 16 and 17,
-        # before the sums stop on their majorant at distance 21.
-        sideband, params, k_max = ts.SidebandId(25, 24), ts.TrapParams(rabi=0.01, eta=0.5), 40
-        el = ts.level_shift_diag(sideband, params, k_max=k_max)
-        cut = math.fsum(
-            abs(ts.chi_magnitude(center, k, params.eta) ** 2 / (exclude - k))
-            for center, exclude in ((25, 24), (24, 25))
-            for k in range(k_max + 1, 400)
-        )
-        cut *= (0.5 * params.rabi) ** 2
-        assert cut > 1e-19  # 6.6e-19, against a bound of 6.1e-22 from distance 21
-        assert el.tail_bound >= cut
 
 
 class TestBsShift:
@@ -169,27 +147,17 @@ class TestBsShift:
 
     @pytest.mark.parametrize("eta", DIFFERENTIAL_ETAS)
     def test_sums_match_per_term_chi(self, eta):
-        # every (sum, largest k, distance) equals the per-term reference bit
-        # for bit, and the sum raises exactly where the reference runs out of
-        # k with a term that is not negligible
+        # every (sum, largest k, distance) equals the per-term reference bit for bit
         for center in range(31):
             for exclude in range(31):
-                top = max(center, exclude)
-                for k_max in (top + 1, top + 3, top + 10, top + resolvent.DEFAULT_K_MARGIN):
-                    *expected, truncated = reference_sum(center, exclude, eta, k_max)
-                    if truncated:
-                        with pytest.raises(ts.TruncationError):
-                            resolvent._sum_terms(center, exclude, eta, k_max)
-                    else:
-                        got = resolvent._sum_terms(center, exclude, eta, k_max)
-                        assert got == tuple(expected), (center, exclude, k_max)
+                got = resolvent._sum_terms(center, exclude, eta)
+                assert got == reference_sum(center, exclude, eta), (center, exclude)
 
     @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)
     def test_bs_shift_and_level_shift_diag_retain_the_same_k(self, n_g, n_e, eta, frozen):
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
-        k_max = max(n_g, n_e) + resolvent.DEFAULT_K_MARGIN
-        s_gg, k_gg, _, _ = reference_sum(n_g, n_e, eta, k_max)
-        s_ee, k_ee, _, _ = reference_sum(n_e, n_g, eta, k_max)
+        s_gg, k_gg, _ = reference_sum(n_g, n_e, eta)
+        s_ee, k_ee, _ = reference_sum(n_e, n_g, eta)
         el = ts.level_shift_diag(sideband, params)
         assert (el.r_gg, el.r_ee) == ((0.5 * 0.01) ** 2 * s_gg, (0.5 * 0.01) ** 2 * s_ee)
         assert el.k_max_used == max(k_gg, k_ee)
@@ -197,19 +165,15 @@ class TestBsShift:
         # reference sums, it summed the terms level_shift_diag retained
         assert ts.bs_shift(sideband, params).delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg)
 
-    def test_truncated_sum_raises(self):
-        params = ts.TrapParams(rabi=0.01, eta=20.0)
-        with pytest.raises(ts.TruncationError, match="k_max = 62"):
-            ts.bs_shift(ts.SidebandId(2, 0), params)
-        with pytest.raises(ts.TruncationError):
-            ts.level_shift_diag(ts.SidebandId(2, 0), params)
-
-    def test_truncation_is_judged_at_k_max(self):
-        # k_max = 11 cuts the sum around n = 10 after k = 11 (a 1.2% error in
-        # the shift), while its last term, at k = 0, is below 1e-20 of the sum
-        params = ts.TrapParams(rabi=0.01, eta=0.2)
-        with pytest.raises(ts.TruncationError, match="around n = 10 reached k_max = 11"):
-            ts.bs_shift(ts.SidebandId(9, 10), params, k_max=11)
+    def test_high_level_sum_runs_until_its_majorant_ends_it(self):
+        # around n = 2000 at eta 1 both sides of each sum stay open for 142
+        # levels, so the sums end on their majorant alone, at k = 2142
+        sideband, params = ts.SidebandId(2000, 2001), ts.TrapParams(rabi=0.01, eta=1.0)
+        s_gg, k_gg, _ = reference_sum(2000, 2001, 1.0)
+        s_ee, k_ee, _ = reference_sum(2001, 2000, 1.0)
+        shift = ts.bs_shift(sideband, params).delta_omega_full
+        assert shift == 0.01**2 / 4.0 * (s_ee - s_gg) == -3.959395401631242e-09
+        assert ts.level_shift_diag(sideband, params).k_max_used == max(k_gg, k_ee)
 
     def test_frozen_first_blue(self):
         shift = ts.bs_shift(SB01, P01).delta_omega_full

@@ -265,7 +265,7 @@ class TestLocatorFallbacks:
             spectrum.WINDOW_GAP_MULTIPLE * 0.8 * ts.chi_magnitude(0, 1, 0.05),
             spectrum.WINDOW_FRACTION,
         )
-        # the maximum sits 0.4 below delta0: two doublings on each basis, no shrink
+        # the maximum sits 0.4 below delta0: two doublings on each basis
         assert [half / first for half in halves] == [4.0, 4.0]
         assert report.method == "extremum"
         assert report.converged
@@ -283,30 +283,22 @@ class TestLocatorFallbacks:
             ts.find_resonance(ts.SidebandId(0, 3), ts.TrapParams(rabi=3.0, eta=0.05), n_max=28)
 
     @pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
-    def test_window_shrink(self, pair, monkeypatch):
-        windows = []
-        pair_levels = _DetuningScan.pair_levels
+    def test_several_gap_minima_without_a_stationary_point(self, pair, monkeypatch):
+        # at rabi 2 the gap of (0,2) has two local minima in the first window
+        # where the lower branch peaks inside; the gap is taken at the one
+        # nearest delta0, and the refined peak leaves its bracket
+        solves = []
+        eigen = _DetuningScan.eigen
 
-        def recording(self, delta, sideband):
-            windows.append(delta)
-            return pair_levels(self, delta, sideband)
+        def counting(self, delta):
+            solves.append(delta)
+            return eigen(self, delta)
 
-        monkeypatch.setattr(_DetuningScan, "pair_levels", recording)
+        monkeypatch.setattr(_DetuningScan, "eigen", counting)
         params = ts.TrapParams(rabi=2.0, eta=0.2)
-        with pytest.raises(ts.ResonanceWindowError, match="after escalation"):
+        with pytest.raises(ts.ResonanceWindowError, match="no stationary point"):
             ts.find_resonance(ts.SidebandId(*pair), params)
-        first = max(
-            spectrum.WINDOW_GAP_MULTIPLE * abs(ts.rabi_coupling(*pair, params)),
-            spectrum.WINDOW_FRACTION,
-        )
-        points = spectrum.COARSE_POINTS
-        halves = [
-            (windows[i + points - 1] - windows[i]) / (2.0 * first)
-            for i in range(0, len(windows), points)
-        ]
-        # the window grows until the lower branch peaks inside it, then two
-        # gap minima halve it, twice, before the escalations run out
-        assert halves == pytest.approx([1, 2, 4, 8, 4, 8, 4], rel=1e-12)
+        assert len(solves) == 490
 
     def test_forced_bisection_keeps_a_permutation(self, monkeypatch):
         solves = []
