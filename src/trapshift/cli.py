@@ -272,9 +272,8 @@ def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport)
 def cmd_shift(args: argparse.Namespace) -> int:
     params, omega_phys, meta = _resolve_physics(args)
     sideband = _sideband(args)
-    if not sideband.is_carrier:
-        n_max = args.nmax if args.nmax is not None else default_n_max(sideband, params.eta)
-        check_bases(sideband, n_max, params.eta)
+    n_max = args.nmax if args.nmax is not None else default_n_max(sideband, params.eta)
+    check_bases(sideband, n_max, params.eta)
 
     pert = bs_shift(sideband, params)
     report = find_resonance(sideband, params, n_max=args.nmax)

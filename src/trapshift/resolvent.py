@@ -49,8 +49,6 @@ class LevelShiftElements:
     sideband: SidebandId
     r_gg: float
     r_ee: float
-    r_ge_abs: float
-    e0: float
     k_max_used: int
     tail_bound: float
 
@@ -106,10 +104,12 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
     Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
     R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
     exclude = n_g.  Returns (sum, largest retained k, distance d reached),
-    where d is the distance at which the sum stopped: the first past the
-    excluded level at which ``_term_majorant`` falls to ``TERM_CUTOFF``
-    times the accumulated magnitude (see ``_tail_bound``).  Raises
-    ``OverflowError`` when a term leaves double precision first.
+    where d is the distance at which the sum stopped: the first at which
+    ``_term_majorant`` falls to ``TERM_CUTOFF`` times the accumulated
+    magnitude (see ``_tail_bound``).  Every retained denominator has
+    |exclude - k| >= 1, so the majorant bounds the terms at any distance,
+    before the excluded level as well as past it.  Raises ``OverflowError``
+    when a term leaves double precision first.
 
     Terms are generated in ascending |k - center| so that the exactly
     rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
@@ -124,7 +124,6 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
     terms: list[float] = []
     running = 0.0
     k_used = 0
-    d_settle = abs(center - exclude) + 1
     d = 0
     while True:
         power = eta**d
@@ -151,7 +150,7 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
                 f"the closed-form sum around n = {center} left double precision at distance {d - 1}"
             )
         # not strict, so that an all-zero sum (a carrier at eta = 0) ends
-        if d >= d_settle and _term_majorant(eta, center, d) <= TERM_CUTOFF * running:
+        if _term_majorant(eta, center, d) <= TERM_CUTOFF * running:
             break
     return math.fsum(terms), k_used, d
 
@@ -162,7 +161,8 @@ def _tail_bound(eta: float, center: int, d_reached: int) -> float:
 
 
 def level_shift_diag(sideband: SidebandId, params: TrapParams) -> LevelShiftElements:
-    """Diagonal and coupling elements of the level-shift operator at the crossing.
+    """Diagonal elements of the level-shift operator at the crossing (its
+    coupling element |R_ge| is ``splitting_half``, E0 that of ``crossing_point``).
 
     At the crossing detuning the denominators E0 - E_{e,k} and E0 - E_{g,k}
     are the integers n_e - k and n_g - k, so R_gg and R_ee are the two sums of
@@ -172,7 +172,6 @@ def level_shift_diag(sideband: SidebandId, params: TrapParams) -> LevelShiftElem
     Warns above ``PERTURBATIVE_RATIO_LIMIT``.
     """
     _warn_outside_regime(params)
-    e0, _ = crossing_point(sideband)
     half_sq = (0.5 * params.rabi) ** 2
 
     s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta)
@@ -183,8 +182,6 @@ def level_shift_diag(sideband: SidebandId, params: TrapParams) -> LevelShiftElem
         sideband=sideband,
         r_gg=half_sq * s_gg,
         r_ee=half_sq * s_ee,
-        r_ge_abs=splitting_half(sideband, params),
-        e0=e0,
         k_max_used=max(k_gg, k_ee),
         tail_bound=half_sq * tail,
     )

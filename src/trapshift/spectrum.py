@@ -11,11 +11,13 @@ Every eigensolve runs on the one Hamiltonian the package assembles,
 gauge), built from the real displacement operator exp(eta*(a - a^dag)) that
 its ``coupling_block`` exponentiates, never from the Laguerre formula that
 ``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
-nothing downstream can observe the gauge.
+nothing downstream can observe the gauge.  This module imports nothing of the
+closed form (``fock``, ``resolvent``), so their agreement is a cross-check.
 Each job has one code path: ``_search_window`` is the coarse window and gap
 search behind ``find_resonance``, whose ``gap`` is the measured splitting of
-the pair; ``find_resonance`` is the one basis-doubling check (one re-locate
-on the doubled margin), and ``sweep_spectrum`` the branch continuation behind
+the pair (a carrier's is read off the same coupling block);
+``find_resonance`` is the one basis-doubling check (one re-locate on the
+doubled margin), and ``sweep_spectrum`` the branch continuation behind
 ``track_branch``.  Scans are sequential and deterministic; share nothing
 across threads except the immutable inputs.
 """
@@ -29,7 +31,6 @@ import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError
-from .fock import rabi_coupling
 from .hamiltonian import (
     check_n_max,
     check_padded_basis,
@@ -294,19 +295,21 @@ def find_resonance(
     way to go further.  Both bases are bounded by ``check_bases`` before the
     first solve.  ``gap`` is the measured splitting, the minimal separation
     of the pair over the scan window: it approaches |Omega_{n_g,n_e}| for a
-    resolved anti-crossing and collapses to zero for a decoupled pair.  Carriers are unshifted by symmetry and short-circuit
-    analytically, with the closed-form gap |Omega_{n,n}|: the one place the
-    exact route reads the closed form.
+    resolved anti-crossing and collapses to zero for a decoupled pair.
+    Carriers are unshifted by symmetry and solve nothing: their ``gap`` is
+    |Omega_{n,n}|, twice the diagonal entry of the operator's coupling block
+    on n_max, so no result of the exact route comes from the closed form.
     """
     n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, delta0 = crossing_point(sideband)
-    if sideband.is_carrier:
-        gap = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
-        delta_star, method, converged = 0.0, "carrier", True
-    elif params.rabi <= 0:
+    if not sideband.is_carrier and params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
+    n_doubled = check_bases(sideband, n_used, params.eta)
+    if sideband.is_carrier:
+        n = sideband.n_g
+        gap = float(2 * abs(coupling_block(params, n_used)[n, n]))
+        delta_star, method, converged = 0.0, "carrier", True
     else:
-        n_doubled = check_bases(sideband, n_used, params.eta)
         delta_star, gap, method = _locate(_DetuningScan(params, n_used), sideband)
         shift = delta_star - delta0
         doubled = _locate(_DetuningScan(params, n_doubled), sideband)[0] - delta0

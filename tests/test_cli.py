@@ -135,7 +135,8 @@ class TestShiftCommand:
         record = dict(zip(header.split(","), row.split(",")))
         gap = float(record["gap"])
         assert gap > 0
-        assert float(record["gap_coupling"]) == gap
+        # gap from the operator's block, gap_coupling from the closed form
+        assert float(record["gap_coupling"]) == pytest.approx(gap, rel=1e-14)
         assert float(record["gap_half"]) == 0.5 * gap
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -313,7 +314,7 @@ class TestExitCodes:
         ["scan-eta", "--eta-max", "1e200", "--points", "2"],
         ["sidebands", "--rabi", "1e200", "--eta", "0.1"],  # rabi**2
         ["sidebands", "--rabi", "0.01", "--eta", "20"],  # eta**d
-        ["shift", "--ng", "0", "--ne", "800", "--rabi", "0.01", "--eta", "1"],  # Laguerre column
+        ["shift", "--ng", "3000", "--ne", "0", "--rabi", "0.01", "--eta", "2"],  # Laguerre column
     ])
     @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
     def test_overflowing_finite_input_exits_three(self, argv, capsys):
@@ -460,6 +461,8 @@ class TestBasisBound:
         (["scan-eta", "--ng", "100000000", "--ne", "0", "--points", "2"], "--ng and --ne must be at most 9999"),
         # within the bound at eta_min = 0, beyond it at eta_max = 1
         (["scan-eta", "--ng", "9960", "--ne", "0", "--eta-max", "1.0", "--points", "2"], "basis dimension 20002"),
+        # a carrier reads its gap off the operator, so its basis is bounded too
+        (["shift", "--ng", "9998", "--ne", "9998"], "basis dimension 20030"),
     ])
     def test_oversized_sideband_rejected_before_computing(self, argv, message, monkeypatch, capsys):
         physics = ["--rabi", "0.01", "--eta", "0.1"] if argv[0] == "shift" else []

@@ -12,6 +12,7 @@ import pytest
 
 import trapshift as ts
 from trapshift import spectrum
+from trapshift.hamiltonian import coupling_block
 from trapshift.spectrum import _DetuningScan, _locate
 
 
@@ -174,8 +175,14 @@ class TestFindResonance:
     def test_carrier_gap_is_a_magnitude(self):
         # chi_11 = exp(-eta^2/2) * (1 - eta^2) is negative beyond eta = 1
         assert ts.chi_magnitude(1, 1, 1.2) < 0
-        report = ts.find_resonance(ts.SidebandId(1, 1), ts.TrapParams(rabi=0.01, eta=1.2))
-        assert report.gap == 0.01 * abs(ts.chi_magnitude(1, 1, 1.2))
+        params = ts.TrapParams(rabi=0.01, eta=1.2)
+        report = ts.find_resonance(ts.SidebandId(1, 1), params)
+        # |Omega_11|, read off the operator's block on the reported basis
+        block = coupling_block(params, report.n_max_used)
+        assert report.gap == float(2 * abs(block[1, 1]))
+        assert type(report.gap) is float
+        # the closed form agrees to roundoff (the two differ by 1 ulp here)
+        assert report.gap == pytest.approx(0.01 * abs(ts.chi_magnitude(1, 1, 1.2)), rel=1e-14)
         assert report.gap > 0
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
@@ -198,6 +205,9 @@ class TestFindResonance:
     def test_rejects_too_small_basis(self):
         with pytest.raises(ValueError):
             ts.find_resonance(ts.SidebandId(0, 3), P01, n_max=3)
+        # a carrier's gap is an entry of the block on n_max
+        with pytest.raises(ValueError, match="n_max must exceed"):
+            ts.find_resonance(ts.SidebandId(3, 3), P01, n_max=2)
 
     def test_extremum_derivative_residual(self):
         report = ts.find_resonance(SB01, P01, n_max=20)
@@ -227,7 +237,7 @@ class TestFindResonance:
 
 def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
     # chi of the exact route comes from the operator, so a wrong factor in the
-    # closed form cannot enter both routes; only carriers read the closed form
+    # closed form cannot enter both routes; carriers included
     from trapshift import fock
 
     def unreachable(*args, **kwargs):
@@ -237,6 +247,8 @@ def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
     report = ts.find_resonance(SB01, P01)
     assert report.method == "extremum" and report.gap > 0
     assert ts.find_resonance(SB01, ts.TrapParams(rabi=0.01, eta=0.0)).method == "intersection"
+    carrier = ts.find_resonance(ts.SidebandId(1, 1), P01)
+    assert carrier.method == "carrier" and carrier.gap > 0
     swept = ts.sweep_spectrum(P01, np.linspace(0.9, 1.1, 5), 8)
     assert len(swept.branches) == 18
 
