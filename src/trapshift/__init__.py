@@ -35,7 +35,6 @@ from .resolvent import (
 # on first access: ``import trapshift`` and every closed-form call load
 # neither numpy nor scipy.
 _LAZY_MODULES = {
-    "CouplingTable": "hamiltonian",
     "EXCITED": "hamiltonian",
     "GROUND": "hamiltonian",
     "HamiltonianMatrix": "hamiltonian",
@@ -63,7 +62,6 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingTable",
     "DressedSpectrum",
     "EXCITED",
     "GROUND",

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import TrapshiftError
 from .fock import rabi_coupling
-from .hamiltonian import MAX_DIM, bare_energy, coupling_table, default_n_max, displacement_oracle
+from .hamiltonian import MAX_LEVELS, bare_energy, coupling_table, default_n_max, displacement_oracle
 from .params import SidebandId, TrapParams
 from .resolvent import bs_shift, eta_zero_shift
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
@@ -247,8 +247,8 @@ def _resolve_physics(
 def _sideband(args: argparse.Namespace) -> SidebandId:
     if args.ng is None or args.ne is None:
         raise ConfigError("sideband is undefined: give --ng and --ne")
-    if max(args.ng, args.ne) > MAX_DIM // 2 - 1:
-        raise ConfigError(f"--ng and --ne must be at most {MAX_DIM // 2 - 1}, the --nmax limit")
+    if max(args.ng, args.ne) > MAX_LEVELS - 1:
+        raise ConfigError(f"--ng and --ne must be at most {MAX_LEVELS - 1}: a basis holds {MAX_LEVELS} levels")
     return SidebandId(args.ng, args.ne)
 
 
@@ -272,8 +272,7 @@ def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport)
 def cmd_shift(args: argparse.Namespace) -> int:
     params, omega_phys, meta = _resolve_physics(args)
     sideband = _sideband(args)
-    n_max = args.nmax if args.nmax is not None else default_n_max(sideband, params.eta)
-    check_bases(sideband, n_max, params.eta)
+    check_bases(sideband, args.nmax, params.eta)
 
     pert = bs_shift(sideband, params)
     report = find_resonance(sideband, params, n_max=args.nmax)
@@ -357,9 +356,9 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
     rabi_value, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
         raise ConfigError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
-    # default_n_max and the padding of the operator's chi grow with eta, so
-    # the largest bases are those at eta_max.
-    check_bases(sideband, args.nmax if args.nmax is not None else default_n_max(sideband, hi), hi)
+    # the default n_max and the padding of the operator's chi grow with eta,
+    # so the largest bases are those at eta_max.
+    check_bases(sideband, args.nmax, hi)
 
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
     rows: list[list] = []
@@ -389,8 +388,10 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
     max_order, max_n = args.max_order, args.max_n
     if max_order < 1 or max_n < 0:
         raise ConfigError("sidebands needs max_order >= 1 and max_n >= 0")
-    if max_n + max_order > MAX_DIM // 2 - 1:
-        raise ConfigError(f"sidebands needs max_n + max_order <= {MAX_DIM // 2 - 1}, the --nmax limit")
+    if max_n + max_order > MAX_LEVELS - 1:
+        raise ConfigError(
+            f"sidebands needs max_n + max_order <= {MAX_LEVELS - 1}: a basis holds {MAX_LEVELS} levels"
+        )
     _check_rows((2 * max_order + 1) * (max_n + 1))
 
     columns = ["sideband", "order", "n", "n_g", "n_e", "shift", "shift_hz"]
@@ -424,14 +425,11 @@ def run_checks(tol_scale: float = 1.0) -> list[tuple[str, float, float, bool]]:
 
     table = coupling_table(0.4, 12)
     oracle = displacement_oracle(0.4, 12)
-    record("bch_oracle_max_diff", float(np.abs(table.entries - oracle.entries).max()), 1e-8)
+    record("bch_oracle_max_diff", float(np.abs(table - oracle).max()), 1e-8)
 
-    wide = coupling_table(0.3, 60)
-    record(
-        "unitarity_row_norm_err",
-        max(abs(wide.row_norm(n) - 1.0) for n in range(11)),
-        1e-10,
-    )
+    # sum_k |chi_{nk}|^2 tends to 1 with n_max by unitarity
+    row_norms = (np.abs(coupling_table(0.3, 60)[:11]) ** 2).sum(axis=1)
+    record("unitarity_row_norm_err", float(np.abs(row_norms - 1.0).max()), 1e-10)
 
     params = TrapParams(rabi=0.01, eta=0.3)
     record(

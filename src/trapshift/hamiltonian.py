@@ -19,9 +19,10 @@ This is the package's numpy layer: the closed form (``fock``, ``resolvent``)
 needs only the standard library, and scipy's ``expm`` is imported only
 inside ``_real_displacement``.
 
-Every matrix starts from ``coupling_block``, which bounds n_max through
-``check_n_max`` before anything is allocated; ``check_padded_basis`` bounds
-the padded basis of ``_real_displacement`` the same way.  One function,
+One check sizes every basis: ``check_padded_basis`` bounds n_max, padded
+for the operator exponential, by ``MAX_LEVELS``.  ``coupling_table`` and
+``_real_displacement``, so every Hamiltonian, call it before anything is
+allocated.  One function,
 ``real_gauge_matrix``, assembles the Hamiltonian: H in its exact real
 symmetric gauge, which ``build_hamiltonian`` returns and the detuning scans
 of ``spectrum`` solve, rewriting only its diagonal (``set_detuning``) per
@@ -42,32 +43,22 @@ from .params import SidebandId, TrapParams
 GROUND = "g"
 EXCITED = "e"
 
-#: Largest supported Hamiltonian dimension 2 * (n_max + 1).
-MAX_DIM = 20_000
+#: Most levels of any basis, the padding of ``oracle_pad`` included.
+MAX_LEVELS = 10_000
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingTable:
-    """Matrix of chi_{nn'} over the truncated basis 0..n_max."""
-
-    eta: float
-    n_max: int
-    entries: np.ndarray
-
-    def row_norm(self, n: int) -> float:
-        """sum_k |chi_{nk}|^2; tends to 1 with n_max by unitarity."""
-        return float(np.sum(np.abs(self.entries[n]) ** 2))
-
-
-def coupling_table(eta: float, n_max: int) -> CouplingTable:
+def coupling_table(eta: float, n_max: int) -> np.ndarray:
     """chi_{nn'} for 0 <= n, n' <= n_max from the Laguerre closed form.
 
     One ``_laguerre_column`` per order d = |n - n'| fills both diagonals at
     distance d; each entry is the same product, in the same order and bit for
     bit, as ``chi(n, n', eta)`` and the terms of the closed-form sums.
+    ``check_padded_basis`` bounds n_max before the log-factorial memo or the
+    table grows.
     """
     _check_index("n_max", n_max)
     _check_eta(eta)
+    check_padded_basis(eta, n_max)
     x = eta * eta
     gauss = math.exp(-0.5 * x)
     log_fact = _log_factorials(n_max)
@@ -81,17 +72,23 @@ def coupling_table(eta: float, n_max: int) -> CouplingTable:
         idx = np.arange(n_max + 1 - d)
         entries[idx, idx + d] = column
         entries[idx + d, idx] = column
-    return CouplingTable(eta=eta, n_max=n_max, entries=entries)
+    return entries
+
+
+def _spread(eta: float, n: int) -> int:
+    """4*ceil(eta*sqrt(n)): the displaced number state D|n> spreads over k from
+    about (sqrt(n) - eta)^2 to (sqrt(n) + eta)^2, a width of about 4*eta*sqrt(n)."""
+    return 4 * math.ceil(eta * math.sqrt(max(n, 1)))
 
 
 def oracle_pad(eta: float, n_max: int) -> int:
     """Basis padding for ``_real_displacement``, the exact route's chi.
 
     Exponentiating a truncated operator corrupts the last rows and columns;
-    the displacement mixes of order eta*sqrt(n) levels, so the pad grows with
-    both eta and n_max before the result is cropped back.
+    the displacement mixes ``_spread`` levels, so the pad grows with both eta
+    and n_max before the result is cropped back.
     """
-    return max(20, 4 * math.ceil(eta * math.sqrt(max(n_max, 1))))
+    return max(20, _spread(eta, n_max))
 
 
 def _real_displacement(eta: float, n_max: int) -> np.ndarray:
@@ -114,7 +111,7 @@ def _real_displacement(eta: float, n_max: int) -> np.ndarray:
     return expm(generator)[: n_max + 1, : n_max + 1]
 
 
-def displacement_oracle(eta: float, n_max: int) -> CouplingTable:
+def displacement_oracle(eta: float, n_max: int) -> np.ndarray:
     """chi table of exp(i*eta*(a + a^dag)): ``_real_displacement`` R with the
     i^n phases restored, chi_{nn'} = i^(n' - n) R_{nn'}.
 
@@ -128,7 +125,7 @@ def displacement_oracle(eta: float, n_max: int) -> CouplingTable:
     signed = np.where(power < 2, real, -real)
     np.copyto(entries.real, signed, where=power % 2 == 0)
     np.copyto(entries.imag, signed, where=power % 2 == 1)
-    return CouplingTable(eta=eta, n_max=n_max, entries=entries)
+    return entries
 
 
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
@@ -143,11 +140,13 @@ def bare_energy(state: str, n: int, params: TrapParams) -> float:
 
 
 def default_n_max(sideband: SidebandId, eta: float) -> int:
-    """Default truncation: pair maximum plus a margin that grows with eta^2.
+    """Default truncation: pair maximum plus a margin that grows with eta^2, or
+    with the ``_spread`` of the displaced pair maximum where that is wider.
 
     Validated downstream by the doubled-basis re-locate of ``find_resonance``.
     """
-    return max(sideband.n_g, sideband.n_e) + 15 + math.ceil(25.0 * eta * eta)
+    n = max(sideband.n_g, sideband.n_e)
+    return n + max(15 + math.ceil(25.0 * eta * eta), _spread(eta, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,34 +159,25 @@ class HamiltonianMatrix:
     matrix: np.ndarray
 
 
-def check_n_max(n_max: int, why: str = "") -> None:
-    """Raise ``ValueError`` when the dimension 2 * (n_max + 1) exceeds ``MAX_DIM``;
-    ``why`` is appended to the message."""
-    if 2 * (n_max + 1) > MAX_DIM:
-        raise ValueError(
-            f"basis dimension {2 * (n_max + 1)} is beyond the supported range "
-            f"(n_max <= {MAX_DIM // 2 - 1}){why}"
-        )
-
-
 def check_padded_basis(eta: float, n_max: int, why: str = "") -> int:
     """Levels n_max + 1 + ``oracle_pad`` of the basis ``_real_displacement``
-    exponentiates on; ``ValueError`` beyond ``MAX_DIM // 2`` levels, with
-    ``why`` appended to the message."""
-    pad = oracle_pad(eta, n_max)
-    dim = n_max + 1 + pad
-    if dim > MAX_DIM // 2:
-        raise ValueError(
-            f"padded basis of {dim} levels (n_max {n_max} + 1 + pad {pad}) is beyond "
-            f"the supported range ({MAX_DIM // 2} levels){why}"
-        )
-    return dim
+    exponentiates on; ``ValueError`` beyond ``MAX_LEVELS``, with ``why``
+    appended to the message.  The one size check of every basis."""
+    # as integers first: oracle_pad's float sqrt overflows on a huge n_max
+    if n_max >= MAX_LEVELS:
+        size = f"basis of {n_max + 1} levels before padding"
+    else:
+        pad = oracle_pad(eta, n_max)
+        levels = n_max + 1 + pad
+        if levels <= MAX_LEVELS:
+            return levels
+        size = f"padded basis of {levels} levels (n_max {n_max} + 1 + pad {pad})"
+    raise ValueError(f"{size} is beyond the supported range ({MAX_LEVELS} levels){why}")
 
 
 def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
     """The real g-e block (rabi/2) * G chi G^dag of the Hamiltonian, chi from the
-    operator (``_real_displacement``); ``check_n_max`` first bounds n_max."""
-    check_n_max(n_max)
+    operator (``_real_displacement``, which bounds n_max)."""
     return 0.5 * params.rabi * _real_displacement(params.eta, n_max)
 
 

@@ -31,14 +31,7 @@ import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError
-from .hamiltonian import (
-    check_n_max,
-    check_padded_basis,
-    coupling_block,
-    default_n_max,
-    real_gauge_matrix,
-    set_detuning,
-)
+from .hamiltonian import check_padded_basis, coupling_block, default_n_max, real_gauge_matrix, set_detuning
 from .params import SidebandId, TrapParams, crossing_point
 
 #: Measured pair gaps below this many omega_t count as true crossings.
@@ -264,20 +257,20 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
     return delta_star, gap_min, "extremum"
 
 
-def check_bases(sideband: SidebandId, n_max: int, eta: float) -> int:
+def check_bases(sideband: SidebandId, n_max: int | None, eta: float) -> tuple[int, int]:
     """Bound both bases ``find_resonance`` solves at before any is built: n_max
-    above max(n_g, n_e), and n_max and its doubled margin within ``check_n_max``
-    and, padded for the operator exponential at ``eta``, within
-    ``check_padded_basis``.  Returns the doubled n_max."""
+    (``default_n_max`` when None) above max(n_g, n_e), and n_max and its
+    doubled margin, padded for the operator exponential at ``eta``, within
+    ``check_padded_basis``.  Returns (n_max, doubled n_max)."""
+    n_used = n_max if n_max is not None else default_n_max(sideband, eta)
     base = max(sideband.n_g, sideband.n_e)
-    if n_max <= base:
-        raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_max!r}")
-    n_doubled = base + 2 * (n_max - base)
-    doubles = f"; the convergence check doubles the margin of n_max = {n_max}"
-    for n, why in ((n_max, ""), (n_doubled, doubles)):
-        check_n_max(n, why)
+    if n_used <= base:
+        raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
+    n_doubled = base + 2 * (n_used - base)
+    doubles = f"; the convergence check doubles the margin of n_max = {n_used}"
+    for n, why in ((n_used, ""), (n_doubled, doubles)):
         check_padded_basis(eta, n, why=why)
-    return n_doubled
+    return n_used, n_doubled
 
 
 def find_resonance(
@@ -300,11 +293,10 @@ def find_resonance(
     |Omega_{n,n}|, twice the diagonal entry of the operator's coupling block
     on n_max, so no result of the exact route comes from the closed form.
     """
-    n_used = n_max if n_max is not None else default_n_max(sideband, params.eta)
     _, delta0 = crossing_point(sideband)
     if not sideband.is_carrier and params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
-    n_doubled = check_bases(sideband, n_used, params.eta)
+    n_used, n_doubled = check_bases(sideband, n_max, params.eta)
     if sideband.is_carrier:
         n = sideband.n_g
         gap = float(2 * abs(coupling_block(params, n_used)[n, n]))

@@ -406,9 +406,24 @@ class TestBasisBound:
 
         # any array made in hamiltonian now fails with NameError
         monkeypatch.delattr(hamiltonian, "np")
-        code = cli.main([*argv, "--nmax", str(hamiltonian.MAX_DIM // 2)])
+        code = cli.main([*argv, "--nmax", str(hamiltonian.MAX_LEVELS)])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: basis dimension 20002")
+        assert capsys.readouterr().err.startswith("error: basis of 10001 levels")
+
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"],
+        ["sweep"],
+    ])
+    def test_nmax_beyond_float_range_is_config_error(self, argv, monkeypatch, capsys):
+        # a 401-digit n_max is compared as an integer before oracle_pad's
+        # float sqrt could overflow into the exit-3 path
+        from trapshift import hamiltonian
+
+        monkeypatch.delattr(hamiltonian, "np")
+        assert cli.main([*argv, "--nmax", "9" * 401]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: basis of 1" + "0" * 401 + " levels")
+        assert "+ pad" not in err and "Traceback" not in err
 
     def test_padded_basis_above_bound_is_config_error(self, monkeypatch, capsys):
         # --nmax 9990 is within the bound, but the operator exponential of the
@@ -437,7 +452,7 @@ class TestBasisBound:
         monkeypatch.setattr(spectrum, "_DetuningScan", unreachable)
         assert cli.main([*argv, "--nmax", "6000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: basis dimension 24000")
+        assert err.startswith("error: basis of 12000 levels")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(("argv", "levels"), [
@@ -445,7 +460,7 @@ class TestBasisBound:
         (["scan-eta"], 10162),  # padded at the default eta_max 0.5
     ])
     def test_padded_doubled_basis_is_config_error(self, argv, levels, monkeypatch, capsys):
-        # --nmax 4981 doubles to 9961, within check_n_max, but not once padded
+        # --nmax 4981 doubles to 9961, within the bound, but not once padded
         # for the operator exponential of the convergence re-locate
         fail_if_computed(monkeypatch)
         assert cli.main([*argv, "--ng", "0", "--ne", "1", "--nmax", "4981"]) == 2
@@ -457,12 +472,12 @@ class TestBasisBound:
         (["shift", "--ng", "10000", "--ne", "0", "--nmax", "9999"], "--ng and --ne must be at most 9999"),
         (["shift", "--ng", "100000000", "--ne", "0"], "--ng and --ne must be at most 9999"),
         (["shift", "--ng", "100000000", "--ne", "100000000"], "--ng and --ne must be at most 9999"),
-        (["shift", "--ng", "9998", "--ne", "9999"], "basis dimension 20032"),
+        (["shift", "--ng", "9998", "--ne", "9999"], "basis of 10040 levels"),
         (["scan-eta", "--ng", "100000000", "--ne", "0", "--points", "2"], "--ng and --ne must be at most 9999"),
         # within the bound at eta_min = 0, beyond it at eta_max = 1
-        (["scan-eta", "--ng", "9960", "--ne", "0", "--eta-max", "1.0", "--points", "2"], "basis dimension 20002"),
+        (["scan-eta", "--ng", "9960", "--ne", "0", "--eta-max", "1.0", "--points", "2"], "basis of 10361 levels"),
         # a carrier reads its gap off the operator, so its basis is bounded too
-        (["shift", "--ng", "9998", "--ne", "9998"], "basis dimension 20030"),
+        (["shift", "--ng", "9998", "--ne", "9998"], "basis of 10039 levels"),
     ])
     def test_oversized_sideband_rejected_before_computing(self, argv, message, monkeypatch, capsys):
         physics = ["--rabi", "0.01", "--eta", "0.1"] if argv[0] == "shift" else []
@@ -479,7 +494,7 @@ class TestRowBound:
         ["sweep", "--points", str(cli.MAX_ROWS // 16 + 1), "--bare"],
         ["scan-eta", "--points", str(cli.MAX_ROWS + 1)],
         ["sidebands", "--max-order", "10", "--max-n", str(cli.MAX_ROWS // 21)],
-        ["sidebands", "--max-order", "1", "--max-n", str(cli.MAX_DIM // 2 - 1)],
+        ["sidebands", "--max-order", "1", "--max-n", str(cli.MAX_LEVELS - 1)],
     ])
     def test_oversized_table_is_config_error(self, argv, monkeypatch, capsys):
         def unreachable(*args, **kwargs):

@@ -99,7 +99,7 @@ def complex_hamiltonian(params: ts.TrapParams, n_max: int) -> np.ndarray:
     chi table: bare energies n +/- delta/2 on the diagonal, the g-e block
     (rabi/2) chi above it and its Hermitian conjugate below.  The block is
     scaled part by part, so that a zero keeps its sign."""
-    chi = ts.displacement_oracle(params.eta, n_max).entries
+    chi = ts.displacement_oracle(params.eta, n_max)
     block = np.empty_like(chi)
     block.real, block.imag = 0.5 * params.rabi * chi.real, 0.5 * params.rabi * chi.imag
     nb = n_max + 1
@@ -205,7 +205,7 @@ class TestRealGauge:
         # exponential the Hamiltonian is built from, bit for bit
         from trapshift.hamiltonian import coupling_block
 
-        rotated = conjugate_by_number_phases(ts.displacement_oracle(eta, n_max).entries, 1)
+        rotated = conjugate_by_number_phases(ts.displacement_oracle(eta, n_max), 1)
         assert np.all(rotated.imag == 0)
         block = coupling_block(ts.TrapParams(rabi=2.0, eta=eta), n_max)
         assert block.dtype == np.float64
@@ -218,7 +218,7 @@ class TestRealGauge:
         # the two routes' chi, compared in the real gauge
         from trapshift.hamiltonian import coupling_block
 
-        rotated = conjugate_by_number_phases(ts.coupling_table(eta, n_max).entries, 1)
+        rotated = conjugate_by_number_phases(ts.coupling_table(eta, n_max), 1)
         block = coupling_block(ts.TrapParams(rabi=2.0, eta=eta), n_max)
         assert np.abs(rotated - block).max() <= 2e-13
 
@@ -267,7 +267,7 @@ class TestBasisBound:
 
         # any array made in hamiltonian now fails with NameError
         monkeypatch.delattr(hamiltonian, "np")
-        n_max = hamiltonian.MAX_DIM // 2
+        n_max = hamiltonian.MAX_LEVELS
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         with pytest.raises(ValueError, match="beyond the supported range"):
             ts.build_hamiltonian(params, n_max)
@@ -275,14 +275,13 @@ class TestBasisBound:
             ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
 
     def test_padded_basis_rejected_before_allocating(self, monkeypatch):
-        # n_max 9990 passes check_n_max, but the operator exponential pads it
-        # by oracle_pad(0.1, 9990) = 40 levels, to 10031 > MAX_DIM // 2
+        # n_max 9990 is below MAX_LEVELS, but the operator exponential pads it
+        # by oracle_pad(0.1, 9990) = 40 levels, to 10031 > MAX_LEVELS
         from trapshift import hamiltonian
 
         # any array made in hamiltonian now fails with NameError
         monkeypatch.delattr(hamiltonian, "np")
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        hamiltonian.check_n_max(9990)
         assert ts.oracle_pad(0.1, 9990) == 40
         message = "padded basis of 10031 levels .* beyond the supported range"
         with pytest.raises(ValueError, match=message):
@@ -308,7 +307,7 @@ class TestBasisBound:
         # (0, 1) re-locates on n_max 1 + 2 (n - 1), and its chi is exponentiated
         # on oracle_pad(0.1, .) = 40 more levels: the doubled basis pads to
         # 9959 + 1 + 40 = 10000 levels at n = 4980 and to 10002 at n = 4981
-        assert spectrum.check_bases(ts.SidebandId(0, 1), 4980, 0.1) == 9959
+        assert spectrum.check_bases(ts.SidebandId(0, 1), 4980, 0.1) == (4980, 9959)
         assert ts.oracle_pad(0.1, 9959) == ts.oracle_pad(0.1, 9961) == 40
         with pytest.raises(Reached):
             ts.find_resonance(ts.SidebandId(0, 1), params, n_max=4980)
@@ -316,8 +315,42 @@ class TestBasisBound:
             with pytest.raises(ValueError, match="padded basis .* doubles the margin"):
                 ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
         for n_max in (5001, 6000):
-            with pytest.raises(ValueError, match="basis dimension .* doubles the margin"):
+            with pytest.raises(ValueError, match="basis of .* before padding.* doubles the margin"):
                 ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
+
+    def test_coupling_table_bounded_before_allocating(self, monkeypatch):
+        from trapshift import fock, hamiltonian
+
+        # any array made in hamiltonian now fails with NameError
+        monkeypatch.delattr(hamiltonian, "np")
+        memo = len(fock._LOG_FACTORIALS)
+        # pad 4 ceil(0.3 sqrt(9979)) = 120
+        with pytest.raises(ValueError, match="padded basis of 10100 levels"):
+            ts.coupling_table(0.3, 9979)
+        with pytest.raises(ValueError, match="basis of 10001 levels .* beyond the supported range"):
+            ts.coupling_table(0.3, 10000)
+        assert len(fock._LOG_FACTORIALS) == memo
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 1.0, 2.0])
+    def test_one_check_rejects_exactly_beyond_the_padded_bound(self, eta):
+        from trapshift.hamiltonian import MAX_LEVELS, check_padded_basis
+
+        for n_max in range(9900, 10051):
+            levels = n_max + 1 + ts.oracle_pad(eta, n_max)
+            if levels <= MAX_LEVELS:
+                assert check_padded_basis(eta, n_max) == levels
+            else:
+                with pytest.raises(ValueError, match="beyond the supported range"):
+                    check_padded_basis(eta, n_max)
+
+    def test_huge_n_max_is_compared_as_an_integer(self):
+        from trapshift.hamiltonian import check_padded_basis
+
+        # oracle_pad would overflow converting this n_max to a float
+        with pytest.raises(OverflowError):
+            ts.oracle_pad(0.1, 10**400)
+        with pytest.raises(ValueError, match="basis of 1" + "0" * 399 + "1 levels before padding"):
+            check_padded_basis(0.1, 10**400)
 
 
 class TestDefaultNMax:
@@ -326,3 +359,20 @@ class TestDefaultNMax:
         assert ts.default_n_max(sb, 0.0) == 16
         assert ts.default_n_max(sb, 0.1) == 17
         assert ts.default_n_max(sb, 0.8) == 32
+
+    def test_margin_covers_the_spread_of_the_displaced_level(self):
+        # n + max(15 + ceil(25 eta^2), 4 ceil(eta sqrt(n))): the spread term
+        # first wins at n = 1601 for eta 0.1, n = 101 for eta 0.4 to 1.0 but
+        # 0.8, where 25 eta^2 = 16 exactly and it wins from n = 77
+        def fixed(n, eta):
+            return n + 15 + math.ceil(25.0 * eta * eta)
+
+        assert ts.default_n_max(ts.SidebandId(0, 800), 1.0) == 916
+        assert fixed(800, 1.0) == 840
+        for n in range(11):
+            for i in range(1201):
+                eta = i / 1000
+                assert ts.default_n_max(ts.SidebandId(0, n), eta) == fixed(n, eta), (n, eta)
+        for eta, first in [(0.1, 1601), (0.4, 101), (0.5, 101), (0.8, 77), (1.0, 101)]:
+            for n in (first - 1, first):
+                assert (ts.default_n_max(ts.SidebandId(n, 0), eta) > fixed(n, eta)) == (n == first)
