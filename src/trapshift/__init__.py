@@ -17,7 +17,7 @@ from .errors import (
     TrapshiftError,
 )
 from .fock import chi, chi_magnitude, laguerre, rabi_coupling
-from .params import SidebandId, TrapParams, crossing_point
+from .params import SidebandId, TrapParams
 from .resolvent import (
     LevelShiftElements,
     PerturbativeShift,
@@ -83,7 +83,6 @@ __all__ = [
     "chi",
     "chi_magnitude",
     "coupling_table",
-    "crossing_point",
     "default_n_max",
     "displacement_oracle",
     "eta_zero_shift",

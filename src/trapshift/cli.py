@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import TrapshiftError
 from .fock import rabi_coupling
-from .hamiltonian import MAX_LEVELS, bare_energy, coupling_table, default_n_max, displacement_oracle
+from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
 from .params import SidebandId, TrapParams
 from .resolvent import bs_shift, eta_zero_shift
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
@@ -151,9 +151,12 @@ def write_output(config: dict, columns: list[str], rows: list[list], fmt: str, o
 
 
 def _check_out(out: str | None) -> None:
-    """Fail before any computation when ``--out`` is not in a writable directory."""
+    """Fail before any computation when ``--out`` is a directory or is not in a
+    writable one."""
     if out is None:
         return
+    if Path(out).is_dir():
+        raise ConfigError(f"cannot write {out!r}: it is a directory")
     parent = Path(out).parent
     if not parent.is_dir():
         raise ConfigError(f"cannot write {out!r}: {str(parent)!r} is not a directory")
@@ -247,8 +250,6 @@ def _resolve_physics(
 def _sideband(args: argparse.Namespace) -> SidebandId:
     if args.ng is None or args.ne is None:
         raise ConfigError("sideband is undefined: give --ng and --ne")
-    if max(args.ng, args.ne) > MAX_LEVELS - 1:
-        raise ConfigError(f"--ng and --ne must be at most {MAX_LEVELS - 1}: a basis holds {MAX_LEVELS} levels")
     return SidebandId(args.ng, args.ne)
 
 
@@ -388,22 +389,21 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
     max_order, max_n = args.max_order, args.max_n
     if max_order < 1 or max_n < 0:
         raise ConfigError("sidebands needs max_order >= 1 and max_n >= 0")
-    if max_n + max_order > MAX_LEVELS - 1:
-        raise ConfigError(
-            f"sidebands needs max_n + max_order <= {MAX_LEVELS - 1}: a basis holds {MAX_LEVELS} levels"
-        )
     _check_rows((2 * max_order + 1) * (max_n + 1))
+    # built in full first, so each SidebandId bounds its levels before any sum runs
+    sidebands = [
+        SidebandId(n + max(-order, 0), n + max(order, 0))
+        for order in range(-max_order, max_order + 1)
+        for n in range(max_n + 1)
+    ]
 
     columns = ["sideband", "order", "n", "n_g", "n_e", "shift", "shift_hz"]
     rows: list[list] = []
-    for signed_order in range(-max_order, max_order + 1):
-        for n in range(max_n + 1):
-            # n labels the lower level: n_e on a red sideband, n_g on a blue one.
-            sb = SidebandId(n + max(-signed_order, 0), n + max(signed_order, 0))
-            shift = bs_shift(sb, params).delta_omega_full
-            rows.append([
-                sb.kind, abs(signed_order), n, sb.n_g, sb.n_e, shift, _hz(shift, omega_phys),
-            ])
+    for sb in sidebands:
+        shift = bs_shift(sb, params).delta_omega_full
+        rows.append([
+            sb.kind, abs(sb.order), min(sb.n_g, sb.n_e), sb.n_g, sb.n_e, shift, _hz(shift, omega_phys),
+        ])
     config = {
         "command": "sidebands", **meta, "max_order": max_order, "max_n": max_n,
     }

@@ -20,9 +20,10 @@ needs only the standard library, and scipy's ``expm`` is imported only
 inside ``_real_displacement``.
 
 One check sizes every basis: ``check_padded_basis`` bounds n_max, padded
-for the operator exponential, by ``MAX_LEVELS``.  ``coupling_table`` and
-``_real_displacement``, so every Hamiltonian, call it before anything is
-allocated.  One function,
+for the operator exponential, by ``MAX_LEVELS``, which lives in ``params``
+because ``SidebandId`` holds every level below it too.  ``coupling_table``
+and ``_real_displacement``, so every Hamiltonian, call it before anything
+is allocated.  One function,
 ``real_gauge_matrix``, assembles the Hamiltonian: H in its exact real
 symmetric gauge, which ``build_hamiltonian`` returns and the detuning scans
 of ``spectrum`` solve, rewriting only its diagonal (``set_detuning``) per
@@ -38,13 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import PHASES, _check_eta, _check_index, _laguerre_column, _log_factorials
-from .params import SidebandId, TrapParams
+from .params import MAX_LEVELS, SidebandId, TrapParams
 
 GROUND = "g"
 EXCITED = "e"
-
-#: Most levels of any basis, the padding of ``oracle_pad`` included.
-MAX_LEVELS = 10_000
 
 
 def coupling_table(eta: float, n_max: int) -> np.ndarray:
@@ -152,10 +150,8 @@ def default_n_max(sideband: SidebandId, eta: float) -> int:
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
     """H in its real symmetric gauge (``real_gauge_matrix``) on the basis
-    |g,0> .. |g,n_max>, |e,0> .. |e,n_max>, with the parameters it was built from."""
+    |g,0> .. |g,n_max>, |e,0> .. |e,n_max>."""
 
-    params: TrapParams
-    n_max: int
     matrix: np.ndarray
 
 
@@ -202,4 +198,4 @@ def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(params: TrapParams, n_max: int) -> HamiltonianMatrix:
     """H on the basis 0..n_max, in the real symmetric gauge the exact route solves."""
-    return HamiltonianMatrix(params, n_max, real_gauge_matrix(params, coupling_block(params, n_max)))
+    return HamiltonianMatrix(real_gauge_matrix(params, coupling_block(params, n_max)))

@@ -3,13 +3,18 @@
 Everything downstream works in hbar = 1 units with the trap frequency as the
 unit of energy and frequency: ``rabi`` and ``delta`` are ratios to omega_t.
 Physical units exist only at the command line, which converts on the way in
-and out.
+and out.  ``SidebandId`` is the one place that bounds a sideband's levels,
+for the closed form and the exact route alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+#: Most levels of any basis, the padding of ``hamiltonian.oracle_pad``
+#: included; every sideband level lies below it.
+MAX_LEVELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -41,14 +46,15 @@ class TrapParams:
 
 @dataclass(frozen=True, order=True)
 class SidebandId:
-    """The pair (n_g, n_e) labelling a |g,n_g> <-> |e,n_e> resonance."""
+    """The pair (n_g, n_e) labelling a |g,n_g> <-> |e,n_e> resonance, each in
+    0..MAX_LEVELS - 1; its bare crossing detuning Delta0 is ``order``."""
 
     n_g: int
     n_e: int
 
     def __post_init__(self) -> None:
-        if self.n_g < 0 or self.n_e < 0:
-            raise ValueError(f"vibrational quantum numbers must be >= 0, got {self}")
+        if not (0 <= self.n_g < MAX_LEVELS and 0 <= self.n_e < MAX_LEVELS):
+            raise ValueError(f"vibrational quantum numbers must be in 0..{MAX_LEVELS - 1}, got {self}")
 
     @property
     def order(self) -> int:
@@ -64,13 +70,3 @@ class SidebandId:
     @property
     def is_carrier(self) -> bool:
         return self.n_g == self.n_e
-
-
-def crossing_point(sideband: SidebandId) -> tuple[float, float]:
-    """(E0, Delta0) where the bare lines of the sideband pair intersect.
-
-    E0 = (n_g + n_e)/2 and Delta0 = n_e - n_g, both returned as floats.
-    """
-    e0 = 0.5 * (sideband.n_g + sideband.n_e)
-    delta0 = float(sideband.n_e - sideband.n_g)
-    return e0, delta0

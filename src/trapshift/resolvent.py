@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import PerturbativeRegimeWarning
 from .fock import _laguerre_column, _log_factorials, rabi_coupling
 from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
-from .params import SidebandId, TrapParams, crossing_point
+from .params import SidebandId, TrapParams
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
@@ -162,7 +162,8 @@ def _tail_bound(eta: float, center: int, d_reached: int) -> float:
 
 def level_shift_diag(sideband: SidebandId, params: TrapParams) -> LevelShiftElements:
     """Diagonal elements of the level-shift operator at the crossing (its
-    coupling element |R_ge| is ``splitting_half``, E0 that of ``crossing_point``).
+    coupling element |R_ge| is ``splitting_half``), E0 = (n_g + n_e)/2 at
+    Delta0 = n_e - n_g.
 
     At the crossing detuning the denominators E0 - E_{e,k} and E0 - E_{g,k}
     are the integers n_e - k and n_g - k, so R_gg and R_ee are the two sums of
@@ -274,5 +275,4 @@ def eta_zero_shift(sideband: SidebandId, params: TrapParams) -> float:
     """
     if sideband.is_carrier:
         raise ValueError("carrier resonances have Delta0 = 0 and no eta = 0 shift")
-    _, delta0 = crossing_point(sideband)
-    return -params.rabi**2 / (2.0 * delta0)
+    return -params.rabi**2 / (2.0 * sideband.order)

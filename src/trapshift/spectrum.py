@@ -32,7 +32,7 @@ from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError
 from .hamiltonian import check_padded_basis, coupling_block, default_n_max, real_gauge_matrix, set_detuning
-from .params import SidebandId, TrapParams, crossing_point
+from .params import SidebandId, TrapParams
 
 #: Measured pair gaps below this many omega_t count as true crossings.
 GAP_FLOOR_FRACTION = 1e-10
@@ -78,7 +78,6 @@ class DressedSpectrum:
     grid: np.ndarray
     branches: dict[tuple[str, int], np.ndarray]
     overlaps: dict[tuple[str, int], np.ndarray]
-    n_max: int
 
 
 class _DetuningScan:
@@ -198,7 +197,7 @@ def _search_window(
     refined.  Returns (window half-width, coarse bracket of that maximum,
     minimal gap).
     """
-    _, delta0 = crossing_point(sideband)
+    delta0 = float(sideband.order)
     # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
     gap_estimate = 2.0 * abs(float(scan._h[sideband.n_g, scan.nb + sideband.n_e]))
     half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
@@ -234,7 +233,7 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
     """Locate the resonance: returns (delta_star, minimal gap, method).  A
     decoupled pair is root-found on the window of ``_search_window``, whose
     interior maximum of min(E_g, E_e) is the crossing of the tagged lines."""
-    _, delta0 = crossing_point(sideband)
+    delta0 = float(sideband.order)
     half, (lo, hi), gap_min = _search_window(scan, sideband)
 
     if gap_min < GAP_FLOOR_FRACTION:
@@ -292,8 +291,12 @@ def find_resonance(
     Carriers are unshifted by symmetry and solve nothing: their ``gap`` is
     |Omega_{n,n}|, twice the diagonal entry of the operator's coupling block
     on n_max, so no result of the exact route comes from the closed form.
+    delta_star carries a roundoff floor of about one ulp of delta0, which
+    meets ``CONVERGENCE_ABSOLUTE`` (1e-12) at the highest levels: ulp(delta)
+    is 9.1e-13 for 4096 <= |delta| < 8192 and 1.8e-12 from 8192 on, so there
+    a shift below 1.8e-8 can read as not converged on roundoff alone.
     """
-    _, delta0 = crossing_point(sideband)
+    delta0 = float(sideband.order)
     if not sideband.is_carrier and params.rabi <= 0:
         raise ValueError("find_resonance requires rabi > 0 for non-carrier sidebands")
     n_used, n_doubled = check_bases(sideband, n_max, params.eta)
@@ -395,7 +398,7 @@ def sweep_spectrum(
             energy[tag][j] = values[col]
             weight[tag][j] = vectors[bare_index[tag], col] ** 2
 
-    return DressedSpectrum(grid=deltas, branches=energy, overlaps=weight, n_max=n_max)
+    return DressedSpectrum(grid=deltas, branches=energy, overlaps=weight)
 
 
 def track_branch(

@@ -12,6 +12,7 @@ import pytest
 
 import trapshift as ts
 from trapshift import cli
+from trapshift.params import MAX_LEVELS
 
 
 def run_cli(args, capsys=None):
@@ -469,11 +470,11 @@ class TestBasisBound:
         assert "doubles the margin of n_max = 4981" in err
 
     @pytest.mark.parametrize(("argv", "message"), [
-        (["shift", "--ng", "10000", "--ne", "0", "--nmax", "9999"], "--ng and --ne must be at most 9999"),
-        (["shift", "--ng", "100000000", "--ne", "0"], "--ng and --ne must be at most 9999"),
-        (["shift", "--ng", "100000000", "--ne", "100000000"], "--ng and --ne must be at most 9999"),
+        (["shift", "--ng", "10000", "--ne", "0", "--nmax", "9999"], "vibrational quantum numbers must be in 0..9999"),
+        (["shift", "--ng", "100000000", "--ne", "0"], "vibrational quantum numbers must be in 0..9999"),
+        (["shift", "--ng", "100000000", "--ne", "100000000"], "vibrational quantum numbers must be in 0..9999"),
         (["shift", "--ng", "9998", "--ne", "9999"], "basis of 10040 levels"),
-        (["scan-eta", "--ng", "100000000", "--ne", "0", "--points", "2"], "--ng and --ne must be at most 9999"),
+        (["scan-eta", "--ng", "100000000", "--ne", "0", "--points", "2"], "vibrational quantum numbers must be in 0..9999"),
         # within the bound at eta_min = 0, beyond it at eta_max = 1
         (["scan-eta", "--ng", "9960", "--ne", "0", "--eta-max", "1.0", "--points", "2"], "basis of 10361 levels"),
         # a carrier reads its gap off the operator, so its basis is bounded too
@@ -494,7 +495,7 @@ class TestRowBound:
         ["sweep", "--points", str(cli.MAX_ROWS // 16 + 1), "--bare"],
         ["scan-eta", "--points", str(cli.MAX_ROWS + 1)],
         ["sidebands", "--max-order", "10", "--max-n", str(cli.MAX_ROWS // 21)],
-        ["sidebands", "--max-order", "1", "--max-n", str(cli.MAX_LEVELS - 1)],
+        ["sidebands", "--max-order", "1", "--max-n", str(MAX_LEVELS - 1)],
     ])
     def test_oversized_table_is_config_error(self, argv, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
@@ -736,6 +737,18 @@ class TestStdout:
             assert captured.err.startswith(f"error: cannot write {str(out)!r}")
             assert captured.out == ""
             assert not out.parent.exists()
+
+    def test_directory_out_is_config_error(self, tmp_path, monkeypatch, capsys):
+        fail_if_computed(monkeypatch)  # rejected before any computation, not on writing
+        for argv in [
+            ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0"],
+            ["scan-eta", "--points", "3"],
+            ["sidebands"],
+        ]:
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: cannot write {str(tmp_path)!r}: it is a directory\n"
+            assert captured.out == ""
 
     def test_write_error_is_config_error(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"

@@ -53,6 +53,24 @@ class TestSidebandId:
         with pytest.raises(ValueError):
             ts.SidebandId(-1, 0)
 
+    def test_rejects_levels_beyond_any_basis_before_computing(self):
+        # the one level bound of both routes, met before any sum: the closed form
+        # of (10**6, 0) would grow the log-factorial memo to 10**6 entries for good
+        from trapshift import fock
+        from trapshift.params import MAX_LEVELS
+
+        memo = len(fock._LOG_FACTORIALS)
+        for levels in [(MAX_LEVELS, 0), (0, MAX_LEVELS), (10**6, 0)]:
+            with pytest.raises(ValueError, match=f"must be in 0..{MAX_LEVELS - 1}"):
+                ts.SidebandId(*levels)
+        assert len(fock._LOG_FACTORIALS) == memo
+
+    def test_accepts_the_highest_level(self):
+        from trapshift.params import MAX_LEVELS
+
+        assert ts.SidebandId(MAX_LEVELS - 1, 0).n_g == 9999
+        assert ts.SidebandId(0, MAX_LEVELS - 1).n_e == 9999
+
 
 class TestBareEnergy:
     def test_ground_zero(self):
@@ -73,25 +91,32 @@ class TestBareEnergy:
 
 
 class TestCrossingPoint:
+    # the bare crossing detuning delta0 = n_e - n_g, as the exact route reports it
     def test_carrier(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.crossing_point(ts.SidebandId(0, 0)) == (0.0, 0.0)
+        assert ts.find_resonance(ts.SidebandId(0, 0), params).delta0 == 0.0
 
     def test_first_blue(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.crossing_point(ts.SidebandId(0, 1)) == (0.5, 1.0)
+        assert ts.find_resonance(ts.SidebandId(0, 1), params).delta0 == 1.0
 
     def test_first_red(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.crossing_point(ts.SidebandId(1, 0)) == (0.5, -1.0)
+        assert ts.find_resonance(ts.SidebandId(1, 0), params).delta0 == -1.0
 
-    def test_returns_floats(self):
+    def test_returns_floats(self, capsys):
         # the CLI prints delta0 by repr, so an int would print as 1, not 1.0
-        params = ts.TrapParams(rabi=0.01, eta=0.1)
-        for sideband in (ts.SidebandId(0, 0), ts.SidebandId(0, 1), ts.SidebandId(3, 1)):
-            e0, delta0 = ts.crossing_point(sideband)
-            assert type(e0) is float and type(delta0) is float
-        assert repr(ts.crossing_point(ts.SidebandId(0, 1))) == "(0.5, 1.0)"
+        from trapshift import cli
+
+        params = ts.TrapParams(rabi=0.01, eta=0.0)
+        for sideband, shown in [((0, 0), "0.0"), ((0, 1), "1.0"), ((3, 1), "-2.0")]:
+            delta0 = ts.find_resonance(ts.SidebandId(*sideband), params).delta0
+            assert type(delta0) is float and repr(delta0) == shown
+        for (ng, ne), cell in [((0, 1), "1.0"), ((1, 0), "-1.0"), ((2, 2), "0.0")]:
+            argv = ["shift", "--ng", str(ng), "--ne", str(ne), "--rabi", "0.01", "--eta", "0"]
+            assert cli.main(argv) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert dict(zip(header.split(","), row.split(",")))["delta0"] == cell
 
 
 def complex_hamiltonian(params: ts.TrapParams, n_max: int) -> np.ndarray:

@@ -84,7 +84,7 @@ class TestLevelShiftDiag:
         # the closed form writes E0 - E_{e,k} and E0 - E_{g,k} as n_e - k and
         # n_g - k; here they are the literal bare energies at the crossing
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
-        e0, delta0 = ts.crossing_point(sideband)
+        e0, delta0 = 0.5 * (n_g + n_e), float(n_e - n_g)
         at_crossing = params.with_delta(delta0)
         ks = range(max(n_g, n_e) + 61)
 

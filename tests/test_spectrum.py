@@ -423,7 +423,6 @@ class TestLazyImport:
             "ts.chi_magnitude(3, 5, 0.3)",
             "ts.laguerre(4, 2, 0.09)",
             "ts.rabi_coupling(3, 5, params)",
-            "ts.crossing_point(sideband)",
             "print('numpy' in sys.modules)",
         ])
         assert run_probe(probe) == "False"
