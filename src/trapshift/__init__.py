@@ -19,13 +19,11 @@ from .errors import (
 from .fock import chi, chi_magnitude, laguerre, rabi_coupling
 from .params import SidebandId, TrapParams
 from .resolvent import (
-    LevelShiftElements,
     PerturbativeShift,
     bs_shift,
     bs_shift_ld,
     bs_shift_literature,
     eta_zero_shift,
-    level_shift_diag,
     splitting_half,
 )
 
@@ -66,7 +64,6 @@ __all__ = [
     "EXCITED",
     "GROUND",
     "HamiltonianMatrix",
-    "LevelShiftElements",
     "PerturbativeRegimeWarning",
     "PerturbativeShift",
     "ResonanceWindowError",
@@ -88,7 +85,6 @@ __all__ = [
     "eta_zero_shift",
     "find_resonance",
     "laguerre",
-    "level_shift_diag",
     "oracle_pad",
     "rabi_coupling",
     "splitting_half",

@@ -14,9 +14,10 @@ collapses, with Omega_R and delta_omega in units of the trap frequency, to
     delta_omega = (Omega_R^2 / 4) * [ sum_{k != n_g} |chi_{n_e,k}|^2/(n_g - k)
                                     - sum_{k != n_e} |chi_{n_g,k}|^2/(n_e - k) ]
 
-valid at all eta for weak drive.  The quadratic-in-eta expansion and the
-superseded first-red-sideband literature formula are provided alongside for
-comparison plots.
+valid at all eta for weak drive.  ``bs_shift`` runs each sum once and returns
+R_gg, R_ee, delta_omega and a bound on the terms left out.  The
+quadratic-in-eta expansion and the superseded first-red-sideband literature
+formula are provided alongside for comparison plots.
 """
 
 from __future__ import annotations
@@ -43,34 +44,29 @@ ISOLATION_RATIO = 0.1
 
 
 @dataclass(frozen=True)
-class LevelShiftElements:
-    """Second-order level-shift matrix elements of one sideband pair at E0."""
-
-    sideband: SidebandId
-    r_gg: float
-    r_ee: float
-    k_max_used: int
-    tail_bound: float
-
-
-@dataclass(frozen=True)
 class PerturbativeShift:
-    """Resonance shift of one sideband, with its Lamb-Dicke decomposition.
+    """Resonance shift of one sideband, with its level shifts and its
+    Lamb-Dicke decomposition.
 
-    ``delta_omega_full`` is the all-order-in-eta sum; ``delta_omega_ld`` its
-    expansion to quadratic order, split into the off-resonant carrier part and
-    the adjacent-sideband part; ``delta_omega_lit`` the earlier literature
-    result, defined for the first red sideband only.  Fields are None where a
-    quantity is not defined for the requested sideband.
+    ``delta_omega_full`` = ``r_ee`` - ``r_gg`` is the all-order-in-eta sum,
+    ``k_max_used`` the largest k it retained and ``tail_bound`` a bound on
+    every term it left out; ``delta_omega_ld`` its expansion to quadratic
+    order, split into the off-resonant carrier part and the adjacent-sideband
+    part; ``delta_omega_lit`` the earlier literature result, defined for the
+    first red sideband only.  Fields are None where a quantity is not defined
+    for the requested sideband or not computed by the function returning it.
     """
 
-    sideband: SidebandId
     delta_omega_full: float | None
+    r_gg: float | None = None
+    r_ee: float | None = None
+    k_max_used: int | None = None
+    tail_bound: float | None = None
     carrier_term: float | None = None
     sideband_term: float | None = None
     delta_omega_ld: float | None = None
     delta_omega_lit: float | None = None
-    well_isolated: bool = True
+    well_isolated: bool | None = None
 
 
 def _warn_outside_regime(params: TrapParams) -> None:
@@ -155,37 +151,28 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
     return math.fsum(terms), k_used, d
 
 
-def _tail_bound(eta: float, center: int, d_reached: int) -> float:
-    """Majorant for every term a sum around center left out (both sides)."""
-    return 2.0 * math.fsum(_term_majorant(eta, center, d) for d in range(d_reached, d_reached + 60))
+def _tail_bound(eta: float, center: int, d: int) -> float:
+    """Bound on every term a sum around center left out, both sides, when it
+    stopped at distance d: 2 M(d) / (1 - rho), rho = M(d+1)/M(d) and M the
+    ``_term_majorant`` (0 when M(d) is 0).
 
-
-def level_shift_diag(sideband: SidebandId, params: TrapParams) -> LevelShiftElements:
-    """Diagonal elements of the level-shift operator at the crossing (its
-    coupling element |R_ge| is ``splitting_half``), E0 = (n_g + n_e)/2 at
-    Delta0 = n_e - n_g.
-
-    At the crossing detuning the denominators E0 - E_{e,k} and E0 - E_{g,k}
-    are the integers n_e - k and n_g - k, so R_gg and R_ee are the two sums of
-    ``bs_shift`` scaled by (Omega_R/2)^2; the resonant indices are excluded,
-    so no retained denominator can vanish.  ``k_max_used`` is the largest k
-    either sum retained, and ``tail_bound`` bounds every term they left out.
-    Warns above ``PERTURBATIVE_RATIO_LIMIT``.
+    rho(j) = eta^2 (c+j+1)/(j+1)^2 (1 + 1/(c+j))^j at c = center never grows
+    with j (its log-derivative is at most 1/(c+j+1) + (c+1)/((c+j)(c+j+1))
+    - 2/(j+1) <= 0 where c^2 + cj + j^2 >= 1, and rho(0) = rho(1) at c = 0),
+    so a geometric series bounds the majorants past d.  rho < 1 at a stop:
+    else M(d) >= M(0) = 1, but a stop needs M(d) <= 1e-16 times a running
+    magnitude that unitarity and |denominator| >= 1 keep below 1.  Raises
+    ``ArithmeticError`` should rho reach 1 all the same.
     """
-    _warn_outside_regime(params)
-    half_sq = (0.5 * params.rabi) ** 2
-
-    s_gg, k_gg, d_gg = _sum_terms(sideband.n_g, sideband.n_e, params.eta)
-    s_ee, k_ee, d_ee = _sum_terms(sideband.n_e, sideband.n_g, params.eta)
-    tail = _tail_bound(params.eta, sideband.n_g, d_gg)
-    tail += _tail_bound(params.eta, sideband.n_e, d_ee)
-    return LevelShiftElements(
-        sideband=sideband,
-        r_gg=half_sq * s_gg,
-        r_ee=half_sq * s_ee,
-        k_max_used=max(k_gg, k_ee),
-        tail_bound=half_sq * tail,
-    )
+    m_d = _term_majorant(eta, center, d)
+    if m_d == 0.0:
+        return 0.0
+    ratio = _term_majorant(eta, center, d + 1) / m_d
+    if not ratio < 1.0:
+        raise ArithmeticError(
+            f"the majorant around n = {center} at eta = {eta!r} does not decay past distance {d}"
+        )
+    return 2.0 * m_d / (1.0 - ratio)
 
 
 def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
@@ -194,23 +181,27 @@ def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
 
 
 def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
-    """All-order-in-eta resonance shift of a sideband (Bloch-Siegert type).
+    """All-order-in-eta resonance shift of a sideband (Bloch-Siegert type)
+    and the level shifts it is made of.
 
-    delta_omega = R_ee - R_gg, one sum per side: |chi_{n_e,k}|^2/(n_g - k) for
-    R_ee and |chi_{n_g,k}|^2/(n_e - k) for R_gg.  At the crossing detuning
-    these integers are the denominators E0 - E_{g,k} and E0 - E_{e,k} (see
-    ``_sum_terms``), so the two sums are the ones ``level_shift_diag`` scales
-    into R_ee and R_gg.  The truncation bound is not computed here;
-    ``level_shift_diag`` reports it as ``tail_bound``.
+    R_gg and R_ee, the diagonal level-shift elements at the crossing
+    E0 = (n_g + n_e)/2, Delta0 = n_e - n_g (the coupling |R_ge| is
+    ``splitting_half``), are (Omega_R/2)^2 times one sum each:
+    |chi_{n_g,k}|^2/(n_e - k) and |chi_{n_e,k}|^2/(n_g - k), whose integers
+    are the denominators E0 - E_{e,k} and E0 - E_{g,k} (see ``_sum_terms``);
+    no retained one vanishes.  delta_omega = R_ee - R_gg, and ``tail_bound``
+    is (Omega_R/2)^2 times both sums' ``_tail_bound``.
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
     ``PERTURBATIVE_RATIO_LIMIT``; ``well_isolated`` only flags a large splitting.
     """
     _warn_outside_regime(params)
-    n_g, n_e = sideband.n_g, sideband.n_e
-    s_ee, _, _ = _sum_terms(n_e, n_g, params.eta)
-    s_gg, _, _ = _sum_terms(n_g, n_e, params.eta)
+    n_g, n_e, eta = sideband.n_g, sideband.n_e, params.eta
+    s_ee, k_ee, d_ee = _sum_terms(n_e, n_g, eta)
+    s_gg, k_gg, d_gg = _sum_terms(n_g, n_e, eta)
     shift = params.rabi**2 / 4.0 * (s_ee - s_gg)
+    half_sq = (0.5 * params.rabi) ** 2
+    tail = _tail_bound(eta, n_g, d_gg) + _tail_bound(eta, n_e, d_ee)
 
     isolated = splitting_half(sideband, params) <= ISOLATION_RATIO
     carrier_term = sideband_term = delta_ld = delta_lit = None
@@ -221,14 +212,20 @@ def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
         if (n_g, n_e) == (1, 0):
             delta_lit = bs_shift_literature(params)
     return PerturbativeShift(
-        sideband=sideband,
         delta_omega_full=shift,
+        r_gg=half_sq * s_gg,
+        r_ee=half_sq * s_ee,
+        k_max_used=max(k_gg, k_ee),
+        tail_bound=half_sq * tail,
         carrier_term=carrier_term,
         sideband_term=sideband_term,
         delta_omega_ld=delta_ld,
         delta_omega_lit=delta_lit,
         well_isolated=isolated,
     )
+
+
+level_shift_diag = bs_shift  # not a second entry; trapbench traces this name
 
 
 def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
@@ -248,7 +245,6 @@ def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     )
     sideband_term = eta2 * params.rabi**2 / 4.0 * sideband_sum
     return PerturbativeShift(
-        sideband=sideband,
         delta_omega_full=None,
         carrier_term=carrier_term,
         sideband_term=sideband_term,

@@ -56,7 +56,6 @@ MAX_WINDOW_ESCALATIONS = 4
 class ShiftReport:
     """Located resonance of one sideband from the numerically exact spectrum."""
 
-    sideband: SidebandId
     delta0: float
     delta_star: float
     delta_omega: float
@@ -310,7 +309,6 @@ def find_resonance(
         doubled = _locate(_DetuningScan(params, n_doubled), sideband)[0] - delta0
         converged = abs(doubled - shift) <= max(CONVERGENCE_RELATIVE * abs(doubled), CONVERGENCE_ABSOLUTE)
     return ShiftReport(
-        sideband=sideband,
         delta0=delta0,
         delta_star=delta_star,
         delta_omega=delta_star - delta0,

@@ -23,4 +23,4 @@ def test_library_block_values():
         value = eval(code, namespace)
         assert f"{value:.{digits}e}" == f"{float(shown.group(1)):.{digits}e}", line
         checked.append(shown.group(1))
-    assert checked == ["-4.9255e-5", "-4.9257e-5", "9.95e-4"]
+    assert checked == ["-4.9255e-5", "2.4750e-5", "-2.4505e-5", "1.8e-22", "-4.9257e-5", "9.95e-4"]

@@ -1,4 +1,4 @@
-"""Closed-form shift pipeline: level-shift elements and the three formulas."""
+"""Closed-form shift pipeline: level-shift elements, their tail bound and the three formulas."""
 
 import math
 import warnings
@@ -53,22 +53,35 @@ def reference_sum(center, exclude, eta):
             return math.fsum(terms), k_used, d
 
 
+def reference_majorant_tail(center, exclude, eta):
+    """The 60-term majorant sum past the stop of ``reference_sum``, both sides."""
+    d = reference_sum(center, exclude, eta)[2]
+    if eta == 0.0:
+        return 0.0
+    return 2.0 * math.fsum(
+        math.exp(2.0 * (j * math.log(eta * math.sqrt(center + j)) - math.lgamma(j + 1.0)))
+        for j in range(d, d + 60)
+    )
+
+
 class TestLevelShiftDiag:
+    """The diagonal level shifts r_gg, r_ee that bs_shift reports."""
+
     def test_eta_zero_stark_pair(self):
         params = ts.TrapParams(rabi=0.01, eta=0.0)
-        el = ts.level_shift_diag(SB01, params)
+        el = ts.bs_shift(SB01, params)
         # opposite Stark shifts of magnitude rabi^2 / (4 delta0)
         assert el.r_gg == pytest.approx(0.01**2 / 4.0, rel=1e-15)
         assert el.r_ee == pytest.approx(-(0.01**2) / 4.0, rel=1e-15)
 
     def test_zero_field(self):
         params = ts.TrapParams(rabi=0.0, eta=0.2)
-        el = ts.level_shift_diag(SB01, params)
+        el = ts.bs_shift(SB01, params)
         assert el.r_gg == 0.0 and el.r_ee == 0.0
         assert ts.splitting_half(SB01, params) == 0.0
 
     def test_difference_matches_brute_force_sum(self):
-        el = ts.level_shift_diag(SB01, P01)
+        el = ts.bs_shift(SB01, P01)
         brute_gg = math.fsum(
             (0.005 * abs(ts.chi(0, k, 0.1))) ** 2 / (1.0 - k) for k in range(31) if k != 1
         )
@@ -96,20 +109,64 @@ class TestLevelShiftDiag:
                 if k != exclude
             )
 
-        el = ts.level_shift_diag(sideband, params)
+        el = ts.bs_shift(sideband, params)
         assert el.r_gg == pytest.approx(brute(n_g, n_e, "e"), rel=1e-13)
         assert el.r_ee == pytest.approx(brute(n_e, n_g, "g"), rel=1e-13)
 
     def test_carrier_is_valid_input(self):
-        el = ts.level_shift_diag(ts.SidebandId(2, 2), P01)
+        el = ts.bs_shift(ts.SidebandId(2, 2), P01)
         assert el.r_gg == el.r_ee  # same sums by symmetry
 
     def test_coupling_element(self):
         assert ts.splitting_half(SB01, P01) == pytest.approx(0.5 * 0.01 * 0.1 * math.exp(-0.005), rel=1e-15)
 
     def test_tail_bound_small_when_converged(self):
-        el = ts.level_shift_diag(SB01, P01)
+        el = ts.bs_shift(SB01, P01)
         assert el.tail_bound <= 1e-3 * max(abs(el.r_gg), abs(el.r_ee))
+
+    @pytest.mark.parametrize("eta", [0.01, 0.4, 1.2, 2.5])
+    def test_tail_bound_covers_the_omitted_terms(self, eta):
+        # every term each sum left out, 200 levels past its stop on both sides
+        def omitted(center, exclude):
+            d = resolvent._sum_terms(center, exclude, eta)[2]
+            return math.fsum(
+                ts.chi_magnitude(center, k, eta) ** 2 / abs(exclude - k)
+                for j in range(d, d + 200)
+                for k in (center - j, center + j)
+                if k >= 0 and k != exclude
+            )
+
+        params = ts.TrapParams(rabi=0.01, eta=eta)
+        for n_g in range(11):
+            for n_e in {0, n_g, n_g + 1}:
+                el = ts.bs_shift(ts.SidebandId(n_g, n_e), params)
+                brute = (0.5 * 0.01) ** 2 * (omitted(n_g, n_e) + omitted(n_e, n_g))
+                assert brute <= el.tail_bound, (n_g, n_e)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.01, 0.083, 0.4, 1.2, 2.5, 4.0])
+    def test_tail_bound_is_the_majorant_tail_within_two_per_mille(self, eta):
+        # the geometric tail is never below the 60-term majorant sum it
+        # replaced, and at most 0.2% above it
+        params = ts.TrapParams(rabi=0.01, eta=eta)
+        for n_g in range(11):
+            for n_e in {0, n_g, n_g + 1, n_g + 3}:
+                el = ts.bs_shift(ts.SidebandId(n_g, n_e), params)
+                ref = (0.5 * 0.01) ** 2 * (
+                    reference_majorant_tail(n_g, n_e, eta) + reference_majorant_tail(n_e, n_g, eta)
+                )
+                assert ref <= el.tail_bound <= 1.002 * ref, (n_g, n_e)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (0, 7)])
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.5, 1.2])
+    def test_swap_exchanges_the_level_shifts_exactly(self, pair, eta):
+        a, b = pair
+        params = ts.TrapParams(rabi=0.01, eta=eta)
+        fwd = ts.bs_shift(ts.SidebandId(a, b), params)
+        rev = ts.bs_shift(ts.SidebandId(b, a), params)
+        assert (rev.r_gg, rev.r_ee) == (fwd.r_ee, fwd.r_gg)
+        assert (rev.k_max_used, rev.tail_bound) == (fwd.k_max_used, fwd.tail_bound)
+        carrier = ts.bs_shift(ts.SidebandId(a, a), params)
+        assert carrier.r_gg == carrier.r_ee
 
 
 
@@ -117,10 +174,9 @@ class TestBsShift:
     @pytest.mark.parametrize("n_g, n_e, eta, frozen", FROZEN)
     def test_matches_level_shift_difference(self, n_g, n_e, eta, frozen):
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
-        el = ts.level_shift_diag(sideband, params)
-        shift = ts.bs_shift(sideband, params).delta_omega_full
+        el = ts.bs_shift(sideband, params)
         scale = abs(el.r_gg) + abs(el.r_ee)
-        assert abs(shift - (el.r_ee - el.r_gg)) <= 1e-14 * scale
+        assert abs(el.delta_omega_full - (el.r_ee - el.r_gg)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.5])
@@ -176,12 +232,13 @@ class TestBsShift:
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
         s_gg, k_gg, _ = reference_sum(n_g, n_e, eta)
         s_ee, k_ee, _ = reference_sum(n_e, n_g, eta)
-        el = ts.level_shift_diag(sideband, params)
+        el = ts.bs_shift(sideband, params)
         assert (el.r_gg, el.r_ee) == ((0.5 * 0.01) ** 2 * s_gg, (0.5 * 0.01) ** 2 * s_ee)
         assert el.k_max_used == max(k_gg, k_ee)
-        # bs_shift reports no k; equal bit for bit to the difference of the
-        # reference sums, it summed the terms level_shift_diag retained
-        assert ts.bs_shift(sideband, params).delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg)
+        # the shift is the difference of the same two sums, bit for bit
+        assert el.delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg)
+        # the name level_shift_diag is bs_shift itself, not a second pass
+        assert resolvent.level_shift_diag is resolvent.bs_shift
 
     def test_high_level_sum_runs_until_its_majorant_ends_it(self):
         # around n = 2000 at eta 1 both sides of each sum stay open for 142
@@ -189,9 +246,9 @@ class TestBsShift:
         sideband, params = ts.SidebandId(2000, 2001), ts.TrapParams(rabi=0.01, eta=1.0)
         s_gg, k_gg, _ = reference_sum(2000, 2001, 1.0)
         s_ee, k_ee, _ = reference_sum(2001, 2000, 1.0)
-        shift = ts.bs_shift(sideband, params).delta_omega_full
-        assert shift == 0.01**2 / 4.0 * (s_ee - s_gg) == -3.959395401631242e-09
-        assert ts.level_shift_diag(sideband, params).k_max_used == max(k_gg, k_ee)
+        result = ts.bs_shift(sideband, params)
+        assert result.delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg) == -3.959395401631242e-09
+        assert result.k_max_used == max(k_gg, k_ee)
 
     def test_frozen_first_blue(self):
         shift = ts.bs_shift(SB01, P01).delta_omega_full
@@ -247,19 +304,17 @@ class TestRegimeWarning:
         # |R_ge| = 0.148 exceeds ISOLATION_RATIO; that adds no second warning
         carrier = ts.SidebandId(1, 1)
         params = ts.TrapParams(rabi=0.3, eta=0.1)
-        for closed_form in (ts.bs_shift, ts.level_shift_diag):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                closed_form(carrier, params)
-            assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning], closed_form
-            assert caught[0].filename == __file__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ts.bs_shift(carrier, params)
+        assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning]
+        assert caught[0].filename == __file__
 
     def test_limit_itself_does_not_warn(self):
         params = ts.TrapParams(rabi=resolvent.PERTURBATIVE_RATIO_LIMIT, eta=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ts.bs_shift(SB10, params)
-            ts.level_shift_diag(SB10, params)
 
 
 class TestBsShiftLd:
@@ -289,6 +344,15 @@ class TestBsShiftLd:
     def test_carrier_rejected(self):
         with pytest.raises(ValueError):
             ts.bs_shift_ld(ts.SidebandId(2, 2), P01)
+
+    def test_leaves_unset_what_it_does_not_compute(self):
+        # |R_ge| = 0.199 > ISOLATION_RATIO, which only bs_shift checks
+        params = ts.TrapParams(rabi=0.9, eta=0.5)
+        ld = ts.bs_shift_ld(SB10, params)
+        assert ld.well_isolated is None
+        assert (ld.delta_omega_full, ld.r_gg, ld.r_ee, ld.k_max_used, ld.tail_bound) == (None,) * 5
+        with pytest.warns(ts.PerturbativeRegimeWarning):
+            assert ts.bs_shift(SB10, params).well_isolated is False
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
     def test_remainder_is_quartic(self, pair):

@@ -396,10 +396,9 @@ class TestLazyImport:
         probe = "\n".join([
             "import sys",
             "import trapshift as ts",
-            "from trapshift import bs_shift, chi_magnitude, laguerre, level_shift_diag",
+            "from trapshift import bs_shift, chi_magnitude, laguerre",
             "sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)",
             "bs_shift(sideband, params)",
-            "level_shift_diag(sideband, params)",
             "chi_magnitude(3, 5, 0.3)",
             "laguerre(4, 2, 0.09)",
             "table = ts.coupling_table(0.3, 6)",
@@ -416,7 +415,6 @@ class TestLazyImport:
             "import trapshift as ts",
             "sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)",
             "ts.bs_shift(sideband, params)",
-            "ts.level_shift_diag(sideband, params)",
             "ts.bs_shift_ld(sideband, params)",
             "ts.eta_zero_shift(sideband, params)",
             "ts.chi(3, 5, 0.3)",
