@@ -9,10 +9,10 @@ with n_< (n_>) the lesser (greater) of n and n'.  Every scalar value comes
 from one routine, ``_laguerre_column``, the three-term Laguerre recurrence in
 n at fixed order: ``laguerre`` and ``chi_magnitude`` take the last entry of a
 column, the closed-form sums of ``resolvent`` two entries of each column they
-run, and the table ``hamiltonian.coupling_table`` every entry.  The sums and
-the table read log(k!) from a memo, ``_log_factorials``, that grows only as
-far as they reach; ``chi_magnitude`` calls lgamma itself, so one element at a
-large index allocates nothing.
+run, and the table ``hamiltonian.coupling_table`` every entry.  Every product
+reads log(k!) from ``math.lgamma``, so the closed form keeps no state, and
+every column is bounded below ``params.MAX_LEVELS`` entries before it is
+built.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
 library, so the closed form loads no numpy.  The exact route takes the same
@@ -24,9 +24,8 @@ this module.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
-from .params import TrapParams
+from .params import MAX_LEVELS, TrapParams
 
 #: i^k for k = 0..3 as exact unit phases (1j**k would accumulate roundoff).
 PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -42,41 +41,20 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
-#: lgamma(k + 1.0) = log(k!) for k = 0, 1, ...; read through ``_log_factorials``.
-_LOG_FACTORIALS: list[float] = []
+def _check_column(name: str, value: int) -> None:
+    """Bound the length of a Laguerre column, as ``SidebandId`` bounds a level."""
+    if value >= MAX_LEVELS:
+        raise ValueError(f"{name} must be in 0..{MAX_LEVELS - 1}, got {value!r}")
 
 
-def _log_factorials(n: int) -> list[float]:
-    """The memo of lgamma(k + 1.0), grown to cover k = n and no further.
-
-    A grown memo is a new list bound in one assignment, so a concurrent
-    reader never sees an entry at the wrong index.
-    """
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if n >= len(table):
-        table = table + [math.lgamma(k + 1.0) for k in range(len(table), n + 1)]
-        _LOG_FACTORIALS = table
-    return table
-
-
-def _laguerre_column(n: int, alpha: float, x: float) -> Iterator[float]:
-    """L_0^alpha(x), ..., L_n^alpha(x) by the three-term recurrence in n at fixed alpha.
-
-    A generator, so that a caller wanting only L_n holds one entry at a time.
-    """
+def _laguerre_column(n: int, alpha: float, x: float) -> list[float]:
+    """[L_0^alpha(x), ..., L_n^alpha(x)] by the three-term recurrence in n at fixed alpha."""
     prev, cur = 0.0, 1.0  # L_{-1} = 0 and L_0 = 1 start the recurrence
-    yield cur
+    column = [cur]
     for k in range(1, n + 1):
         prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
-        yield cur
-
-
-def _laguerre_recurrence(n: int, alpha: float, x: float) -> float:
-    """L_n^alpha(x), the last entry of its ``_laguerre_column``."""
-    for value in _laguerre_column(n, alpha, x):
-        pass
-    return value
+        column.append(cur)
+    return column
 
 
 def laguerre(n: int, alpha: int, x: float) -> float:
@@ -84,12 +62,14 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 
     Evaluated by the three-term recurrence in n, which is stable for x >= 0;
     the alternating finite sum loses precision beyond n of a few tens.
+    n is bounded below ``MAX_LEVELS``, the length of the column it runs.
     """
     _check_index("n", n)
+    _check_column("n", n)
     _check_index("alpha", alpha)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return _laguerre_recurrence(n, float(alpha), x)
+    return _laguerre_column(n, float(alpha), x)[-1]
 
 
 def chi_magnitude(n: int, nprime: int, eta: float) -> float:
@@ -97,19 +77,22 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     factor changes sign in eta, so |chi_{nn'}| is its ``abs``.
 
     The factorial ratio goes through lgamma so the result stays finite for
-    quantum numbers far beyond the n = 170 overflow of raw factorials.
+    quantum numbers far beyond the n = 170 overflow of raw factorials.  The
+    lesser index, the length of the Laguerre column, is bounded below
+    ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta.
     """
     _check_index("n", n)
     _check_index("nprime", nprime)
     _check_eta(eta)
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
+    _check_column("min(n, nprime)", lo)
     d = hi - lo
     x = eta * eta
     return (
         math.exp(-0.5 * x)
         * eta**d
         * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
-        * _laguerre_recurrence(lo, float(d), x)
+        * _laguerre_column(lo, float(d), x)[-1]
     )
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _check_eta, _check_index, _laguerre_column, _log_factorials
+from .fock import PHASES, _check_eta, _check_index, _laguerre_column
 from .params import MAX_LEVELS, SidebandId, TrapParams
 
 GROUND = "g"
@@ -51,15 +51,15 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
     One ``_laguerre_column`` per order d = |n - n'| fills both diagonals at
     distance d; each entry is the same product, in the same order and bit for
     bit, as ``chi(n, n', eta)`` and the terms of the closed-form sums.
-    ``check_padded_basis`` bounds n_max before the log-factorial memo or the
-    table grows.
+    ``check_padded_basis`` bounds n_max before any column, log(k!) list or
+    table is built.
     """
     _check_index("n_max", n_max)
     _check_eta(eta)
     check_padded_basis(eta, n_max)
     x = eta * eta
     gauss = math.exp(-0.5 * x)
-    log_fact = _log_factorials(n_max)
+    log_fact = [math.lgamma(k + 1.0) for k in range(n_max + 1)]
     entries = np.empty((n_max + 1, n_max + 1), dtype=complex)
     for d in range(n_max + 1):
         power = eta**d

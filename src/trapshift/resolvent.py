@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import PerturbativeRegimeWarning
-from .fock import _laguerre_column, _log_factorials, rabi_coupling
+from .fock import _laguerre_column, rabi_coupling
 from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
 from .params import SidebandId, TrapParams
 
@@ -90,7 +90,7 @@ def _term_majorant(eta: float, center: int, d: int) -> float:
         return 1.0
     if eta == 0.0:
         return 0.0
-    return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - _log_factorials(d)[d]))
+    return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))
 
 
 def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
@@ -112,28 +112,28 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
     order; this makes carrier nulls and sideband swaps cancel exactly.  At
     distance d both terms, k = center -+ d, come from one Laguerre column
     L_0^d..L_center^d(eta^2), and each is the same product, in the same
-    order, as ``chi_magnitude(center, k, eta)**2 / (exclude - k)``.
+    order, as ``chi_magnitude(center, k, eta)**2 / (exclude - k)``, with
+    log(k!) read from lgamma.  Only the column's length, center + 1, is
+    bounded (by ``SidebandId``): k itself may pass ``MAX_LEVELS``.
     """
     x = eta * eta
     gauss = math.exp(-0.5 * x)
-    log_fact = _log_factorials(center)
+    log_center = math.lgamma(center + 1.0)
     terms: list[float] = []
     running = 0.0
     k_used = 0
     d = 0
     while True:
         power = eta**d
-        column = list(_laguerre_column(center, float(d), x))
+        column = _laguerre_column(center, float(d), x)
         for k in (center - d, center + d) if d else (center,):
             if k < 0 or k == exclude:
                 continue
             if k < center:
-                lo, hi = k, center
+                log_lo, log_hi, lag = math.lgamma(k + 1.0), log_center, column[k]
             else:
-                lo, hi = center, k
-                if k >= len(log_fact):
-                    log_fact = _log_factorials(k)
-            m = gauss * power * math.exp(0.5 * (log_fact[lo] - log_fact[hi])) * column[lo]
+                log_lo, log_hi, lag = log_center, math.lgamma(k + 1.0), column[center]
+            m = gauss * power * math.exp(0.5 * (log_lo - log_hi)) * lag
             term = m * m / (exclude - k)
             terms.append(term)
             running += abs(term)

@@ -1,7 +1,7 @@
 """Laguerre/displacement-operator algebra against independent oracles."""
 
+import dataclasses
 import math
-import random
 import sys
 import threading
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import trapshift as ts
 from trapshift import fock
 from trapshift.fock import PHASES
+from trapshift.params import MAX_LEVELS
 
 
 def laguerre_binomial(n: int, alpha: int, x: float) -> float:
@@ -56,33 +57,62 @@ class TestLaguerre:
             ts.laguerre(2, 0, float("nan"))
 
 
-class TestLogFactorials:
-    def test_memo_matches_lgamma_and_grows_only_as_asked(self, monkeypatch):
-        monkeypatch.setattr(fock, "_LOG_FACTORIALS", [])
-        table = fock._log_factorials(7)
-        assert table == [math.lgamma(k + 1.0) for k in range(8)]
-        assert len(fock._LOG_FACTORIALS) == 8
+class TestColumnBound:
+    def test_rejects_a_column_at_the_bound_before_building_it(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a Laguerre column was built past the bound")
 
-    def test_concurrent_growth_keeps_every_index(self, monkeypatch):
-        # more threads than cores and a short switch interval, so that growth
-        # of the shared memo interleaves; no caller may see a shifted entry
-        monkeypatch.setattr(fock, "_LOG_FACTORIALS", [])
-        expected = [math.lgamma(k + 1.0) for k in range(400)]
+        monkeypatch.setattr(fock, "_laguerre_column", unreachable)
+        message = f"must be in 0..{MAX_LEVELS - 1}, got"
+        for n in (MAX_LEVELS, 10**8):
+            with pytest.raises(ValueError, match=f"n {message} {n}"):
+                ts.laguerre(n, 0, 0.1)
+            with pytest.raises(ValueError, match=rf"min\(n, nprime\) {message} {n}"):
+                ts.chi_magnitude(n, n + 5, 0.1)
+        with pytest.raises(ValueError, match=message):
+            ts.chi_magnitude(MAX_LEVELS, MAX_LEVELS, 0.1)
+        with pytest.raises(ValueError, match=message):
+            ts.chi(MAX_LEVELS + 3, MAX_LEVELS, 0.1)
+        with pytest.raises(ValueError, match=message):
+            ts.rabi_coupling(MAX_LEVELS, MAX_LEVELS, ts.TrapParams(rabi=0.01, eta=0.1))
+
+    def test_bounds_only_the_column_length(self):
+        # the lesser index runs the column; the greater may pass the bound, as
+        # the closed-form sum around the top level reaches k = 10034
+        assert ts.laguerre(MAX_LEVELS - 1, 0, 0.1) != 0.0
+        m = ts.chi_magnitude(MAX_LEVELS - 2, 10034, 0.083)
+        assert m == ts.chi_magnitude(10034, MAX_LEVELS - 2, 0.083)
+        assert 0.0 < abs(m) < 1e-9
+
+
+class TestClosedFormThreads:
+    def test_every_thread_sees_the_serial_result(self):
+        # more threads than cores and a short switch interval, so that the sums
+        # interleave; with no module state, each thread must see the serial bits
+        cases = [
+            (ts.SidebandId(n, n + order), ts.TrapParams(rabi=0.01, eta=eta))
+            for n in (0, 4, 10)
+            for order in range(-3, 4)
+            if n + order >= 0
+            for eta in (0.1, 0.6, 1.2)
+        ]
+        serial = [dataclasses.astuple(ts.bs_shift(*case)) for case in cases]
         bad = []
 
-        def grow(seed):
-            for n in random.Random(seed).sample(range(400), 200):
-                if fock._log_factorials(n)[: n + 1] != expected[: n + 1]:
-                    bad.append(n)
+        def run():
+            for _ in range(3):
+                for case, expected in zip(cases, serial):
+                    if dataclasses.astuple(ts.bs_shift(*case)) != expected:
+                        bad.append(case)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=grow, args=(seed,)) for seed in range(8)]
+            threads = [threading.Thread(target=run) for _ in range(8)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join(timeout=30)
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)

@@ -12,6 +12,17 @@ from hypothesis import strategies as st
 import trapshift as ts
 
 
+def _forbid_laguerre_columns(monkeypatch):
+    """Make every Laguerre column, in the closed form and in its table, fail."""
+    from trapshift import fock, hamiltonian, resolvent
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Laguerre column was built before the bound")
+
+    for module in (fock, resolvent, hamiltonian):
+        monkeypatch.setattr(module, "_laguerre_column", unreachable)
+
+
 class TestTrapParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,17 +64,14 @@ class TestSidebandId:
         with pytest.raises(ValueError):
             ts.SidebandId(-1, 0)
 
-    def test_rejects_levels_beyond_any_basis_before_computing(self):
-        # the one level bound of both routes, met before any sum: the closed form
-        # of (10**6, 0) would grow the log-factorial memo to 10**6 entries for good
-        from trapshift import fock
+    def test_rejects_levels_beyond_any_basis_before_computing(self, monkeypatch):
+        # the one level bound of both routes, met before any sum or column
         from trapshift.params import MAX_LEVELS
 
-        memo = len(fock._LOG_FACTORIALS)
+        _forbid_laguerre_columns(monkeypatch)
         for levels in [(MAX_LEVELS, 0), (0, MAX_LEVELS), (10**6, 0)]:
             with pytest.raises(ValueError, match=f"must be in 0..{MAX_LEVELS - 1}"):
                 ts.SidebandId(*levels)
-        assert len(fock._LOG_FACTORIALS) == memo
 
     def test_accepts_the_highest_level(self):
         from trapshift.params import MAX_LEVELS
@@ -344,17 +352,17 @@ class TestBasisBound:
                 ts.find_resonance(ts.SidebandId(0, 1), params, n_max=n_max)
 
     def test_coupling_table_bounded_before_allocating(self, monkeypatch):
-        from trapshift import fock, hamiltonian
+        from trapshift import hamiltonian
 
-        # any array made in hamiltonian now fails with NameError
+        # any array made in hamiltonian now fails with NameError, any column
+        # with AssertionError
         monkeypatch.delattr(hamiltonian, "np")
-        memo = len(fock._LOG_FACTORIALS)
+        _forbid_laguerre_columns(monkeypatch)
         # pad 4 ceil(0.3 sqrt(9979)) = 120
         with pytest.raises(ValueError, match="padded basis of 10100 levels"):
             ts.coupling_table(0.3, 9979)
         with pytest.raises(ValueError, match="basis of 10001 levels .* beyond the supported range"):
             ts.coupling_table(0.3, 10000)
-        assert len(fock._LOG_FACTORIALS) == memo
 
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 1.0, 2.0])
     def test_one_check_rejects_exactly_beyond_the_padded_bound(self, eta):
