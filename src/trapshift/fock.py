@@ -12,7 +12,8 @@ column, the closed-form sums of ``resolvent`` two entries of each column they
 run, and the table ``hamiltonian.coupling_table`` every entry.  Every product
 reads log(k!) from ``math.lgamma``, so the closed form keeps no state, and
 every column is bounded below ``params.MAX_LEVELS`` entries before it is
-built.
+built, by the level rule ``params.check_level``; eta meets ``params.check_eta``,
+the same rules that bound ``SidebandId`` and ``TrapParams``.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
 library, so the closed form loads no numpy.  The exact route takes the same
@@ -25,26 +26,10 @@ from __future__ import annotations
 
 import math
 
-from .params import MAX_LEVELS, TrapParams
+from .params import TrapParams, check_eta, check_level
 
 #: i^k for k = 0..3 as exact unit phases (1j**k would accumulate roundoff).
 PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _check_index(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
-def _check_eta(eta: float) -> None:
-    if not math.isfinite(eta) or eta < 0:
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
-
-
-def _check_column(name: str, value: int) -> None:
-    """Bound the length of a Laguerre column, as ``SidebandId`` bounds a level."""
-    if value >= MAX_LEVELS:
-        raise ValueError(f"{name} must be in 0..{MAX_LEVELS - 1}, got {value!r}")
 
 
 def _laguerre_column(n: int, alpha: float, x: float) -> list[float]:
@@ -64,9 +49,9 @@ def laguerre(n: int, alpha: int, x: float) -> float:
     the alternating finite sum loses precision beyond n of a few tens.
     n is bounded below ``MAX_LEVELS``, the length of the column it runs.
     """
-    _check_index("n", n)
-    _check_column("n", n)
-    _check_index("alpha", alpha)
+    check_level("n", n)
+    if alpha < 0:
+        raise ValueError(f"alpha must be a nonnegative integer, got {alpha!r}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     return _laguerre_column(n, float(alpha), x)[-1]
@@ -79,13 +64,14 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     The factorial ratio goes through lgamma so the result stays finite for
     quantum numbers far beyond the n = 170 overflow of raw factorials.  The
     lesser index, the length of the Laguerre column, is bounded below
-    ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta.
+    ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta,
+    and is bounded below 2**53, past which hi + 1.0 no longer counts integers.
     """
-    _check_index("n", n)
-    _check_index("nprime", nprime)
-    _check_eta(eta)
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
-    _check_column("min(n, nprime)", lo)
+    check_level("min(n, nprime)", lo)
+    if hi >= 2**53:
+        raise ValueError(f"max(n, nprime) must be below 2**53, got {hi!r}")
+    check_eta(eta)
     d = hi - lo
     x = eta * eta
     return (

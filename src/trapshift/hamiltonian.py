@@ -20,10 +20,10 @@ needs only the standard library, and scipy's ``expm`` is imported only
 inside ``_real_displacement``.
 
 One check sizes every basis: ``check_padded_basis`` bounds n_max, padded
-for the operator exponential, by ``MAX_LEVELS``, which lives in ``params``
-because ``SidebandId`` holds every level below it too.  ``coupling_table``
-and ``_real_displacement``, so every Hamiltonian, call it before anything
-is allocated.  One function,
+for the operator exponential, by ``MAX_LEVELS``, and holds n_max and eta to
+the level and eta rules that ``params`` states once (``check_level``,
+``check_eta``).  ``coupling_table`` and ``_real_displacement``, so every
+Hamiltonian, make this one call before anything is allocated.  One function,
 ``real_gauge_matrix``, assembles the Hamiltonian: H in its exact real
 symmetric gauge, which ``build_hamiltonian`` returns and the detuning scans
 of ``spectrum`` solve, rewriting only its diagonal (``set_detuning``) per
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _check_eta, _check_index, _laguerre_column
-from .params import MAX_LEVELS, SidebandId, TrapParams
+from .fock import PHASES, _laguerre_column
+from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
 
 GROUND = "g"
 EXCITED = "e"
@@ -54,8 +54,6 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
     ``check_padded_basis`` bounds n_max before any column, log(k!) list or
     table is built.
     """
-    _check_index("n_max", n_max)
-    _check_eta(eta)
     check_padded_basis(eta, n_max)
     x = eta * eta
     gauss = math.exp(-0.5 * x)
@@ -96,8 +94,6 @@ def _real_displacement(eta: float, n_max: int) -> np.ndarray:
     G = diag(i^n), i.e. G chi G^dag.  ``check_padded_basis`` bounds the
     padded basis before any array is allocated.
     """
-    _check_index("n_max", n_max)
-    _check_eta(eta)
     dim = check_padded_basis(eta, n_max)
     # imported here so that importing this module loads no scipy
     from scipy.linalg import expm
@@ -128,8 +124,7 @@ def displacement_oracle(eta: float, n_max: int) -> np.ndarray:
 
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
     """Uncoupled level energy: E_{g,n} = n + delta/2, E_{e,n} = n - delta/2."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
+    check_level("n", n)
     if state == GROUND:
         return n + 0.5 * params.delta
     if state == EXCITED:
@@ -158,11 +153,14 @@ class HamiltonianMatrix:
 def check_padded_basis(eta: float, n_max: int, why: str = "") -> int:
     """Levels n_max + 1 + ``oracle_pad`` of the basis ``_real_displacement``
     exponentiates on; ``ValueError`` beyond ``MAX_LEVELS``, with ``why``
-    appended to the message.  The one size check of every basis."""
+    appended to the message, or for a negative n_max or a bad eta.  The one
+    size check of every basis."""
+    check_eta(eta)
     # as integers first: oracle_pad's float sqrt overflows on a huge n_max
     if n_max >= MAX_LEVELS:
         size = f"basis of {n_max + 1} levels before padding"
     else:
+        check_level("n_max", n_max)
         pad = oracle_pad(eta, n_max)
         levels = n_max + 1 + pad
         if levels <= MAX_LEVELS:

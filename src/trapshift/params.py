@@ -3,8 +3,11 @@
 Everything downstream works in hbar = 1 units with the trap frequency as the
 unit of energy and frequency: ``rabi`` and ``delta`` are ratios to omega_t.
 Physical units exist only at the command line, which converts on the way in
-and out.  ``SidebandId`` is the one place that bounds a sideband's levels,
-for the closed form and the exact route alike.
+and out.  Each domain rule is stated here once, next to ``MAX_LEVELS``:
+``check_level`` holds a level, a Laguerre column length or an n_max in
+0..MAX_LEVELS - 1, and ``check_eta`` holds eta finite and >= 0.
+``SidebandId`` and ``TrapParams`` call them, and so do ``fock`` and
+``hamiltonian``, so the closed form and the exact route are bounded alike.
 """
 
 from __future__ import annotations
@@ -15,6 +18,18 @@ from dataclasses import dataclass, replace
 #: Most levels of any basis, the padding of ``hamiltonian.oracle_pad``
 #: included; every sideband level lies below it.
 MAX_LEVELS = 10_000
+
+
+def check_level(name: str, value: int) -> None:
+    """``ValueError`` unless 0 <= value < ``MAX_LEVELS``."""
+    if not 0 <= value < MAX_LEVELS:
+        raise ValueError(f"{name} must be in 0..{MAX_LEVELS - 1}, got {value!r}")
+
+
+def check_eta(eta: float) -> None:
+    """``ValueError`` unless the Lamb-Dicke parameter is finite and >= 0."""
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
 @dataclass(frozen=True)
@@ -30,14 +45,13 @@ class TrapParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("rabi", "eta", "delta"):
+        for name in ("rabi", "delta"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rabi < 0:
             raise ValueError(f"rabi must be nonnegative, got {self.rabi!r}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be nonnegative, got {self.eta!r}")
+        check_eta(self.eta)
 
     def with_delta(self, delta: float) -> TrapParams:
         """Copy of these parameters at a different detuning."""
@@ -53,8 +67,8 @@ class SidebandId:
     n_e: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.n_g < MAX_LEVELS and 0 <= self.n_e < MAX_LEVELS):
-            raise ValueError(f"vibrational quantum numbers must be in 0..{MAX_LEVELS - 1}, got {self}")
+        for level in (self.n_g, self.n_e):
+            check_level("vibrational quantum numbers", level)
 
     @property
     def order(self) -> int:

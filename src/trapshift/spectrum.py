@@ -170,31 +170,38 @@ def _tagged_root(
 
 def _min_pair_gap(
     scan: _DetuningScan, sideband: SidebandId, lo: float, hi: float
-) -> float:
-    """Minimal pair separation in [lo, hi].
+) -> tuple[float, float | None]:
+    """Minimal pair separation in [lo, hi], and where the tagged branches cross
+    there (None where no crossing was sought or found).
 
     Smooth anti-crossing bottoms come out of the parabolic minimizer; when the
     result is consistent with a near-crossing the V-shaped bottom defeats the
     minimizer's relative positioning floor, so the sign change of the tagged
     branch difference is root-found instead and the gap is sampled there.
+    This is the crossing's one root search; below ``GAP_FLOOR_FRACTION``
+    with no crossing in [lo, hi] it raises ``ResonanceWindowError``.
     """
     _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), lo, hi)
-    if gap_min < 1e-6:
-        root = _tagged_root(scan, sideband, lo, hi)
-        if root is not None:
-            gap_min = min(gap_min, scan.pair_gap(root, sideband))
-    return gap_min
+    root = _tagged_root(scan, sideband, lo, hi) if gap_min < 1e-6 else None
+    if root is not None:
+        gap_min = min(gap_min, scan.pair_gap(root, sideband))
+    elif gap_min < GAP_FLOOR_FRACTION:
+        raise ResonanceWindowError(
+            f"tagged branches of {sideband} do not intersect inside "
+            f"the gap bracket [{float(lo)!r}, {float(hi)!r}]"
+        )
+    return gap_min, root
 
 
 def _search_window(
     scan: _DetuningScan, sideband: SidebandId
-) -> tuple[float, tuple[float, float], float]:
+) -> tuple[float, tuple[float, float], float, float | None]:
     """Coarse scan of the pair around delta0 and the minimal gap inside it.
 
     The window is widened until the lower pair branch has an interior
     maximum; of several local minima of the gap, the one nearest delta0 is
     refined.  Returns (window half-width, coarse bracket of that maximum,
-    minimal gap).
+    minimal gap, tagged-branch crossing of ``_min_pair_gap``).
     """
     delta0 = float(sideband.order)
     # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
@@ -225,26 +232,18 @@ def _search_window(
         i_gap = int(np.argmin(gaps))
     g_lo, g_hi = grid[max(i_gap - 1, 0)], grid[min(i_gap + 1, COARSE_POINTS - 1)]
     bracket = (float(grid[i_max - 1]), float(grid[i_max + 1]))
-    return half, bracket, _min_pair_gap(scan, sideband, g_lo, g_hi)
+    gap_min, root = _min_pair_gap(scan, sideband, g_lo, g_hi)
+    return half, bracket, gap_min, root
 
 
 def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, str]:
     """Locate the resonance: returns (delta_star, minimal gap, method).  A
-    decoupled pair is root-found on the window of ``_search_window``, whose
-    interior maximum of min(E_g, E_e) is the crossing of the tagged lines."""
-    delta0 = float(sideband.order)
-    half, (lo, hi), gap_min = _search_window(scan, sideband)
+    decoupled pair's crossing of the tagged lines is root-found once, on the
+    gap bracket by ``_min_pair_gap``, and reported as it is."""
+    _, (lo, hi), gap_min, root = _search_window(scan, sideband)
 
     if gap_min < GAP_FLOOR_FRACTION:
-        lo, hi = delta0 - half, delta0 + half
-        delta_star = _tagged_root(scan, sideband, lo, hi)
-        if delta_star is None:
-            raise ResonanceWindowError(
-                f"tagged branches of {sideband} do not intersect inside "
-                f"[{lo!r}, {hi!r}]"
-            )
-        gap_at = scan.pair_gap(delta_star, sideband)
-        return delta_star, float(min(gap_min, gap_at)), "intersection"
+        return root, gap_min, "intersection"
 
     delta_star = _refine_maximum(lambda d: scan.pair_low(d, sideband), lo, hi)
     if not lo <= delta_star <= hi:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapshift as ts
+from trapshift.params import MAX_LEVELS
 
 
 def _forbid_laguerre_columns(monkeypatch):
@@ -384,6 +386,63 @@ class TestBasisBound:
             ts.oracle_pad(0.1, 10**400)
         with pytest.raises(ValueError, match="basis of 1" + "0" * 399 + "1 levels before padding"):
             check_padded_basis(0.1, 10**400)
+
+
+PARAMS = ts.TrapParams(rabi=0.01, eta=0.1)
+LEVEL_ENTRIES = {
+    "laguerre": lambda n: ts.laguerre(n, 0, 0.1),
+    "chi_magnitude": lambda n: ts.chi_magnitude(n, n, 0.1),
+    "chi": lambda n: ts.chi(n, n, 0.1),
+    "rabi_coupling": lambda n: ts.rabi_coupling(n, n, PARAMS),
+    "bare_energy": lambda n: ts.bare_energy("g", n, PARAMS),
+    "SidebandId-n_g": lambda n: ts.SidebandId(n, 0),
+    "SidebandId-n_e": lambda n: ts.SidebandId(0, n),
+}
+BASIS_ENTRIES = {
+    "coupling_table": lambda n_max: ts.coupling_table(0.1, n_max),
+    "displacement_oracle": lambda n_max: ts.displacement_oracle(0.1, n_max),
+    "build_hamiltonian": lambda n_max: ts.build_hamiltonian(PARAMS, n_max),
+}
+ETA_ENTRIES = {
+    "chi_magnitude": lambda eta: ts.chi_magnitude(0, 1, eta),
+    "chi": lambda eta: ts.chi(0, 1, eta),
+    "coupling_table": lambda eta: ts.coupling_table(eta, 4),
+    "displacement_oracle": lambda eta: ts.displacement_oracle(eta, 4),
+    "TrapParams": lambda eta: ts.TrapParams(rabi=0.01, eta=eta),
+}
+LEVEL_RULE = f"must be in 0..{MAX_LEVELS - 1}, got "
+DOMAIN_CASES = [
+    *(pytest.param(call, n, LEVEL_RULE + str(n), id=f"{name}-{n}")
+      for name, call in LEVEL_ENTRIES.items() for n in (-1, MAX_LEVELS)),
+    *(pytest.param(call, -1, LEVEL_RULE + "-1", id=f"{name}--1") for name, call in BASIS_ENTRIES.items()),
+    *(pytest.param(call, MAX_LEVELS, f"basis of {MAX_LEVELS + 1} levels before padding", id=f"{name}-{MAX_LEVELS}")
+      for name, call in BASIS_ENTRIES.items()),
+    *(pytest.param(call, eta, f"eta must be finite and >= 0, got {eta!r}", id=f"{name}-eta-{eta!r}")
+      for name, call in ETA_ENTRIES.items() for eta in (-0.1, math.nan, math.inf)),
+    # the greater index enters lgamma as hi + 1.0, which counts integers only below 2**53
+    pytest.param(lambda n: ts.chi_magnitude(0, n, 0.1), 10**400, "max(n, nprime) must be below 2**53",
+                 id="chi_magnitude-nprime-10**400"),
+    pytest.param(lambda n: ts.chi_magnitude(n, 9, 0.1), 2**53, "max(n, nprime) must be below 2**53",
+                 id="chi_magnitude-n-2**53"),
+]
+
+
+class TestDomainRules:
+    """Every public entry holds levels and eta to the rules of ``params``."""
+
+    @pytest.mark.parametrize(("call", "value", "message"), DOMAIN_CASES)
+    def test_rejected_before_anything_is_built(self, call, value, message, monkeypatch):
+        from trapshift import hamiltonian
+
+        # any array made in hamiltonian now fails with NameError, any column
+        # with AssertionError
+        monkeypatch.delattr(hamiltonian, "np")
+        _forbid_laguerre_columns(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+
+    def test_greater_index_accepted_below_2_53(self):
+        assert ts.chi_magnitude(0, 2**53 - 1, 0.1) == 0.0
 
 
 class TestDefaultNMax:

@@ -253,6 +253,24 @@ def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
     assert len(swept.branches) == 18
 
 
+def test_decoupled_crossing_is_root_found_once_per_basis(monkeypatch):
+    # the gap search root-finds the tagged crossing, and _locate reports that
+    # root instead of searching the whole window again
+    sideband = ts.SidebandId(1, 0)
+    bases = []
+    root = spectrum._tagged_root
+
+    def recording(scan, *args):
+        bases.append(scan.nb)
+        return root(scan, *args)
+
+    monkeypatch.setattr(spectrum, "_tagged_root", recording)
+    report = ts.find_resonance(sideband, ts.TrapParams(rabi=0.01, eta=0.0))
+    assert report.method == "intersection" and report.converged
+    n_used, n_doubled = spectrum.check_bases(sideband, None, 0.0)
+    assert bases == [n_used + 1, n_doubled + 1]
+
+
 SWEEP_PARAMS = ts.TrapParams(rabi=0.3, eta=0.4)
 SWEEP_GRID = np.linspace(-2.5, 2.5, 101)
 SWEEP_N_MAX = ts.default_n_max(ts.SidebandId(0, 3), 0.4)  # the sweep command's defaults
@@ -289,6 +307,14 @@ class TestLocatorFallbacks:
             - scan.pair_low(report.delta_star - h, SB01)
         ) / (2.0 * h)
         assert abs(slope) <= 1e-7
+
+    def test_decoupled_pair_without_a_crossing_in_the_gap_bracket(self, monkeypatch):
+        # forced: a closed gap whose bracket holds no sign change of the
+        # tagged difference leaves _locate no crossing to report
+        monkeypatch.setattr(spectrum, "_refine_minimum", lambda fun, lo, hi: (lo, 0.0))
+        monkeypatch.setattr(spectrum, "_tagged_root", lambda *args: None)
+        with pytest.raises(ts.ResonanceWindowError, match="inside the gap bracket"):
+            ts.find_resonance(ts.SidebandId(1, 0), ts.TrapParams(rabi=0.01, eta=0.0))
 
     def test_window_escalation_exhausted(self):
         with pytest.raises(ts.ResonanceWindowError, match="after escalation"):
