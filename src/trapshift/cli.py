@@ -11,8 +11,10 @@ Subcommands::
 Frequencies are written ``2pi*<value><unit>`` (angular) or ``<value><unit>``
 (ordinary); bare numbers are dimensionless multiples of the trap frequency.
 The library works in units of omega_t; physical units exist only here, where
-they scale inputs and outputs.  Exit codes: 0 ok, 2 invalid configuration,
-3 numeric failure or non-convergence, 4 failed self-check.
+they scale inputs and outputs.  ``shift`` and ``scan-eta`` ask here for the
+comparisons they print beside ``bs_shift`` (``_comparisons``, ``ISOLATION_RATIO``).
+Exit codes: 0 ok, 2 invalid configuration, 3 numeric failure or
+non-convergence, 4 failed self-check.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import TrapshiftError
 from .fock import rabi_coupling
 from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
 from .params import SidebandId, TrapParams
-from .resolvent import bs_shift, eta_zero_shift
+from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, eta_zero_shift
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
@@ -47,6 +49,10 @@ EXIT_CHECK = 4
 
 #: Most rows one command may emit; checked before anything is allocated.
 MAX_ROWS = 100_000
+
+#: Splitting-to-trap-frequency ratio above which the two-state reduction of a
+#: resonance is no longer well isolated from its neighbours.
+ISOLATION_RATIO = 0.1
 
 _FREQ_RE = re.compile(r"^\s*(?P<twopi>2pi\*)?\s*(?P<value>[^a-df-zA-DF-Z\s]+)\s*(?P<unit>GHz|MHz|kHz|Hz)?\s*$")
 _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
@@ -267,6 +273,17 @@ def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport)
     )
 
 
+def _comparisons(sideband: SidebandId, params: TrapParams) -> tuple:
+    """(carrier_term, sideband_term, shift_ld, shift_lit) printed beside the
+    closed form: no Lamb-Dicke terms for a carrier, a literature value for the
+    first red sideband (1,0) only, and shift_ld = carrier_term + sideband_term."""
+    if sideband.is_carrier:
+        return None, None, None, None
+    carrier_term, sideband_term = bs_shift_ld(sideband, params)
+    shift_lit = bs_shift_literature(params) if (sideband.n_g, sideband.n_e) == (1, 0) else None
+    return carrier_term, sideband_term, carrier_term + sideband_term, shift_lit
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -275,10 +292,12 @@ def cmd_shift(args: argparse.Namespace) -> int:
     sideband = _sideband(args)
     check_bases(sideband, args.nmax, params.eta)
 
+    # every closed-form column before any eigensolve, so an overflow exits 3 first
     pert = bs_shift(sideband, params)
-    report = find_resonance(sideband, params, n_max=args.nmax)
-    gap_expected = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
+    carrier_term, sideband_term, shift_ld, shift_lit = _comparisons(sideband, params)
     shift_eta0 = None if sideband.is_carrier else eta_zero_shift(sideband, params)
+    gap_coupling = abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
+    report = find_resonance(sideband, params, n_max=args.nmax)
 
     columns = [
         "n_g", "n_e", "delta0", "shift_full", "carrier_term", "sideband_term",
@@ -288,10 +307,10 @@ def cmd_shift(args: argparse.Namespace) -> int:
     ]
     row = [
         sideband.n_g, sideband.n_e, report.delta0, pert.delta_omega_full,
-        pert.carrier_term, pert.sideband_term, pert.delta_omega_ld,
-        pert.delta_omega_lit, shift_eta0, report.delta_omega, report.delta_star,
-        report.gap, 0.5 * report.gap, gap_expected, report.method,
-        report.n_max_used, report.converged, pert.well_isolated,
+        carrier_term, sideband_term, shift_ld, shift_lit, shift_eta0,
+        report.delta_omega, report.delta_star, report.gap, 0.5 * report.gap,
+        gap_coupling, report.method, report.n_max_used, report.converged,
+        0.5 * gap_coupling <= ISOLATION_RATIO,
     ]
     if omega_phys is not None:
         columns += ["shift_full_hz", "shift_exact_hz", "gap_hz"]
@@ -366,15 +385,13 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
     all_converged = True
     for eta in np.linspace(lo, hi, points):
         params = TrapParams(rabi=rabi_value, eta=float(eta))
-        pert = bs_shift(sideband, params)
+        shift_full = bs_shift(sideband, params).delta_omega_full
+        _, _, shift_ld, shift_lit = _comparisons(sideband, params)
         report = find_resonance(sideband, params, n_max=args.nmax)
         if not report.converged:
             _report_not_converged(sideband, params.eta, report)
             all_converged = False
-        rows.append([
-            float(eta), report.delta_omega, pert.delta_omega_full,
-            pert.delta_omega_ld, pert.delta_omega_lit,
-        ])
+        rows.append([float(eta), report.delta_omega, shift_full, shift_ld, shift_lit])
     config = {
         "command": "scan-eta", "rabi_over_omega_t": rabi_value,
         "n_g": sideband.n_g, "n_e": sideband.n_e,

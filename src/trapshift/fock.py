@@ -66,6 +66,8 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     lesser index, the length of the Laguerre column, is bounded below
     ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta,
     and is bounded below 2**53, past which hi + 1.0 no longer counts integers.
+    Raises ``OverflowError`` when the Laguerre factor leaves double precision
+    (its product with an underflowed prefactor would be nan).
     """
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
@@ -74,12 +76,20 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     check_eta(eta)
     d = hi - lo
     x = eta * eta
-    return (
+    m = (
         math.exp(-0.5 * x)
         * eta**d
         * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
         * _laguerre_column(lo, float(d), x)[-1]
     )
+    if not math.isfinite(m):
+        raise _laguerre_overflow(n, nprime, eta)
+    return m
+
+
+def _laguerre_overflow(n: int, nprime: int, eta: float) -> OverflowError:
+    """The error of a chi_{nn'} whose Laguerre factor left double precision."""
+    return OverflowError(f"the Laguerre factor of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
 
 
 def chi(n: int, nprime: int, eta: float) -> complex:

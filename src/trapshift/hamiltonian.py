@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _laguerre_column
+from .fock import PHASES, _laguerre_column, _laguerre_overflow
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
 
 GROUND = "g"
@@ -52,7 +52,8 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
     distance d; each entry is the same product, in the same order and bit for
     bit, as ``chi(n, n', eta)`` and the terms of the closed-form sums.
     ``check_padded_basis`` bounds n_max before any column, log(k!) list or
-    table is built.
+    table is built.  Raises ``OverflowError``, as ``chi`` does, where a
+    Laguerre factor leaves double precision.
     """
     check_padded_basis(eta, n_max)
     x = eta * eta
@@ -68,6 +69,9 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
         idx = np.arange(n_max + 1 - d)
         entries[idx, idx + d] = column
         entries[idx + d, idx] = column
+    if not np.isfinite(entries).all():
+        n, nprime = np.argwhere(~np.isfinite(entries))[0]
+        raise _laguerre_overflow(int(n), int(nprime), eta)
     return entries
 
 

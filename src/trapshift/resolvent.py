@@ -15,9 +15,9 @@ collapses, with Omega_R and delta_omega in units of the trap frequency, to
                                     - sum_{k != n_e} |chi_{n_g,k}|^2/(n_e - k) ]
 
 valid at all eta for weak drive.  ``bs_shift`` runs each sum once and returns
-R_gg, R_ee, delta_omega and a bound on the terms left out.  The
-quadratic-in-eta expansion and the superseded first-red-sideband literature
-formula are provided alongside for comparison plots.
+only what that pass computes: R_gg, R_ee, delta_omega and a bound on the terms
+left out.  The quadratic-in-eta expansion ``bs_shift_ld`` and the superseded
+first-red-sideband literature formula are separate calls that ``cli`` prints.
 """
 
 from __future__ import annotations
@@ -38,35 +38,21 @@ PERTURBATIVE_RATIO_LIMIT = 0.1
 #: of the accumulated magnitude.
 TERM_CUTOFF = 1e-16
 
-#: Splitting-to-trap-frequency ratio above which the two-state reduction of a
-#: resonance is no longer well isolated from its neighbours.
-ISOLATION_RATIO = 0.1
-
 
 @dataclass(frozen=True)
 class PerturbativeShift:
-    """Resonance shift of one sideband, with its level shifts and its
-    Lamb-Dicke decomposition.
+    """Resonance shift of one sideband and the level shifts it is made of.
 
     ``delta_omega_full`` = ``r_ee`` - ``r_gg`` is the all-order-in-eta sum,
     ``k_max_used`` the largest k it retained and ``tail_bound`` a bound on
-    every term it left out; ``delta_omega_ld`` its expansion to quadratic
-    order, split into the off-resonant carrier part and the adjacent-sideband
-    part; ``delta_omega_lit`` the earlier literature result, defined for the
-    first red sideband only.  Fields are None where a quantity is not defined
-    for the requested sideband or not computed by the function returning it.
+    every term it left out.
     """
 
-    delta_omega_full: float | None
-    r_gg: float | None = None
-    r_ee: float | None = None
-    k_max_used: int | None = None
-    tail_bound: float | None = None
-    carrier_term: float | None = None
-    sideband_term: float | None = None
-    delta_omega_ld: float | None = None
-    delta_omega_lit: float | None = None
-    well_isolated: bool | None = None
+    delta_omega_full: float
+    r_gg: float
+    r_ee: float
+    k_max_used: int
+    tail_bound: float
 
 
 def _warn_outside_regime(params: TrapParams) -> None:
@@ -193,44 +179,29 @@ def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     is (Omega_R/2)^2 times both sums' ``_tail_bound``.
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
-    ``PERTURBATIVE_RATIO_LIMIT``; ``well_isolated`` only flags a large splitting.
+    ``PERTURBATIVE_RATIO_LIMIT``.
     """
     _warn_outside_regime(params)
     n_g, n_e, eta = sideband.n_g, sideband.n_e, params.eta
     s_ee, k_ee, d_ee = _sum_terms(n_e, n_g, eta)
     s_gg, k_gg, d_gg = _sum_terms(n_g, n_e, eta)
-    shift = params.rabi**2 / 4.0 * (s_ee - s_gg)
     half_sq = (0.5 * params.rabi) ** 2
-    tail = _tail_bound(eta, n_g, d_gg) + _tail_bound(eta, n_e, d_ee)
-
-    isolated = splitting_half(sideband, params) <= ISOLATION_RATIO
-    carrier_term = sideband_term = delta_ld = delta_lit = None
-    if not sideband.is_carrier:
-        ld = bs_shift_ld(sideband, params)
-        carrier_term, sideband_term = ld.carrier_term, ld.sideband_term
-        delta_ld = ld.delta_omega_ld
-        if (n_g, n_e) == (1, 0):
-            delta_lit = bs_shift_literature(params)
     return PerturbativeShift(
-        delta_omega_full=shift,
+        delta_omega_full=params.rabi**2 / 4.0 * (s_ee - s_gg),
         r_gg=half_sq * s_gg,
         r_ee=half_sq * s_ee,
         k_max_used=max(k_gg, k_ee),
-        tail_bound=half_sq * tail,
-        carrier_term=carrier_term,
-        sideband_term=sideband_term,
-        delta_omega_ld=delta_ld,
-        delta_omega_lit=delta_lit,
-        well_isolated=isolated,
+        tail_bound=half_sq * (_tail_bound(eta, n_g, d_gg) + _tail_bound(eta, n_e, d_ee)),
     )
 
 
 level_shift_diag = bs_shift  # not a second entry; trapbench traces this name
 
 
-def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
-    """Shift to quadratic order in eta: off-resonant carrier part plus the
-    adjacent-sideband part.  Defined for n_g != n_e only."""
+def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> tuple[float, float]:
+    """Shift to quadratic order in eta as (carrier_term, sideband_term): the
+    off-resonant carrier part and the adjacent-sideband part, whose sum is
+    the expansion.  Defined for n_g != n_e only."""
     if sideband.is_carrier:
         raise ValueError(
             "the Lamb-Dicke expansion is valid only for n_g != n_e; "
@@ -243,13 +214,7 @@ def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     sideband_sum = sum(
         weight / (n_g - n_e + k) for k in (+1, -1) if n_g - n_e + k != 0
     )
-    sideband_term = eta2 * params.rabi**2 / 4.0 * sideband_sum
-    return PerturbativeShift(
-        delta_omega_full=None,
-        carrier_term=carrier_term,
-        sideband_term=sideband_term,
-        delta_omega_ld=carrier_term + sideband_term,
-    )
+    return carrier_term, eta2 * params.rabi**2 / 4.0 * sideband_sum
 
 
 def bs_shift_literature(params: TrapParams) -> float:

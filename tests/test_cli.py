@@ -15,6 +15,10 @@ from trapshift import cli
 from trapshift.params import MAX_LEVELS
 
 
+P01 = ts.TrapParams(rabi=0.01, eta=0.1)
+SB10 = ts.SidebandId(1, 0)
+
+
 def run_cli(args, capsys=None):
     code = cli.main(args)
     return code
@@ -86,7 +90,72 @@ class TestFrequencyParsing:
         assert 0.04 < eta < 0.09
 
 
+def shift_record(flags, capsys):
+    """The one CSV row of ``shift`` with these space-separated flags, keyed by column."""
+    assert cli.main(["shift", *flags.split()]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+# The closed-form columns of shift, byte for byte; the exact-route columns are
+# left out, since their last digits depend on the BLAS build.
+SHIFT_CLOSED_COLUMNS = (
+    "shift_full", "carrier_term", "sideband_term", "shift_ld", "shift_lit",
+    "shift_eta0", "gap_coupling", "well_isolated",
+)
+FROZEN_SHIFT_ROWS = [
+    ("--ng 1 --ne 0 --rabi 0.01 --eta 0.1",
+     "4.925497922902111e-05,4.9e-05,2.5000000000000004e-07,4.925e-05,5.025e-05,5e-05,"
+     "0.0009950124791926823,true"),
+    ("--ng 0 --ne 1 --rabi 0.01 --eta 0.1",
+     "-4.925497922902111e-05,-4.9e-05,-2.5000000000000004e-07,-4.925e-05,,-5e-05,"
+     "0.0009950124791926823,true"),
+    ("--ng 2 --ne 2 --rabi 0.5 --eta 0.1", "0.0,,,,,,0.4875809901163942,false"),
+    ("--ng 0 --ne 1 --trap-freq 2pi*1.36MHz --rabi 2pi*53kHz --eta 0.083",
+     "-0.0007515425300218404,-0.00074889100291955,-2.615592695717993e-06,-0.000751506595615268,,"
+     "-0.0007593533737024219,0.0032234365519906764,true"),
+]
+# (eta, shift_full, shift_ld, shift_lit) of scan-eta over eta 0 and 0.1 at rabi 0.01
+FROZEN_SCAN_ROWS = [
+    ("1", "0", ["0.0,5e-05,5e-05,5e-05", "0.1,4.925497922902111e-05,4.925e-05,5.025e-05"]),
+    ("0", "1", ["0.0,-5e-05,-5e-05,", "0.1,-4.925497922902111e-05,-4.925e-05,"]),
+]
+
+
 class TestShiftCommand:
+    @pytest.mark.parametrize("flags, frozen", FROZEN_SHIFT_ROWS)
+    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    def test_closed_form_columns_frozen(self, flags, frozen, capsys):
+        record = shift_record(flags, capsys)
+        assert ",".join(record[c] for c in SHIFT_CLOSED_COLUMNS) == frozen
+
+    def test_isolation_flag(self, capsys):
+        # carrier coupling rabi * chi_11 / 2 = 0.246 exceeds the 0.1 threshold
+        with pytest.warns(ts.PerturbativeRegimeWarning):
+            record = shift_record("--ng 1 --ne 1 --rabi 0.5 --eta 0.1", capsys)
+        assert record["well_isolated"] == "false"
+        record = shift_record("--ng 1 --ne 0 --rabi 0.01 --eta 0.1", capsys)
+        assert record["well_isolated"] == "true"
+
+    def test_isolation_uses_the_splitting_magnitude(self, capsys):
+        # chi_11 is negative at eta = 1.2, and |R_ge| = 0.107 exceeds 0.1
+        params = ts.TrapParams(rabi=1.0, eta=1.2)
+        assert ts.splitting_half(ts.SidebandId(1, 1), params) == pytest.approx(0.10709, abs=1e-5)
+        with pytest.warns(ts.PerturbativeRegimeWarning):
+            record = shift_record("--ng 1 --ne 1 --rabi 1.0 --eta 1.2", capsys)
+        assert record["well_isolated"] == "false"
+        assert 0.5 * float(record["gap_coupling"]) > cli.ISOLATION_RATIO
+
+    def test_embeds_ld_and_literature(self, capsys):
+        red = shift_record("--ng 1 --ne 0 --rabi 0.01 --eta 0.1", capsys)
+        carrier_term, sideband_term = ts.bs_shift_ld(SB10, P01)
+        assert red["carrier_term"] == repr(carrier_term)
+        assert red["sideband_term"] == repr(sideband_term)
+        assert red["shift_ld"] == repr(carrier_term + sideband_term)
+        assert red["shift_lit"] == repr(ts.bs_shift_literature(P01))
+        blue = shift_record("--ng 0 --ne 1 --rabi 0.01 --eta 0.1", capsys)
+        assert blue["shift_lit"] == ""
+
     def test_physical_calibration_run(self, tmp_path):
         out = tmp_path / "shift.csv"
         code = cli.main([
@@ -323,6 +392,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: the inputs overflow double precision")
         assert "Traceback" not in err
+
+    def test_overflowing_coupling_exits_three_before_any_eigensolve(self, monkeypatch, capsys):
+        # bs_shift is finite at (3000, 6000), but the gap_coupling column,
+        # chi_{3000,6000} at eta 0.1, overflows; the exact route would
+        # diagonalize on n_max 6032
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an eigensolve was reached")
+
+        monkeypatch.setattr(cli, "find_resonance", unreachable)
+        argv = ["shift", "--ng", "3000", "--ne", "6000", "--rabi", "0.01", "--eta", "0.1"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the inputs overflow double precision "
+            "(the Laguerre factor of chi_{3000,6000} at eta = 0.1 overflows)\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["shift", "--ng", "0", "--ne", "1", "--rabi", "2pi*1kHz", "--trap-freq", "0Hz", "--eta", "0.1"],
@@ -651,6 +737,18 @@ class TestScanEtaCommand:
             assert record["shift_ld"] - record["shift_lit"] == pytest.approx(
                 target, abs=1e-16
             )
+
+    @pytest.mark.parametrize("ng, ne, frozen", FROZEN_SCAN_ROWS)
+    def test_closed_form_columns_frozen(self, ng, ne, frozen, capsys):
+        argv = [
+            "scan-eta", "--ng", ng, "--ne", ne, "--rabi", "0.01",
+            "--eta-min", "0", "--eta-max", "0.1", "--points", "2",
+        ]
+        assert cli.main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        records = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        columns = ("eta", "shift_full", "shift_ld", "shift_lit")
+        assert [",".join(r[c] for c in columns) for r in records] == frozen
 
     def test_rejects_carrier(self, capsys):
         assert cli.main(["scan-eta", "--ng", "1", "--ne", "1", "--points", "3"]) == 2

@@ -170,6 +170,15 @@ class TestChi:
         with pytest.raises(ValueError):
             ts.chi(0, 1, -0.1)
 
+    @pytest.mark.parametrize("n, nprime", [(3000, 6000), (6000, 3000), (9999, 20000), (100, 10**6)])
+    def test_overflowing_laguerre_factor_raises(self, n, nprime):
+        # L_lo^d(eta^2) overflows while eta^d sqrt(lo!/hi!) underflows, whose
+        # product would be nan
+        with pytest.raises(OverflowError, match=rf"chi_\{{{n},{nprime}\}} at eta = 0\.1 overflows"):
+            ts.chi_magnitude(n, nprime, 0.1)
+        with pytest.raises(OverflowError):
+            ts.chi(n, nprime, 0.1)
+
 
 class TestRabiCoupling:
     def test_zero_field(self):
@@ -232,6 +241,13 @@ class TestCouplingTable:
         entries = ts.coupling_table(0.8, 200)
         assert np.all(np.isfinite(entries))
         assert np.abs(entries).max() <= 1.0 + 1e-12
+
+    def test_overflowing_laguerre_factor_raises(self):
+        # 37 036 entries of this table would be nan; the first is named
+        with pytest.raises(OverflowError, match=r"chi_\{378,1099\} at eta = 0\.1 overflows"):
+            ts.coupling_table(0.1, 1100)
+        with pytest.raises(OverflowError):
+            ts.chi_magnitude(378, 1099, 0.1)
 
 
 class TestDisplacementOracle:

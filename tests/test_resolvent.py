@@ -1,5 +1,6 @@
 """Closed-form shift pipeline: level-shift elements, their tail bound and the three formulas."""
 
+import dataclasses
 import math
 import warnings
 
@@ -272,36 +273,43 @@ class TestBsShift:
         assert 900.0 <= hz <= 1100.0
         assert 5e-4 <= abs(shift) <= 2e-3
 
-    def test_isolation_flag(self):
-        # carrier coupling rabi * chi_11 / 2 = 0.246 exceeds the 0.1 threshold
-        params = ts.TrapParams(rabi=0.5, eta=0.1)
-        with pytest.warns(ts.PerturbativeRegimeWarning):
-            result = ts.bs_shift(ts.SidebandId(1, 1), params)
-        assert not result.well_isolated
-        assert ts.bs_shift(SB10, P01).well_isolated
+    def test_returns_its_five_sums_only(self):
+        fields = dataclasses.fields(ts.PerturbativeShift)
+        assert [f.name for f in fields] == [
+            "delta_omega_full", "r_gg", "r_ee", "k_max_used", "tail_bound",
+        ]
+        assert all(f.default is dataclasses.MISSING and "None" not in str(f.type) for f in fields)
 
-    def test_isolation_uses_the_splitting_magnitude(self):
-        # chi_11 is negative at eta = 1.2, and |R_ge| = 0.107 exceeds 0.1
-        params = ts.TrapParams(rabi=1.0, eta=1.2)
-        carrier = ts.SidebandId(1, 1)
-        assert ts.splitting_half(carrier, params) == pytest.approx(0.10709, abs=1e-5)
-        with pytest.warns(ts.PerturbativeRegimeWarning):
-            result = ts.bs_shift(carrier, params)
-        assert not result.well_isolated
+    def test_asks_for_no_comparison(self, monkeypatch):
+        # the Lamb-Dicke terms, the literature formula and the splitting are
+        # the command line's columns; bs_shift runs its two sums alone
+        def unreachable(*args, **kwargs):
+            raise AssertionError("bs_shift computed a comparison")
 
-    def test_embeds_ld_and_literature(self):
-        full = ts.bs_shift(SB10, P01)
-        assert full.delta_omega_ld == ts.bs_shift_ld(SB10, P01).delta_omega_ld
-        assert full.delta_omega_lit == ts.bs_shift_literature(P01)
-        blue = ts.bs_shift(SB01, P01)
-        assert blue.delta_omega_lit is None
+        sidebands = (SB10, SB01, ts.SidebandId(2, 2))
+        expected = [ts.bs_shift(sideband, P01) for sideband in sidebands]
+        for name in ("bs_shift_ld", "bs_shift_literature", "splitting_half", "rabi_coupling"):
+            monkeypatch.setattr(resolvent, name, unreachable)
+        assert [ts.bs_shift(sideband, P01) for sideband in sidebands] == expected
+
+    def test_far_pair_whose_coupling_overflows_is_finite(self):
+        # chi_{3000,6000} at eta 0.1 leaves double precision, but neither sum
+        # reaches the other level: the shift is the two sums, bit for bit
+        sideband, params = ts.SidebandId(3000, 6000), ts.TrapParams(rabi=0.01, eta=0.1)
+        s_ee = resolvent._sum_terms(6000, 3000, 0.1)[0]
+        s_gg = resolvent._sum_terms(3000, 6000, 0.1)[0]
+        result = ts.bs_shift(sideband, params)
+        assert math.isfinite(result.delta_omega_full) and math.isfinite(result.tail_bound)
+        assert result.delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg)
+        with pytest.raises(OverflowError):
+            ts.splitting_half(sideband, params)
 
 
 class TestRegimeWarning:
     """The closed-form sums, not TrapParams, judge the perturbative regime."""
 
     def test_warning_names_the_caller(self):
-        # |R_ge| = 0.148 exceeds ISOLATION_RATIO; that adds no second warning
+        # |R_ge| = 0.148 exceeds cli.ISOLATION_RATIO; that adds no second warning
         carrier = ts.SidebandId(1, 1)
         params = ts.TrapParams(rabi=0.3, eta=0.1)
         with warnings.catch_warnings(record=True) as caught:
@@ -321,38 +329,27 @@ class TestBsShiftLd:
     def test_first_red_formula(self):
         eta, rabi = 0.1, 0.01
         params = ts.TrapParams(rabi=rabi, eta=eta)
-        result = ts.bs_shift_ld(SB10, params)
+        carrier_term, sideband_term = ts.bs_shift_ld(SB10, params)
         expected_carrier = rabi**2 / 2.0 * (1.0 - 2.0 * eta**2)
         expected_side = eta**2 * rabi**2 / 4.0
-        assert result.carrier_term == pytest.approx(expected_carrier, rel=1e-15)
-        assert result.sideband_term == pytest.approx(expected_side, rel=1e-15)
-        assert result.delta_omega_ld == result.carrier_term + result.sideband_term
+        assert carrier_term == pytest.approx(expected_carrier, rel=1e-15)
+        assert sideband_term == pytest.approx(expected_side, rel=1e-15)
 
     def test_first_blue_frozen(self):
-        result = ts.bs_shift_ld(SB01, P01)
-        assert result.delta_omega_ld == pytest.approx(-4.925e-5, rel=1e-12)
+        assert sum(ts.bs_shift_ld(SB01, P01)) == pytest.approx(-4.925e-5, rel=1e-12)
 
     def test_eta_zero_collapses(self):
         params = ts.TrapParams(rabi=0.01, eta=0.0)
         for pair in [(0, 1), (0, 2), (2, 1)]:
             sb = ts.SidebandId(*pair)
             expected = 0.01**2 / (2.0 * (sb.n_g - sb.n_e))
-            assert ts.bs_shift_ld(sb, params).delta_omega_ld == pytest.approx(
+            assert sum(ts.bs_shift_ld(sb, params)) == pytest.approx(
                 expected, rel=1e-15
             )
 
     def test_carrier_rejected(self):
         with pytest.raises(ValueError):
             ts.bs_shift_ld(ts.SidebandId(2, 2), P01)
-
-    def test_leaves_unset_what_it_does_not_compute(self):
-        # |R_ge| = 0.199 > ISOLATION_RATIO, which only bs_shift checks
-        params = ts.TrapParams(rabi=0.9, eta=0.5)
-        ld = ts.bs_shift_ld(SB10, params)
-        assert ld.well_isolated is None
-        assert (ld.delta_omega_full, ld.r_gg, ld.r_ee, ld.k_max_used, ld.tail_bound) == (None,) * 5
-        with pytest.warns(ts.PerturbativeRegimeWarning):
-            assert ts.bs_shift(SB10, params).well_isolated is False
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
     def test_remainder_is_quartic(self, pair):
@@ -362,7 +359,7 @@ class TestBsShiftLd:
             params = ts.TrapParams(rabi=0.01, eta=eta)
             return abs(
                 ts.bs_shift(sb, params).delta_omega_full
-                - ts.bs_shift_ld(sb, params).delta_omega_ld
+                - sum(ts.bs_shift_ld(sb, params))
             )
         ratio = remainder(0.1) / remainder(0.05)
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
@@ -371,7 +368,7 @@ class TestBsShiftLd:
 class TestLiteratureFormula:
     def test_agrees_with_ld_at_eta_zero(self):
         params = ts.TrapParams(rabi=0.01, eta=0.0)
-        assert ts.bs_shift_literature(params) == ts.bs_shift_ld(SB10, params).delta_omega_ld
+        assert ts.bs_shift_literature(params) == sum(ts.bs_shift_ld(SB10, params))
 
     def test_frozen_value(self):
         assert ts.bs_shift_literature(P01) == pytest.approx(5.025e-5, rel=1e-12)
@@ -379,7 +376,7 @@ class TestLiteratureFormula:
     @pytest.mark.parametrize("eta", [0.0, 0.05, 0.1, 0.2, 0.3])
     def test_discrepancy_is_exactly_quadratic(self, eta):
         params = ts.TrapParams(rabi=0.01, eta=eta)
-        diff = ts.bs_shift_ld(SB10, params).delta_omega_ld - ts.bs_shift_literature(params)
+        diff = sum(ts.bs_shift_ld(SB10, params)) - ts.bs_shift_literature(params)
         target = -(eta**2) * 0.01**2
         assert abs(diff - target) <= 1e-12 * max(abs(target), 1e-30)
 
