@@ -12,7 +12,9 @@ Frequencies are written ``2pi*<value><unit>`` (angular) or ``<value><unit>``
 (ordinary); bare numbers are dimensionless multiples of the trap frequency.
 The library works in units of omega_t; physical units exist only here, where
 they scale inputs and outputs.  ``shift`` and ``scan-eta`` ask here for the
-comparisons they print beside ``bs_shift`` (``_comparisons``, ``ISOLATION_RATIO``).
+comparisons they print beside ``bs_shift`` (``_comparisons``); the one regime
+signal is the closed form's ``PerturbativeRegimeWarning``.  ``check`` records
+each threshold as written.
 Exit codes: 0 ok, 2 invalid configuration, 3 numeric failure or
 non-convergence, 4 failed self-check.
 """
@@ -50,10 +52,6 @@ EXIT_CHECK = 4
 #: Most rows one command may emit; checked before anything is allocated.
 MAX_ROWS = 100_000
 
-#: Splitting-to-trap-frequency ratio above which the two-state reduction of a
-#: resonance is no longer well isolated from its neighbours.
-ISOLATION_RATIO = 0.1
-
 _FREQ_RE = re.compile(r"^\s*(?P<twopi>2pi\*)?\s*(?P<value>[^a-df-zA-DF-Z\s]+)\s*(?P<unit>GHz|MHz|kHz|Hz)?\s*$")
 _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 
@@ -63,7 +61,6 @@ _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 SWEEP_DEFAULTS = {"rabi": "0.3", "delta_min": -2.5, "delta_max": 2.5, "points": 101, "levels": 4}
 SCAN_DEFAULTS = {"rabi": "0.01", "eta_min": 0.0, "eta_max": 0.5, "points": 26, "ng": 1, "ne": 0}
 SIDEBAND_DEFAULTS = {"trap_freq": "2pi*1.36MHz", "rabi": "2pi*53kHz", "max_order": 2, "max_n": 3}
-CHECK_DEFAULTS = {"tol_scale": 1.0}
 
 
 class ConfigError(ValueError):
@@ -303,14 +300,12 @@ def cmd_shift(args: argparse.Namespace) -> int:
         "n_g", "n_e", "delta0", "shift_full", "carrier_term", "sideband_term",
         "shift_ld", "shift_lit", "shift_eta0", "shift_exact", "delta_star",
         "gap", "gap_half", "gap_coupling", "method", "n_max_used", "converged",
-        "well_isolated",
     ]
     row = [
         sideband.n_g, sideband.n_e, report.delta0, pert.delta_omega_full,
         carrier_term, sideband_term, shift_ld, shift_lit, shift_eta0,
         report.delta_omega, report.delta_star, report.gap, 0.5 * report.gap,
         gap_coupling, report.method, report.n_max_used, report.converged,
-        0.5 * gap_coupling <= ISOLATION_RATIO,
     ]
     if omega_phys is not None:
         columns += ["shift_full_hz", "shift_exact_hz", "gap_hz"]
@@ -428,16 +423,14 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_checks(tol_scale: float = 1.0) -> list[tuple[str, float, float, bool]]:
+def run_checks() -> list[tuple[str, float, float, bool]]:
     """The self-test battery behind ``trapshift check``.
 
-    Each entry is (name, measured, threshold, passed); thresholds scale with
-    ``tol_scale`` so margins can be probed.
+    Each entry is (name, measured, threshold, passed).
     """
     results: list[tuple[str, float, float, bool]] = []
 
     def record(name: str, measured: float, threshold: float) -> None:
-        threshold *= tol_scale
         results.append((name, measured, threshold, measured <= threshold))
 
     table = coupling_table(0.4, 12)
@@ -486,15 +479,13 @@ def run_checks(tol_scale: float = 1.0) -> list[tuple[str, float, float, bool]]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.tol_scale <= 0:
-        raise ConfigError("--tol-scale must be positive")
-    results = run_checks(args.tol_scale)
+    results = run_checks()
     columns = ["check", "measured", "threshold", "status"]
     rows = [
         [name, measured, threshold, "pass" if ok else "FAIL"]
         for name, measured, threshold, ok in results
     ]
-    config = {"command": "check", "tol_scale": args.tol_scale}
+    config = {"command": "check"}
     write_output(config, columns, rows, args.format, args.out)
     failed = [name for name, _, _, ok in results if not ok]
     if failed:
@@ -526,7 +517,6 @@ _OPTIONS = {
     "eta_max": {"type": finite_float, "help": "scan end"},
     "max_order": {"type": int, "help": "highest sideband order"},
     "max_n": {"type": int, "help": "highest vibrational level"},
-    "tol_scale": {"type": finite_float, "help": "scale all check thresholds"},
     "format": {"choices": ("csv", "json"), "default": "csv", "help": "output format (default csv)"},
     "out": {"help": "output path (default stdout)"},
 }
@@ -543,7 +533,7 @@ COMMANDS = {
                  ("rabi", "nmax", "ng", "ne", "eta_min", "eta_max", "points"), SCAN_DEFAULTS),
     "sidebands": (cmd_sidebands, "shift table for the first few sidebands",
                   (*_PHYSICS, "max_order", "max_n"), SIDEBAND_DEFAULTS),
-    "check": (cmd_check, "run the self-test battery", ("tol_scale",), CHECK_DEFAULTS),
+    "check": (cmd_check, "run the self-test battery", (), {}),
 }
 
 

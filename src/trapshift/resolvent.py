@@ -68,12 +68,11 @@ def _warn_outside_regime(params: TrapParams) -> None:
 
 
 def _term_majorant(eta: float, center: int, d: int) -> float:
-    """Upper bound on |chi_{center,k}|^2 / |denominator| at distance d = |k - center|.
+    """Upper bound on |chi_{center,k}|^2 / |denominator| at distance
+    d = |k - center| >= 1.
 
     Uses |chi_{n,k}| <= (eta*sqrt(n_>))^d / d! and |denominator| >= 1.
     """
-    if d == 0:
-        return 1.0
     if eta == 0.0:
         return 0.0
     return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))

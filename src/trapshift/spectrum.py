@@ -200,8 +200,9 @@ def _search_window(
 
     The window is widened until the lower pair branch has an interior
     maximum; of several local minima of the gap, the one nearest delta0 is
-    refined.  Returns (window half-width, coarse bracket of that maximum,
-    minimal gap, tagged-branch crossing of ``_min_pair_gap``).
+    refined, and a window with none raises ``ResonanceWindowError``.
+    Returns (window half-width, coarse bracket of that maximum, minimal gap,
+    tagged-branch crossing of ``_min_pair_gap``).
     """
     delta0 = float(sideband.order)
     # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
@@ -226,11 +227,14 @@ def _search_window(
         half *= 2.0
 
     minima = _local_minima(gaps)
-    if minima:
-        i_gap = min(minima, key=lambda i: abs(grid[i] - delta0))
-    else:
-        i_gap = int(np.argmin(gaps))
-    g_lo, g_hi = grid[max(i_gap - 1, 0)], grid[min(i_gap + 1, COARSE_POINTS - 1)]
+    if not minima:
+        raise ResonanceWindowError(
+            f"no local minimum of the pair gap of {sideband} within "
+            f"[{delta0 - half!r}, {delta0 + half!r}]"
+        )
+    i_gap = min(minima, key=lambda i: abs(grid[i] - delta0))
+    # a local minimum is an interior sample, so both neighbours exist
+    g_lo, g_hi = grid[i_gap - 1], grid[i_gap + 1]
     bracket = (float(grid[i_max - 1]), float(grid[i_max + 1]))
     gap_min, root = _min_pair_gap(scan, sideband, g_lo, g_hi)
     return half, bracket, gap_min, root
@@ -363,12 +367,13 @@ def sweep_spectrum(
     magnitudes; intervals whose assignment is uncertain (overlap below 0.5)
     are bisected internally, up to ``MAX_BISECTION_LEVELS``, without changing
     the output grid.  The union of all branches at each grid point is exactly
-    a permutation of the raw eigenvalues.
+    a permutation of the raw eigenvalues.  n_max (``check_padded_basis``)
+    and every tag are checked before the Hamiltonian is built.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or len(deltas) < 2:
         raise ValueError("deltas must be a 1-D grid with at least two points")
-    scan = _DetuningScan(params, n_max)
+    check_padded_basis(params.eta, n_max)
     nb = n_max + 1
     bare_index = {("g", n): n for n in range(nb)} | {("e", n): nb + n for n in range(nb)}
     if tags is None:
@@ -376,6 +381,7 @@ def sweep_spectrum(
     for tag in tags:
         if tag not in bare_index:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
+    scan = _DetuningScan(params, n_max)
 
     points = deltas.tolist()
     values, vectors = scan.eigen(points[0])

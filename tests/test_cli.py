@@ -101,19 +101,19 @@ def shift_record(flags, capsys):
 # left out, since their last digits depend on the BLAS build.
 SHIFT_CLOSED_COLUMNS = (
     "shift_full", "carrier_term", "sideband_term", "shift_ld", "shift_lit",
-    "shift_eta0", "gap_coupling", "well_isolated",
+    "shift_eta0", "gap_coupling",
 )
 FROZEN_SHIFT_ROWS = [
     ("--ng 1 --ne 0 --rabi 0.01 --eta 0.1",
      "4.925497922902111e-05,4.9e-05,2.5000000000000004e-07,4.925e-05,5.025e-05,5e-05,"
-     "0.0009950124791926823,true"),
+     "0.0009950124791926823"),
     ("--ng 0 --ne 1 --rabi 0.01 --eta 0.1",
      "-4.925497922902111e-05,-4.9e-05,-2.5000000000000004e-07,-4.925e-05,,-5e-05,"
-     "0.0009950124791926823,true"),
-    ("--ng 2 --ne 2 --rabi 0.5 --eta 0.1", "0.0,,,,,,0.4875809901163942,false"),
+     "0.0009950124791926823"),
+    ("--ng 2 --ne 2 --rabi 0.5 --eta 0.1", "0.0,,,,,,0.4875809901163942"),
     ("--ng 0 --ne 1 --trap-freq 2pi*1.36MHz --rabi 2pi*53kHz --eta 0.083",
      "-0.0007515425300218404,-0.00074889100291955,-2.615592695717993e-06,-0.000751506595615268,,"
-     "-0.0007593533737024219,0.0032234365519906764,true"),
+     "-0.0007593533737024219,0.0032234365519906764"),
 ]
 # (eta, shift_full, shift_ld, shift_lit) of scan-eta over eta 0 and 0.1 at rabi 0.01
 FROZEN_SCAN_ROWS = [
@@ -129,22 +129,15 @@ class TestShiftCommand:
         record = shift_record(flags, capsys)
         assert ",".join(record[c] for c in SHIFT_CLOSED_COLUMNS) == frozen
 
-    def test_isolation_flag(self, capsys):
-        # carrier coupling rabi * chi_11 / 2 = 0.246 exceeds the 0.1 threshold
-        with pytest.warns(ts.PerturbativeRegimeWarning):
-            record = shift_record("--ng 1 --ne 1 --rabi 0.5 --eta 0.1", capsys)
-        assert record["well_isolated"] == "false"
-        record = shift_record("--ng 1 --ne 0 --rabi 0.01 --eta 0.1", capsys)
-        assert record["well_isolated"] == "true"
-
-    def test_isolation_uses_the_splitting_magnitude(self, capsys):
-        # chi_11 is negative at eta = 1.2, and |R_ge| = 0.107 exceeds 0.1
-        params = ts.TrapParams(rabi=1.0, eta=1.2)
-        assert ts.splitting_half(ts.SidebandId(1, 1), params) == pytest.approx(0.10709, abs=1e-5)
-        with pytest.warns(ts.PerturbativeRegimeWarning):
-            record = shift_record("--ng 1 --ne 1 --rabi 1.0 --eta 1.2", capsys)
-        assert record["well_isolated"] == "false"
-        assert 0.5 * float(record["gap_coupling"]) > cli.ISOLATION_RATIO
+    def test_regime_warning_is_the_only_regime_signal(self, capsys):
+        # at rabi 0.5 the closed form is 7% off the exact shift; the
+        # closed form's warning says so once, and no column judges it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = shift_record("--ng 0 --ne 1 --rabi 0.5 --eta 0.1", capsys)
+        assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning]
+        assert list(record)[-3:] == ["method", "n_max_used", "converged"]
+        assert abs(float(record["shift_full"]) / float(record["shift_exact"]) - 1.0) > 0.05
 
     def test_embeds_ld_and_literature(self, capsys):
         red = shift_record("--ng 1 --ne 0 --rabi 0.01 --eta 0.1", capsys)
@@ -313,11 +306,20 @@ class TestExitCodes:
     def test_check_passes(self, tmp_path):
         assert cli.main(["check", "--out", str(tmp_path / "c.csv")]) == 0
 
-    def test_check_fails_at_impossible_tolerance(self, tmp_path, capsys):
-        code = cli.main([
-            "check", "--tol-scale", "1e-12", "--out", str(tmp_path / "c.csv"),
-        ])
-        assert code == 4
+    def test_check_fails_at_impossible_tolerance(self, monkeypatch, capsys):
+        # every exact resonance stubbed one omega_t off: the three checks that
+        # read find_resonance fail, each against its threshold as written
+        def off(sideband, params, n_max=None):
+            return ts.ShiftReport(2.0, 2.0, 1.0, 1.0, "extremum", 20, True)
+
+        monkeypatch.setattr(cli, "find_resonance", off)
+        assert cli.main(["check"]) == 4
+        captured = capsys.readouterr()
+        failed = ["eta_zero_numeric", "eta_zero_crossing_gap", "perturbative_vs_exact"]
+        rows = [row.split(",") for row in captured.out.splitlines()[1:]]
+        assert [name for name, _, _, status in rows if status == "FAIL"] == failed
+        assert {float(threshold) for name, _, threshold, _ in rows if name in failed[:2]} == {1e-12, 1e-10}
+        assert captured.err == f"check failed: {', '.join(failed)}\n"
 
     def test_numeric_failure_maps_to_exit_three(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -332,6 +334,20 @@ class TestExitCodes:
         with pytest.warns(ts.PerturbativeRegimeWarning):
             assert cli.main(argv) == 3
         assert capsys.readouterr().err.startswith("numeric failure: no interior extremum")
+
+    def test_window_without_a_gap_minimum_exits_three(self, monkeypatch, capsys):
+        # no input is known to leave the coarse gap without a local minimum;
+        # forced, the window is named rather than its smallest sample taken
+        from trapshift import spectrum
+
+        monkeypatch.setattr(spectrum, "_local_minima", lambda values: [])
+        assert cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: no local minimum of the pair gap of "
+            f"{ts.SidebandId(0, 1)} within [0.9, 1.1]\n"
+        )
 
     def test_bisection_exhausted_exits_three(self, monkeypatch, capsys):
         from trapshift import spectrum
@@ -427,12 +443,89 @@ class TestExitCodes:
         (["scan-eta", "--eta-min", "nan"], "--eta-min"),
         (["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "nan"], "--eta"),
         (["sidebands", "--k-laser", "inf", "--mass", "40u"], "--k-laser"),
-        (["check", "--tol-scale", "inf"], "--tol-scale"),
     ])
     def test_non_finite_float_rejected_when_parsed(self, argv, option, monkeypatch, capsys):
         fail_if_computed(monkeypatch)
         assert exit_code(argv) == 2
         assert f"argument {option}: " in capsys.readouterr().err
+
+
+class TestErrorPaths:
+    """Each input check of the commands: exit 2, its message, nothing on stdout."""
+
+    @staticmethod
+    def rejected(argv, message, monkeypatch, capsys):
+        fail_if_computed(monkeypatch)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["sidebands", "--k-laser", "8617000", "--mass", "0"],
+         "mass and trap frequency must be positive to derive eta\n"),
+        (["sidebands", "--trap-freq", "2", "--rabi", "0.01"],
+         "a dimensionless trap frequency must be 1 (it sets the unit)\n"),
+        (["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01"],
+         "eta is undefined: give --eta or both --k-laser and --mass\n"),
+        (["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--k-laser", "8617000"],
+         "eta is undefined: give --eta or both --k-laser and --mass\n"),
+        (["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--k-laser", "8617000", "--mass", "40u"],
+         "deriving eta from --k-laser/--mass requires a physical --trap-freq\n"),
+        (["shift", "--rabi", "0.01", "--eta", "0.1"], "sideband is undefined: give --ng and --ne\n"),
+        (["shift", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"], "sideband is undefined: give --ng and --ne\n"),
+    ])
+    def test_undefined_physics_or_sideband(self, argv, message, monkeypatch, capsys):
+        self.rejected(argv, message, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["sweep", "--points", "1"], "sweep needs delta_max > delta_min, points >= 2, levels >= 1\n"),
+        (["sweep", "--delta-min", "1", "--delta-max", "1"],
+         "sweep needs delta_max > delta_min, points >= 2, levels >= 1\n"),
+        (["sweep", "--levels", "0"], "sweep needs delta_max > delta_min, points >= 2, levels >= 1\n"),
+        (["sweep", "--levels", "30", "--nmax", "10"], "--levels 30 exceeds the basis size n_max + 1 = 11\n"),
+        (["scan-eta", "--eta-min", "0.5", "--eta-max", "0.5"],
+         "scan-eta needs eta_max > eta_min >= 0 and points >= 2\n"),
+        (["scan-eta", "--eta-min=-0.1"], "scan-eta needs eta_max > eta_min >= 0 and points >= 2\n"),
+        (["scan-eta", "--points", "1"], "scan-eta needs eta_max > eta_min >= 0 and points >= 2\n"),
+        (["scan-eta", "--rabi", "2pi*53kHz"],
+         "scan-eta runs dimensionless; give --rabi as a ratio of omega_t\n"),
+        (["sidebands", "--max-order", "0"], "sidebands needs max_order >= 1 and max_n >= 0\n"),
+        (["sidebands", "--max-n=-1"], "sidebands needs max_order >= 1 and max_n >= 0\n"),
+    ])
+    def test_command_range(self, argv, message, monkeypatch, capsys):
+        self.rejected(argv, message, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("case", ["missing config", "config list", "config bare", "unwritable out"])
+    def test_input_and_output_files(self, case, tmp_path, monkeypatch, capsys):
+        config, out = tmp_path / "run.json", tmp_path / "out.csv"
+        argv = ["sweep", "--config", str(config)]
+        if case == "missing config":
+            message = f"cannot read config file {str(config)!r}: "
+        elif case == "config list":
+            config.write_text("[1, 2]")
+            message = "config file must hold a JSON object\n"
+        elif case == "config bare":
+            # true stands for --bare, which doubles 6251 x 8 rows past the bound
+            config.write_text(json.dumps({"bare": True, "points": cli.MAX_ROWS // 16 + 1}))
+            message = "100016 output rows exceed the limit of 100000\n"
+        else:
+            # os.access, since file modes do not stop every user
+            config.write_text("{}")
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+            argv += ["--out", str(out)]
+            message = f"cannot write {str(out)!r}: {str(tmp_path)!r} is not writable\n"
+        self.rejected(argv, message, monkeypatch, capsys)
+        assert not out.exists()
+
+    def test_dimensionless_trap_freq_leaves_hz_empty(self, capsys):
+        assert cli.main(["sidebands", "--trap-freq", "1", "--rabi", "0.01"]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert header[-2:] == ["shift", "shift_hz"]
+        assert len(rows) == 5 * 4
+        assert {row[-1] for row in rows} == {""}
+        assert all(math.isfinite(float(row[-2])) for row in rows)
 
 
 class TestConfigFile:
@@ -596,7 +689,7 @@ class TestRowBound:
 class TestOptions:
     @pytest.mark.parametrize(("command", "flag"), [
         *[("check", flag) for flag in (
-            "--trap-freq", "--rabi", "--eta", "--k-laser", "--mass", "--nmax", "--kmax",
+            "--trap-freq", "--rabi", "--eta", "--k-laser", "--mass", "--nmax", "--kmax", "--tol-scale",
         )],
         *[(command, "--kmax") for command in ("sweep", "shift", "scan-eta", "sidebands")],
         ("sidebands", "--nmax"),

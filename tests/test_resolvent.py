@@ -309,7 +309,7 @@ class TestRegimeWarning:
     """The closed-form sums, not TrapParams, judge the perturbative regime."""
 
     def test_warning_names_the_caller(self):
-        # |R_ge| = 0.148 exceeds cli.ISOLATION_RATIO; that adds no second warning
+        # a strong carrier coupling, |R_ge| = 0.148, adds no second warning
         carrier = ts.SidebandId(1, 1)
         params = ts.TrapParams(rabi=0.3, eta=0.1)
         with warnings.catch_warnings(record=True) as caught:

@@ -111,6 +111,15 @@ class TestSweepSpectrum:
         assert np.all(swept.overlaps[("g", 0)] > 0.5)
         assert np.all(swept.overlaps[("e", 0)] > 0.5)
 
+    def test_unknown_tag_rejected_before_the_hamiltonian_is_built(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the coupling block was built before the tags were checked")
+
+        monkeypatch.setattr(spectrum, "coupling_block", unreachable)
+        params = ts.TrapParams(rabi=0.01, eta=0.1)
+        with pytest.raises(ValueError, match=r"^unknown branch tag \('g', 301\) for n_max = 300$"):
+            ts.sweep_spectrum(params, [0.0, 1.0], 300, tags=[("g", 301)])
+
 
 def test_exact_pipeline_does_not_warn():
     # diagonalization has no weak-drive limit; only the closed form warns
