@@ -33,8 +33,6 @@ from .resolvent import (
 # on first access: ``import trapshift`` and every closed-form call load
 # neither numpy nor scipy.
 _LAZY_MODULES = {
-    "EXCITED": "hamiltonian",
-    "GROUND": "hamiltonian",
     "HamiltonianMatrix": "hamiltonian",
     "bare_energy": "hamiltonian",
     "build_hamiltonian": "hamiltonian",
@@ -61,8 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DressedSpectrum",
-    "EXCITED",
-    "GROUND",
     "HamiltonianMatrix",
     "PerturbativeRegimeWarning",
     "PerturbativeShift",

@@ -180,10 +180,12 @@ def _config_tokens(path: str, options: tuple[str, ...]) -> list[str]:
     """
     try:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
     tokens = []
     for key, value in loaded.items():
         if key not in options or value is None:
@@ -302,7 +304,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
         "gap", "gap_half", "gap_coupling", "method", "n_max_used", "converged",
     ]
     row = [
-        sideband.n_g, sideband.n_e, report.delta0, pert.delta_omega_full,
+        sideband.n_g, sideband.n_e, float(sideband.order), pert.delta_omega_full,
         carrier_term, sideband_term, shift_ld, shift_lit, shift_eta0,
         report.delta_omega, report.delta_star, report.gap, 0.5 * report.gap,
         gap_coupling, report.method, report.n_max_used, report.converged,

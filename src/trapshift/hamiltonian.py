@@ -12,7 +12,8 @@ The two routes build their chi tables apart.  The exact route's is the
 operator itself: ``_real_displacement`` exponentiates the real generator
 eta*(a - a^dag), i*eta*(a + a^dag) in the gauge of the i^n phases, on a
 padded basis and crops it.  Every Hamiltonian takes its real coupling block
-from it; ``displacement_oracle`` is the same matrix with the phases restored.
+from it; ``displacement_oracle`` is the same matrix with the phases restored,
+and ``displacement_column`` one column of it, for a carrier's one entry.
 ``coupling_table`` is the closed form's: the Laguerre formula of ``fock``,
 equal to ``chi`` entry for entry.  ``check`` and the tests compare the two.
 This is the package's numpy layer: the closed form (``fock``, ``resolvent``)
@@ -22,13 +23,13 @@ inside ``_real_displacement``.
 One check sizes every basis: ``check_padded_basis`` bounds n_max, padded
 for the operator exponential, by ``MAX_LEVELS``, and holds n_max and eta to
 the level and eta rules that ``params`` states once (``check_level``,
-``check_eta``).  ``coupling_table`` and ``_real_displacement``, so every
-Hamiltonian, make this one call before anything is allocated.  One function,
-``real_gauge_matrix``, assembles the Hamiltonian: H in its exact real
-symmetric gauge, which ``build_hamiltonian`` returns and the detuning scans
-of ``spectrum`` solve, rewriting only its diagonal (``set_detuning``) per
-sample.  The gauge is a diagonal unitary, so its eigenvalues and bare-state
-weights are those of H.
+``check_eta``).  ``coupling_table``, ``_real_displacement`` (so every
+Hamiltonian) and ``displacement_column`` make this one call before anything
+is allocated.  One function, ``real_gauge_matrix``, assembles the
+Hamiltonian: H in its exact real symmetric gauge, which ``build_hamiltonian``
+returns and the detuning scans of ``spectrum`` solve, rewriting only its
+diagonal (``set_detuning``) per sample.  The gauge is a diagonal unitary,
+so its eigenvalues and bare-state weights are those of H.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ import numpy as np
 
 from .fock import PHASES, _laguerre_column, _laguerre_overflow
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
-
-GROUND = "g"
-EXCITED = "e"
 
 
 def coupling_table(eta: float, n_max: int) -> np.ndarray:
@@ -109,6 +107,31 @@ def _real_displacement(eta: float, n_max: int) -> np.ndarray:
     return expm(generator)[: n_max + 1, : n_max + 1]
 
 
+def displacement_column(eta: float, n_max: int, n: int) -> np.ndarray:
+    """Column n of ``_real_displacement``: exp(eta*(a - a^dag)) applied to |n>
+    on the same padded basis, cropped to n_max + 1 entries, with no matrix formed.
+
+    ||eta*(a - a^dag)|| <= 2*eta*sqrt(dim), so that many steps keep each
+    step's generator within norm 1; each step sums the Taylor series of its
+    exponential by tridiagonal products until a term no longer moves the sum.
+    """
+    dim = check_padded_basis(eta, n_max)
+    steps = max(1, math.ceil(2.0 * eta * math.sqrt(dim)))
+    ladder = eta * np.sqrt(np.arange(1.0, dim)) / steps
+    column = np.zeros(dim)
+    column[n] = 1.0
+    for _ in range(steps):
+        term, column, k = column, column.copy(), 0
+        while np.linalg.norm(term) > 0.5 * np.finfo(float).eps * np.linalg.norm(column):
+            k += 1
+            product = np.zeros(dim)
+            product[:-1] = ladder * term[1:]
+            product[1:] -= ladder * term[:-1]
+            term = product / k
+            column += term
+    return column[: n_max + 1]
+
+
 def displacement_oracle(eta: float, n_max: int) -> np.ndarray:
     """chi table of exp(i*eta*(a + a^dag)): ``_real_displacement`` R with the
     i^n phases restored, chi_{nn'} = i^(n' - n) R_{nn'}.
@@ -129,9 +152,9 @@ def displacement_oracle(eta: float, n_max: int) -> np.ndarray:
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
     """Uncoupled level energy: E_{g,n} = n + delta/2, E_{e,n} = n - delta/2."""
     check_level("n", n)
-    if state == GROUND:
+    if state == "g":
         return n + 0.5 * params.delta
-    if state == EXCITED:
+    if state == "e":
         return n - 0.5 * params.delta
     raise ValueError(f"state must be 'g' or 'e', got {state!r}")
 

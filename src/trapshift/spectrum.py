@@ -15,7 +15,7 @@ nothing downstream can observe the gauge.  This module imports nothing of the
 closed form (``fock``, ``resolvent``), so their agreement is a cross-check.
 Each job has one code path: ``_search_window`` is the coarse window and gap
 search behind ``find_resonance``, whose ``gap`` is the measured splitting of
-the pair (a carrier's is read off the same coupling block);
+the pair (a carrier's is read off one column of the same operator);
 ``find_resonance`` is the one basis-doubling check (one re-locate on the
 doubled margin), and ``sweep_spectrum`` the branch continuation behind
 ``track_branch``.  Scans are sequential and deterministic; share nothing
@@ -31,7 +31,9 @@ import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError
-from .hamiltonian import check_padded_basis, coupling_block, default_n_max, real_gauge_matrix, set_detuning
+from .hamiltonian import (
+    check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix, set_detuning,
+)
 from .params import SidebandId, TrapParams
 
 #: Measured pair gaps below this many omega_t count as true crossings.
@@ -56,7 +58,6 @@ MAX_WINDOW_ESCALATIONS = 4
 class ShiftReport:
     """Located resonance of one sideband from the numerically exact spectrum."""
 
-    delta0: float
     delta_star: float
     delta_omega: float
     gap: float
@@ -101,9 +102,6 @@ class _DetuningScan:
         top = np.argpartition(support, -2)[-2:]
         pair = np.sort(values[top])
         return float(pair[0]), float(pair[1])
-
-    def pair_low(self, delta: float, sideband: SidebandId) -> float:
-        return self.pair_levels(delta, sideband)[0]
 
     def pair_gap(self, delta: float, sideband: SidebandId) -> float:
         low, up = self.pair_levels(delta, sideband)
@@ -249,7 +247,7 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
     if gap_min < GAP_FLOOR_FRACTION:
         return root, gap_min, "intersection"
 
-    delta_star = _refine_maximum(lambda d: scan.pair_low(d, sideband), lo, hi)
+    delta_star = _refine_maximum(lambda d: scan.pair_levels(d, sideband)[0], lo, hi)
     if not lo <= delta_star <= hi:
         raise ResonanceWindowError(
             f"no stationary point of the lower branch of {sideband} inside "
@@ -259,18 +257,19 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
 
 
 def check_bases(sideband: SidebandId, n_max: int | None, eta: float) -> tuple[int, int]:
-    """Bound both bases ``find_resonance`` solves at before any is built: n_max
-    (``default_n_max`` when None) above max(n_g, n_e), and n_max and its
-    doubled margin, padded for the operator exponential at ``eta``, within
-    ``check_padded_basis``.  Returns (n_max, doubled n_max)."""
+    """Bound the bases ``find_resonance`` builds before any is built: n_max
+    (``default_n_max`` when None) above max(n_g, n_e), and n_max and, except
+    for a carrier, its doubled margin, padded for the operator exponential at
+    ``eta``, within ``check_padded_basis``.  Returns (n_max, doubled n_max)."""
     n_used = n_max if n_max is not None else default_n_max(sideband, eta)
     base = max(sideband.n_g, sideband.n_e)
     if n_used <= base:
         raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
     n_doubled = base + 2 * (n_used - base)
-    doubles = f"; the convergence check doubles the margin of n_max = {n_used}"
-    for n, why in ((n_used, ""), (n_doubled, doubles)):
-        check_padded_basis(eta, n, why=why)
+    check_padded_basis(eta, n_used)
+    if not sideband.is_carrier:
+        doubles = f"; the convergence check doubles the margin of n_max = {n_used}"
+        check_padded_basis(eta, n_doubled, why=doubles)
     return n_used, n_doubled
 
 
@@ -286,13 +285,14 @@ def find_resonance(
     and reports delta_omega = delta_star - delta0 on n_max.  The location is
     repeated once on the basis with doubled margin over max(n_g, n_e), and
     ``converged`` says whether the two shifts agree; a larger n_max is the
-    way to go further.  Both bases are bounded by ``check_bases`` before the
+    way to go further.  ``check_bases`` bounds every basis built before the
     first solve.  ``gap`` is the measured splitting, the minimal separation
     of the pair over the scan window: it approaches |Omega_{n_g,n_e}| for a
     resolved anti-crossing and collapses to zero for a decoupled pair.
     Carriers are unshifted by symmetry and solve nothing: their ``gap`` is
-    |Omega_{n,n}|, twice the diagonal entry of the operator's coupling block
-    on n_max, so no result of the exact route comes from the closed form.
+    |Omega_{n,n}|, read off column n of the operator on n_max
+    (``displacement_column``), so no result of the exact route comes from
+    the closed form.
     delta_star carries a roundoff floor of about one ulp of delta0, which
     meets ``CONVERGENCE_ABSOLUTE`` (1e-12) at the highest levels: ulp(delta)
     is 9.1e-13 for 4096 <= |delta| < 8192 and 1.8e-12 from 8192 on, so there
@@ -304,7 +304,7 @@ def find_resonance(
     n_used, n_doubled = check_bases(sideband, n_max, params.eta)
     if sideband.is_carrier:
         n = sideband.n_g
-        gap = float(2 * abs(coupling_block(params, n_used)[n, n]))
+        gap = float(2 * abs(0.5 * params.rabi * displacement_column(params.eta, n_used, n)[n]))
         delta_star, method, converged = 0.0, "carrier", True
     else:
         delta_star, gap, method = _locate(_DetuningScan(params, n_used), sideband)
@@ -312,7 +312,6 @@ def find_resonance(
         doubled = _locate(_DetuningScan(params, n_doubled), sideband)[0] - delta0
         converged = abs(doubled - shift) <= max(CONVERGENCE_RELATIVE * abs(doubled), CONVERGENCE_ABSOLUTE)
     return ShiftReport(
-        delta0=delta0,
         delta_star=delta_star,
         delta_omega=delta_star - delta0,
         gap=gap,
@@ -359,7 +358,7 @@ def sweep_spectrum(
     params: TrapParams,
     deltas: np.ndarray,
     n_max: int,
-    tags: list[tuple[str, int]] | None = None,
+    tags: list[tuple[str, int]],
 ) -> DressedSpectrum:
     """Track dressed branches across a detuning grid by eigenvector continuity.
 
@@ -376,8 +375,6 @@ def sweep_spectrum(
     check_padded_basis(params.eta, n_max)
     nb = n_max + 1
     bare_index = {("g", n): n for n in range(nb)} | {("e", n): nb + n for n in range(nb)}
-    if tags is None:
-        tags = list(bare_index)
     for tag in tags:
         if tag not in bare_index:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")

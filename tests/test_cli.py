@@ -202,6 +202,18 @@ class TestShiftCommand:
         assert float(record["gap_coupling"]) == pytest.approx(gap, rel=1e-14)
         assert float(record["gap_half"]) == 0.5 * gap
 
+    def test_carrier_near_the_top_level(self, capsys):
+        # a carrier builds its n_max basis alone, never the doubled one, and
+        # reads one column of the operator on it: n_max 9940, padded to 9981
+        argv = ["shift", "--ng", "9900", "--ne", "9900", "--rabi", "0.01", "--eta", "0.1"]
+        assert cli.main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        record = dict(zip(header.split(","), row.split(",")))
+        assert record["method"] == "carrier" and record["converged"] == "true"
+        assert record["n_max_used"] == "9940"
+        # |Omega_{9900,9900}| = 0.01 exp(-0.005) |L_9900(0.01)|, from 40-digit mpmath
+        assert float(record["gap"]) == pytest.approx(0.0017286520784977481, rel=1e-12)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_clamped_refinement_output_parses(self, fmt, capsys):
         argv = [
@@ -310,7 +322,7 @@ class TestExitCodes:
         # every exact resonance stubbed one omega_t off: the three checks that
         # read find_resonance fail, each against its threshold as written
         def off(sideband, params, n_max=None):
-            return ts.ShiftReport(2.0, 2.0, 1.0, 1.0, "extremum", 20, True)
+            return ts.ShiftReport(2.0, 1.0, 1.0, "extremum", 20, True)
 
         monkeypatch.setattr(cli, "find_resonance", off)
         assert cli.main(["check"]) == 4
@@ -497,15 +509,21 @@ class TestErrorPaths:
     def test_command_range(self, argv, message, monkeypatch, capsys):
         self.rejected(argv, message, monkeypatch, capsys)
 
-    @pytest.mark.parametrize("case", ["missing config", "config list", "config bare", "unwritable out"])
+    @pytest.mark.parametrize(
+        "case", ["missing config", "config not json", "config list", "config bare", "unwritable out"]
+    )
     def test_input_and_output_files(self, case, tmp_path, monkeypatch, capsys):
+        # each config message names the file once
         config, out = tmp_path / "run.json", tmp_path / "out.csv"
         argv = ["sweep", "--config", str(config)]
         if case == "missing config":
-            message = f"cannot read config file {str(config)!r}: "
+            message = f"cannot read config file {str(config)!r}: No such file or directory\n"
+        elif case == "config not json":
+            config.write_text('{"points":')
+            message = f"cannot read config file {str(config)!r}: Expecting value: line 1 column 11 (char 10)\n"
         elif case == "config list":
             config.write_text("[1, 2]")
-            message = "config file must hold a JSON object\n"
+            message = f"config file {str(config)!r} must hold a JSON object\n"
         elif case == "config bare":
             # true stands for --bare, which doubles 6251 x 8 rows past the bound
             config.write_text(json.dumps({"bare": True, "points": cli.MAX_ROWS // 16 + 1}))

@@ -101,27 +101,27 @@ class TestBareEnergy:
 
 
 class TestCrossingPoint:
-    # the bare crossing detuning delta0 = n_e - n_g, as the exact route reports it
+    # the bare crossing detuning delta0 = n_e - n_g, as the exact route measures
+    # its shift from it: delta_omega = delta_star - delta0
     def test_carrier(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.find_resonance(ts.SidebandId(0, 0), params).delta0 == 0.0
+        report = ts.find_resonance(ts.SidebandId(0, 0), params)
+        assert report.delta_star - report.delta_omega == 0.0
 
     def test_first_blue(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.find_resonance(ts.SidebandId(0, 1), params).delta0 == 1.0
+        report = ts.find_resonance(ts.SidebandId(0, 1), params)
+        assert report.delta_star - report.delta_omega == 1.0
 
     def test_first_red(self):
         params = ts.TrapParams(rabi=0.01, eta=0.1)
-        assert ts.find_resonance(ts.SidebandId(1, 0), params).delta0 == -1.0
+        report = ts.find_resonance(ts.SidebandId(1, 0), params)
+        assert report.delta_star - report.delta_omega == -1.0
 
     def test_returns_floats(self, capsys):
         # the CLI prints delta0 by repr, so an int would print as 1, not 1.0
         from trapshift import cli
 
-        params = ts.TrapParams(rabi=0.01, eta=0.0)
-        for sideband, shown in [((0, 0), "0.0"), ((0, 1), "1.0"), ((3, 1), "-2.0")]:
-            delta0 = ts.find_resonance(ts.SidebandId(*sideband), params).delta0
-            assert type(delta0) is float and repr(delta0) == shown
         for (ng, ne), cell in [((0, 1), "1.0"), ((1, 0), "-1.0"), ((2, 2), "0.0")]:
             argv = ["shift", "--ng", str(ng), "--ne", str(ne), "--rabi", "0.01", "--eta", "0"]
             assert cli.main(argv) == 0
@@ -324,7 +324,7 @@ class TestBasisBound:
         with pytest.raises(ValueError, match=message):
             ts.build_hamiltonian(params, 9990)
         with pytest.raises(ValueError, match=message):
-            ts.sweep_spectrum(params, [0.0, 1.0], 9990)
+            ts.sweep_spectrum(params, [0.0, 1.0], 9990, tags=[(s, n) for s in "ge" for n in range(9991)])
         with pytest.raises(ValueError, match="padded basis of 10001 levels"):
             ts.displacement_oracle(0.0, 9980)
 

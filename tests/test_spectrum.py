@@ -12,12 +12,17 @@ import pytest
 
 import trapshift as ts
 from trapshift import spectrum
-from trapshift.hamiltonian import coupling_block
+from trapshift.hamiltonian import _real_displacement, coupling_block, displacement_column
 from trapshift.spectrum import _DetuningScan, _locate
 
 
 P01 = ts.TrapParams(rabi=0.01, eta=0.1)
 SB01 = ts.SidebandId(0, 1)
+
+
+def all_tags(n_max: int) -> list[tuple[str, int]]:
+    """Every branch tag of the basis 0..n_max, ground sector first."""
+    return [(state, n) for state in ("g", "e") for n in range(n_max + 1)]
 
 
 def solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +102,7 @@ class TestSweepSpectrum:
         params = ts.TrapParams(rabi=0.15, eta=0.3)
         grid = np.linspace(-1.5, 1.5, 31)
         n_max = 5
-        swept = ts.sweep_spectrum(params, grid, n_max)
+        swept = ts.sweep_spectrum(params, grid, n_max, tags=all_tags(n_max))
         scan = _DetuningScan(params, n_max)
         stacked = np.stack([swept.branches[t] for t in swept.branches], axis=1)
         for j, delta in enumerate(grid):
@@ -120,6 +125,31 @@ class TestSweepSpectrum:
         with pytest.raises(ValueError, match=r"^unknown branch tag \('g', 301\) for n_max = 300$"):
             ts.sweep_spectrum(params, [0.0, 1.0], 300, tags=[("g", 301)])
 
+    @pytest.mark.parametrize("deltas", [[[0.0, 1.0], [2.0, 3.0]], [1.0]], ids=["2-D", "one point"])
+    def test_grid_must_be_one_dimensional_with_two_points(self, deltas):
+        with pytest.raises(ValueError, match="^deltas must be a 1-D grid with at least two points$"):
+            ts.sweep_spectrum(P01, deltas, 4, tags=[("g", 0)])
+
+
+class TestRefineMaximum:
+    """The Newton polish after the parabolic search stops, leaving the searched
+    point as it is, on a curvature that is not negative or a step wider than
+    the bracket."""
+
+    def test_convex_function_keeps_the_searched_point(self):
+        # d^2 peaks at the ends of [-1, 1]; a Newton step from there (-1 on its
+        # curvature 2) would land on its minimum at 0
+        searched, _ = spectrum._refine_minimum(lambda d: -(d * d), -1.0, 1.0)
+        assert abs(abs(searched) - 1.0) < 1e-6
+        assert spectrum._refine_maximum(lambda d: d * d, -1.0, 1.0) == searched
+
+    def test_step_wider_than_the_bracket_keeps_the_searched_point(self):
+        # -(d - 10)^2 peaks at 10, outside [0, 1]: the Newton step from near 1
+        # is about -9, wider than the bracket
+        searched, _ = spectrum._refine_minimum(lambda d: (d - 10) ** 2, 0.0, 1.0)
+        assert abs(searched - 1.0) < 1e-6
+        assert spectrum._refine_maximum(lambda d: -(d - 10) ** 2, 0.0, 1.0) == searched
+
 
 def test_exact_pipeline_does_not_warn():
     # diagonalization has no weak-drive limit; only the closed form warns
@@ -127,7 +157,7 @@ def test_exact_pipeline_does_not_warn():
         warnings.simplefilter("error")
         params = ts.TrapParams(rabi=0.3, eta=0.1)
         ts.build_hamiltonian(params, 8)
-        ts.sweep_spectrum(params, np.linspace(0.8, 1.2, 9), n_max=8)
+        ts.sweep_spectrum(params, np.linspace(0.8, 1.2, 9), n_max=8, tags=all_tags(8))
         assert ts.find_resonance(SB01, params).converged
 
 
@@ -186,13 +216,37 @@ class TestFindResonance:
         assert ts.chi_magnitude(1, 1, 1.2) < 0
         params = ts.TrapParams(rabi=0.01, eta=1.2)
         report = ts.find_resonance(ts.SidebandId(1, 1), params)
-        # |Omega_11|, read off the operator's block on the reported basis
+        # |Omega_11|, read off one column of the operator on the reported
+        # basis: the entry of its whole coupling block to roundoff
         block = coupling_block(params, report.n_max_used)
-        assert report.gap == float(2 * abs(block[1, 1]))
+        assert report.gap == pytest.approx(float(2 * abs(block[1, 1])), rel=1e-12)
         assert type(report.gap) is float
         # the closed form agrees to roundoff (the two differ by 1 ulp here)
         assert report.gap == pytest.approx(0.01 * abs(ts.chi_magnitude(1, 1, 1.2)), rel=1e-14)
         assert report.gap > 0
+
+    @pytest.mark.parametrize("n", [0, 3, 50, 200])
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.6, 1.5])
+    def test_carrier_column_matches_the_whole_operator(self, n, eta):
+        n_max = ts.default_n_max(ts.SidebandId(n, n), eta)
+        whole = _real_displacement(eta, n_max)
+        column = displacement_column(eta, n_max, n)
+        assert column.shape == (n_max + 1,)
+        assert abs(column[n] - whole[n, n]) <= 1e-12 * abs(whole[n, n])
+        assert np.abs(column - whole[:, n]).max() <= 1e-12
+
+    def test_carrier_builds_no_matrix(self, monkeypatch):
+        from trapshift import hamiltonian
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a carrier built the whole operator")
+
+        monkeypatch.setattr(spectrum, "coupling_block", unreachable)
+        monkeypatch.setattr(hamiltonian, "_real_displacement", unreachable)
+        params = ts.TrapParams(rabi=0.01, eta=1.0)
+        report = ts.find_resonance(ts.SidebandId(800, 800), params)
+        assert report.method == "carrier" and report.converged
+        assert report.gap == pytest.approx(0.01 * abs(ts.chi_magnitude(800, 800, 1.0)), rel=1e-10)
 
     @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
     @pytest.mark.parametrize("eta", [0.5, 0.8])
@@ -202,7 +256,7 @@ class TestFindResonance:
         with pytest.raises(ts.ResonanceWindowError, match="no stationary point"):
             ts.find_resonance(ts.SidebandId(*pair), ts.TrapParams(rabi=1.5, eta=eta), n_max=25)
         report = ts.find_resonance(ts.SidebandId(*pair), ts.TrapParams(rabi=1.0, eta=eta), n_max=25)
-        for name in ("delta0", "delta_star", "delta_omega", "gap"):
+        for name in ("delta_star", "delta_omega", "gap"):
             assert type(getattr(report, name)) is float, name
         assert type(report.converged) is bool
         assert type(report.n_max_used) is int
@@ -223,8 +277,8 @@ class TestFindResonance:
         scan = _DetuningScan(P01, 20)
         h = 1e-5
         slope = (
-            scan.pair_low(report.delta_star + h, SB01)
-            - scan.pair_low(report.delta_star - h, SB01)
+            scan.pair_levels(report.delta_star + h, SB01)[0]
+            - scan.pair_levels(report.delta_star - h, SB01)[0]
         ) / (2.0 * h)
         assert abs(slope) <= 1e-7
 
@@ -258,7 +312,7 @@ def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
     assert ts.find_resonance(SB01, ts.TrapParams(rabi=0.01, eta=0.0)).method == "intersection"
     carrier = ts.find_resonance(ts.SidebandId(1, 1), P01)
     assert carrier.method == "carrier" and carrier.gap > 0
-    swept = ts.sweep_spectrum(P01, np.linspace(0.9, 1.1, 5), 8)
+    swept = ts.sweep_spectrum(P01, np.linspace(0.9, 1.1, 5), 8, tags=all_tags(8))
     assert len(swept.branches) == 18
 
 
@@ -312,8 +366,8 @@ class TestLocatorFallbacks:
         scan = _DetuningScan(params, report.n_max_used)
         h = 1e-5
         slope = (
-            scan.pair_low(report.delta_star + h, SB01)
-            - scan.pair_low(report.delta_star - h, SB01)
+            scan.pair_levels(report.delta_star + h, SB01)[0]
+            - scan.pair_levels(report.delta_star - h, SB01)[0]
         ) / (2.0 * h)
         assert abs(slope) <= 1e-7
 
@@ -357,7 +411,7 @@ class TestLocatorFallbacks:
 
         monkeypatch.setattr(spectrum, "TRACK_OVERLAP_MIN", 0.9)
         monkeypatch.setattr(_DetuningScan, "eigen", counting)
-        swept = ts.sweep_spectrum(SWEEP_PARAMS, SWEEP_GRID, SWEEP_N_MAX)
+        swept = ts.sweep_spectrum(SWEEP_PARAMS, SWEEP_GRID, SWEEP_N_MAX, tags=all_tags(SWEEP_N_MAX))
         assert len(solves) - len(SWEEP_GRID) == 18
         # Finer steps follow narrow anti-crossings adiabatically, so the
         # branches may differ from the unforced sweep; the union may not.
@@ -370,7 +424,7 @@ class TestLocatorFallbacks:
     def test_bisection_exhausted(self, monkeypatch):
         monkeypatch.setattr(spectrum, "TRACK_OVERLAP_MIN", 1.5)
         with pytest.raises(ts.TrackingAmbiguityError) as info:
-            ts.sweep_spectrum(SWEEP_PARAMS, SWEEP_GRID, SWEEP_N_MAX)
+            ts.sweep_spectrum(SWEEP_PARAMS, SWEEP_GRID, SWEEP_N_MAX, tags=all_tags(SWEEP_N_MAX))
         message = str(info.value)
         assert message.startswith("branch continuation ambiguous between delta = -2.5 and ")
         assert "np." not in message
