@@ -28,10 +28,10 @@ from .resolvent import (
 )
 
 # The names above, the closed form, need only the standard library.  numpy
-# serves the chi tables and Hamiltonians (``hamiltonian``) and scipy the
-# exact pipeline (``spectrum``), so each name below is served from its module
-# on first access: ``import trapshift`` and every closed-form call load
-# neither numpy nor scipy.
+# alone serves the chi tables and Hamiltonians (``hamiltonian``), and scipy
+# only the exact pipeline (``spectrum``), so each name below is served from
+# its module on first access: ``import trapshift`` and every closed-form call
+# load neither numpy nor scipy, and a chi table or Hamiltonian loads no scipy.
 _LAZY_MODULES = {
     "HamiltonianMatrix": "hamiltonian",
     "bare_energy": "hamiltonian",

@@ -67,7 +67,7 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta,
     and is bounded below 2**53, past which hi + 1.0 no longer counts integers.
     Raises ``OverflowError`` when the Laguerre factor leaves double precision
-    (its product with an underflowed prefactor would be nan).
+    (its product with an underflowed prefactor would be nan), or eta**d does.
     """
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
@@ -76,20 +76,24 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     check_eta(eta)
     d = hi - lo
     x = eta * eta
+    try:
+        power = eta**d
+    except OverflowError:
+        raise _chi_overflow(n, nprime, eta, f"eta**{d}") from None
     m = (
         math.exp(-0.5 * x)
-        * eta**d
+        * power
         * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
         * _laguerre_column(lo, float(d), x)[-1]
     )
     if not math.isfinite(m):
-        raise _laguerre_overflow(n, nprime, eta)
+        raise _chi_overflow(n, nprime, eta)
     return m
 
 
-def _laguerre_overflow(n: int, nprime: int, eta: float) -> OverflowError:
-    """The error of a chi_{nn'} whose Laguerre factor left double precision."""
-    return OverflowError(f"the Laguerre factor of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
+def _chi_overflow(n: int, nprime: int, eta: float, factor: str = "the Laguerre factor") -> OverflowError:
+    """The error of a chi_{nn'} whose ``factor`` left double precision."""
+    return OverflowError(f"{factor} of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
 
 
 def chi(n: int, nprime: int, eta: float) -> complex:

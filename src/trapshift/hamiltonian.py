@@ -14,11 +14,14 @@ eta*(a - a^dag), i*eta*(a + a^dag) in the gauge of the i^n phases, on a
 padded basis and crops it.  Every Hamiltonian takes its real coupling block
 from it; ``displacement_oracle`` is the same matrix with the phases restored,
 and ``displacement_column`` one column of it, for a carrier's one entry.
-``coupling_table`` is the closed form's: the Laguerre formula of ``fock``,
-equal to ``chi`` entry for entry.  ``check`` and the tests compare the two.
-This is the package's numpy layer: the closed form (``fock``, ``resolvent``)
-needs only the standard library, and scipy's ``expm`` is imported only
-inside ``_real_displacement``.
+Both run one kernel, ``_exp_generator``: the Taylor series of the scaled
+generator by tridiagonal products, which the block squares back (scaling and
+squaring) and the column applies step by step.  ``coupling_table`` is the
+closed form's: the Laguerre formula of ``fock``, equal to ``chi`` entry for
+entry.  ``check`` and the tests compare the two.  This is the package's
+numpy layer and needs numpy alone: the closed form (``fock``,
+``resolvent``) needs only the standard library, and only the exact
+pipeline (``spectrum``) imports more.
 
 One check sizes every basis: ``check_padded_basis`` bounds n_max, padded
 for the operator exponential, by ``MAX_LEVELS``, and holds n_max and eta to
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _laguerre_column, _laguerre_overflow
+from .fock import PHASES, _chi_overflow, _laguerre_column
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
 
 
@@ -51,7 +54,7 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
     bit, as ``chi(n, n', eta)`` and the terms of the closed-form sums.
     ``check_padded_basis`` bounds n_max before any column, log(k!) list or
     table is built.  Raises ``OverflowError``, as ``chi`` does, where a
-    Laguerre factor leaves double precision.
+    Laguerre factor or eta**d leaves double precision.
     """
     check_padded_basis(eta, n_max)
     x = eta * eta
@@ -59,7 +62,10 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
     log_fact = [math.lgamma(k + 1.0) for k in range(n_max + 1)]
     entries = np.empty((n_max + 1, n_max + 1), dtype=complex)
     for d in range(n_max + 1):
-        power = eta**d
+        try:
+            power = eta**d
+        except OverflowError:
+            raise _chi_overflow(0, d, eta, f"eta**{d}") from None
         column = [
             PHASES[d % 4] * (gauss * power * math.exp(0.5 * (log_fact[lo] - log_fact[lo + d])) * lag)
             for lo, lag in enumerate(_laguerre_column(n_max - d, float(d), x))
@@ -69,7 +75,7 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
         entries[idx + d, idx] = column
     if not np.isfinite(entries).all():
         n, nprime = np.argwhere(~np.isfinite(entries))[0]
-        raise _laguerre_overflow(int(n), int(nprime), eta)
+        raise _chi_overflow(int(n), int(nprime), eta)
     return entries
 
 
@@ -89,47 +95,47 @@ def oracle_pad(eta: float, n_max: int) -> int:
     return max(20, _spread(eta, n_max))
 
 
+def _exp_generator(eta: float, divisor: int, start: np.ndarray) -> np.ndarray:
+    """exp(eta*(a - a^dag)/divisor) applied to ``start``, a column (dim, 1) or
+    the identity: its Taylor series, by tridiagonal products, summed until a
+    term no longer moves the sum."""
+    ladder = (eta * np.sqrt(np.arange(1.0, len(start))) / divisor)[:, None]
+    term, total, k = start, start.copy(), 0
+    while np.linalg.norm(term) > 0.5 * np.finfo(float).eps * np.linalg.norm(total):
+        k += 1
+        product = np.zeros_like(term)
+        product[:-1] = ladder * term[1:]
+        product[1:] -= ladder * term[:-1]
+        term = product / k
+        total += term
+    return total
+
+
 def _real_displacement(eta: float, n_max: int) -> np.ndarray:
-    """exp(eta*(a - a^dag)) on the padded basis, cropped to (n_max+1)^2.
-
-    The real displacement operator: exp(i*eta*(a + a^dag)) conjugated by
-    G = diag(i^n), i.e. G chi G^dag.  ``check_padded_basis`` bounds the
-    padded basis before any array is allocated.
-    """
+    """exp(eta*(a - a^dag)) on the padded basis, cropped to (n_max+1)^2: the
+    real displacement operator, exp(i*eta*(a + a^dag)) conjugated by
+    G = diag(i^n), i.e. G chi G^dag.  ||eta*(a - a^dag)|| <= 2*eta*sqrt(dim),
+    so the generator over 2^j is within norm 1; its exponential is squared
+    j times (scaling and squaring).  Bounded by ``check_padded_basis``."""
     dim = check_padded_basis(eta, n_max)
-    # imported here so that importing this module loads no scipy
-    from scipy.linalg import expm
-
-    ladder = eta * np.sqrt(np.arange(1.0, dim))
-    generator = np.zeros((dim, dim))
-    generator[np.arange(dim - 1), np.arange(1, dim)] = ladder
-    generator[np.arange(1, dim), np.arange(dim - 1)] = -ladder
-    return expm(generator)[: n_max + 1, : n_max + 1]
+    squarings = math.ceil(math.log2(max(2.0 * eta * math.sqrt(dim), 1.0)))
+    block = _exp_generator(eta, 2**squarings, np.eye(dim))
+    for _ in range(squarings):
+        block = block @ block
+    return block[: n_max + 1, : n_max + 1]
 
 
 def displacement_column(eta: float, n_max: int, n: int) -> np.ndarray:
-    """Column n of ``_real_displacement``: exp(eta*(a - a^dag)) applied to |n>
-    on the same padded basis, cropped to n_max + 1 entries, with no matrix formed.
-
-    ||eta*(a - a^dag)|| <= 2*eta*sqrt(dim), so that many steps keep each
-    step's generator within norm 1; each step sums the Taylor series of its
-    exponential by tridiagonal products until a term no longer moves the sum.
-    """
+    """Column n of ``_real_displacement`` with no matrix formed: |n> on the
+    same padded basis, stepped ceil(2*eta*sqrt(dim)) times by the exponential
+    of the generator over as many steps, each within norm 1."""
     dim = check_padded_basis(eta, n_max)
     steps = max(1, math.ceil(2.0 * eta * math.sqrt(dim)))
-    ladder = eta * np.sqrt(np.arange(1.0, dim)) / steps
-    column = np.zeros(dim)
+    column = np.zeros((dim, 1))
     column[n] = 1.0
     for _ in range(steps):
-        term, column, k = column, column.copy(), 0
-        while np.linalg.norm(term) > 0.5 * np.finfo(float).eps * np.linalg.norm(column):
-            k += 1
-            product = np.zeros(dim)
-            product[:-1] = ladder * term[1:]
-            product[1:] -= ladder * term[:-1]
-            term = product / k
-            column += term
-    return column[: n_max + 1]
+        column = _exp_generator(eta, steps, column)
+    return column[: n_max + 1, 0]
 
 
 def displacement_oracle(eta: float, n_max: int) -> np.ndarray:

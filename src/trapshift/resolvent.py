@@ -109,7 +109,10 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
     k_used = 0
     d = 0
     while True:
-        power = eta**d
+        try:
+            power = eta**d
+        except OverflowError:
+            raise _sum_overflow(center, d) from None
         column = _laguerre_column(center, float(d), x)
         for k in (center - d, center + d) if d else (center,):
             if k < 0 or k == exclude:
@@ -126,14 +129,17 @@ def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
                 k_used = k
         d += 1
         if not math.isfinite(running):
-            # a Laguerre column or eta**d overflowed; nan would never end the sum
-            raise OverflowError(
-                f"the closed-form sum around n = {center} left double precision at distance {d - 1}"
-            )
+            # a term left double precision; nan would never end the sum
+            raise _sum_overflow(center, d - 1)
         # not strict, so that an all-zero sum (a carrier at eta = 0) ends
         if _term_majorant(eta, center, d) <= TERM_CUTOFF * running:
             break
     return math.fsum(terms), k_used, d
+
+
+def _sum_overflow(center: int, d: int) -> OverflowError:
+    """The error of a closed-form sum that left double precision at distance d."""
+    return OverflowError(f"the closed-form sum around n = {center} left double precision at distance {d}")
 
 
 def _tail_bound(eta: float, center: int, d: int) -> float:

@@ -421,6 +421,16 @@ class TestExitCodes:
         assert err.startswith("numeric failure: the inputs overflow double precision")
         assert "Traceback" not in err
 
+    def test_overflowing_power_of_eta_is_named(self, capsys):
+        # eta**d raised a bare OverflowError, "(34, 'Numerical result out of range')"
+        assert cli.main(["sidebands", "--eta", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the inputs overflow double precision "
+            "(the closed-form sum around n = 0 left double precision at distance 365)\n"
+        )
+
     def test_overflowing_coupling_exits_three_before_any_eigensolve(self, monkeypatch, capsys):
         # bs_shift is finite at (3000, 6000), but the gap_coupling column,
         # chi_{3000,6000} at eta 0.1, overflows; the exact route would

@@ -179,6 +179,11 @@ class TestChi:
         with pytest.raises(OverflowError):
             ts.chi(n, nprime, 0.1)
 
+    def test_overflowing_power_of_eta_is_named(self):
+        # 7.0**400 raises Python's bare OverflowError before the product is formed
+        with pytest.raises(OverflowError, match=r"^eta\*\*400 of chi_\{0,400\} at eta = 7\.0 overflows$"):
+            ts.chi_magnitude(0, 400, 7.0)
+
 
 class TestRabiCoupling:
     def test_zero_field(self):
@@ -248,6 +253,11 @@ class TestCouplingTable:
             ts.coupling_table(0.1, 1100)
         with pytest.raises(OverflowError):
             ts.chi_magnitude(378, 1099, 0.1)
+
+    def test_overflowing_power_of_eta_is_named(self):
+        # 7.0**365 is the first power past double precision; its first pair is named
+        with pytest.raises(OverflowError, match=r"^eta\*\*365 of chi_\{0,365\} at eta = 7\.0 overflows$"):
+            ts.coupling_table(7.0, 400)
 
 
 class TestDisplacementOracle:

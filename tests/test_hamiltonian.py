@@ -257,23 +257,23 @@ class TestRealGauge:
         block = coupling_block(ts.TrapParams(rabi=2.0, eta=eta), n_max)
         assert np.abs(rotated - block).max() <= 2e-13
 
-    def test_one_real_exponential_per_table(self, monkeypatch):
-        import scipy.linalg
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.3, 1.0, 2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("n_max", [12, 60, 164, 300])
+    def test_real_block_matches_scipy_expm(self, eta, n_max):
+        # scipy's Pade expm of the padded generator, cropped, is the reference
+        # for the package's own scaling and squaring
+        from scipy.linalg import expm
 
-        from trapshift.hamiltonian import coupling_block
+        from trapshift.hamiltonian import _real_displacement, check_padded_basis
 
-        real_expm = scipy.linalg.expm
-        dtypes = []
-
-        def recording_expm(matrix):
-            dtypes.append(matrix.dtype)
-            return real_expm(matrix)
-
-        monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
-        coupling_block(ts.TrapParams(rabi=0.01, eta=0.3), 12)
-        assert dtypes == [np.float64]
-        ts.displacement_oracle(0.3, 12)
-        assert dtypes == [np.float64, np.float64]
+        dim = check_padded_basis(eta, n_max)
+        ladder = eta * np.sqrt(np.arange(1.0, dim))
+        generator = np.diag(ladder, 1) - np.diag(ladder, -1)
+        block = _real_displacement(eta, n_max)
+        assert block.shape == (n_max + 1, n_max + 1)
+        assert np.abs(block - expm(generator)[: n_max + 1, : n_max + 1]).max() <= 2e-13
+        if eta == 0.0:
+            assert np.array_equal(block, np.eye(n_max + 1))
 
     def test_real_form_symmetric_same_spectrum(self):
         params = ts.TrapParams(rabi=0.15, eta=0.3, delta=-0.4)

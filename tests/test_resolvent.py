@@ -304,6 +304,14 @@ class TestBsShift:
         with pytest.raises(OverflowError):
             ts.splitting_half(sideband, params)
 
+    def test_overflowing_power_of_eta_names_the_sum(self):
+        # 7.0**365 leaves double precision before any term of that distance is formed
+        message = r"^the closed-form sum around n = {} left double precision at distance 365$"
+        with pytest.raises(OverflowError, match=message.format(0)):
+            resolvent._sum_terms(0, 1, 7.0)
+        with pytest.raises(OverflowError, match=message.format(1)):
+            ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=0.01, eta=7.0))
+
 
 class TestRegimeWarning:
     """The closed-form sums, not TrapParams, judge the perturbative regime."""

@@ -354,12 +354,16 @@ class TestLocatorFallbacks:
         monkeypatch.setattr(spectrum, "_search_window", recording)
         params = ts.TrapParams(rabi=0.8, eta=0.05)
         report = ts.find_resonance(SB01, params)
-        first = max(
-            spectrum.WINDOW_GAP_MULTIPLE * 0.8 * ts.chi_magnitude(0, 1, 0.05),
-            spectrum.WINDOW_FRACTION,
-        )
+        # each basis's first half-width, from the coupling entry _search_window reads
+        firsts = [
+            max(
+                spectrum.WINDOW_GAP_MULTIPLE * 2.0 * abs(float(coupling_block(params, n)[0, 1])),
+                spectrum.WINDOW_FRACTION,
+            )
+            for n in spectrum.check_bases(SB01, None, params.eta)
+        ]
         # the maximum sits 0.4 below delta0: two doublings on each basis
-        assert [half / first for half in halves] == [4.0, 4.0]
+        assert [half / first for half, first in zip(halves, firsts)] == [4.0, 4.0]
         assert report.method == "extremum"
         assert report.converged
         assert report.delta_star == pytest.approx(0.60195, abs=1e-5)
@@ -497,6 +501,16 @@ class TestLazyImport:
         loaded, table_exact = run_probe(probe).splitlines()
         assert loaded == "[]"
         assert table_exact == "True"
+
+    def test_operator_and_hamiltonian_load_no_scipy(self):
+        probe = "\n".join([
+            "import sys",
+            "import trapshift as ts",
+            "ts.build_hamiltonian(ts.TrapParams(rabi=0.01, eta=0.3), 6)",
+            "ts.displacement_oracle(0.3, 6)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        assert run_probe(probe) == "[]"
 
     def test_closed_form_route_loads_no_numpy(self):
         probe = "\n".join([
