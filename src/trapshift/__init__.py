@@ -23,6 +23,7 @@ from .resolvent import (
     bs_shift,
     bs_shift_ld,
     bs_shift_literature,
+    bs_shifts,
     eta_zero_shift,
     splitting_half,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "bs_shift",
     "bs_shift_ld",
     "bs_shift_literature",
+    "bs_shifts",
     "build_hamiltonian",
     "chi",
     "chi_magnitude",

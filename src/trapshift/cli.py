@@ -36,7 +36,7 @@ from .errors import TrapshiftError
 from .fock import rabi_coupling
 from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
 from .params import SidebandId, TrapParams
-from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, eta_zero_shift
+from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, bs_shifts, eta_zero_shift
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
@@ -413,8 +413,8 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
 
     columns = ["sideband", "order", "n", "n_g", "n_e", "shift", "shift_hz"]
     rows: list[list] = []
-    for sb in sidebands:
-        shift = bs_shift(sb, params).delta_omega_full
+    for sb, pert in zip(sidebands, bs_shifts(sidebands, params)):
+        shift = pert.delta_omega_full
         rows.append([
             sb.kind, abs(sb.order), min(sb.n_g, sb.n_e), sb.n_g, sb.n_e, shift, _hz(shift, omega_phys),
         ])

@@ -5,15 +5,15 @@ The central object is the matrix element
     chi_{nn'} = <n| exp(i*eta*(a + a^dag)) |n'>
               = exp(-eta^2/2) * (i*eta)^|n-n'| * sqrt(n_<!/n_>!) * L_{n_<}^{|n-n'|}(eta^2)
 
-with n_< (n_>) the lesser (greater) of n and n'.  Every scalar value comes
-from one routine, ``_laguerre_column``, the three-term Laguerre recurrence in
-n at fixed order: ``laguerre`` and ``chi_magnitude`` take the last entry of a
-column, the closed-form sums of ``resolvent`` two entries of each column they
-run, and the table ``hamiltonian.coupling_table`` every entry.  Every product
-reads log(k!) from ``math.lgamma``, so the closed form keeps no state, and
-every column is bounded below ``params.MAX_LEVELS`` entries before it is
-built, by the level rule ``params.check_level``; eta meets ``params.check_eta``,
-the same rules that bound ``SidebandId`` and ``TrapParams``.
+with n_< (n_>) the lesser (greater) of n and n'.  ``_amplitude_column``
+forms every amplitude: per distance d = |n - n'|, the prefactor
+exp(-eta^2/2) * eta^d (the package's one eta**d overflow is raised there) and
+the column L_0^d..L_n^d(eta^2) of ``_laguerre_column``, the three-term
+recurrence in n.  ``chi_magnitude`` reads a column's last entry, the table
+``hamiltonian.coupling_table`` every entry, and all the closed-form sums of
+a ``resolvent`` call share one column per distance.  log(k!) comes from
+``math.lgamma``, so the closed form keeps no state; every column is bounded
+below ``params.MAX_LEVELS`` by ``params.check_level``, eta by ``check_eta``.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
 library, so the closed form loads no numpy.  The exact route takes the same
@@ -57,6 +57,18 @@ def laguerre(n: int, alpha: int, x: float) -> float:
     return _laguerre_column(n, float(alpha), x)[-1]
 
 
+def _amplitude_column(eta: float, d: int, n: int) -> tuple[float, list[float]]:
+    """(exp(-eta^2/2) * eta^d, [L_0^d(eta^2)..L_n^d(eta^2)]): every chi amplitude at distance d
+    is ``prefactor * exp(0.5 * (lgamma(lo + 1) - lgamma(lo + d + 1))) * column[lo]``, in
+    that order, for some lo <= n.  Raises the one ``OverflowError`` of eta**d."""
+    x = eta * eta
+    try:
+        power = eta**d
+    except OverflowError:
+        raise OverflowError(f"eta**{d} at eta = {eta!r} overflows") from None
+    return math.exp(-0.5 * x) * power, _laguerre_column(n, float(d), x)
+
+
 def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     """Real amplitude m of chi_{nn'} = i^|n-n'| * m; signed, since the Laguerre
     factor changes sign in eta, so |chi_{nn'}| is its ``abs``.
@@ -74,26 +86,16 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     if hi >= 2**53:
         raise ValueError(f"max(n, nprime) must be below 2**53, got {hi!r}")
     check_eta(eta)
-    d = hi - lo
-    x = eta * eta
-    try:
-        power = eta**d
-    except OverflowError:
-        raise _chi_overflow(n, nprime, eta, f"eta**{d}") from None
-    m = (
-        math.exp(-0.5 * x)
-        * power
-        * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
-        * _laguerre_column(lo, float(d), x)[-1]
-    )
+    prefactor, column = _amplitude_column(eta, hi - lo, lo)
+    m = prefactor * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0))) * column[-1]
     if not math.isfinite(m):
         raise _chi_overflow(n, nprime, eta)
     return m
 
 
-def _chi_overflow(n: int, nprime: int, eta: float, factor: str = "the Laguerre factor") -> OverflowError:
-    """The error of a chi_{nn'} whose ``factor`` left double precision."""
-    return OverflowError(f"{factor} of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
+def _chi_overflow(n: int, nprime: int, eta: float) -> OverflowError:
+    """The error of a chi_{nn'} whose Laguerre factor left double precision."""
+    return OverflowError(f"the Laguerre factor of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
 
 
 def chi(n: int, nprime: int, eta: float) -> complex:

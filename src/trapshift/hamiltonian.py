@@ -42,33 +42,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _chi_overflow, _laguerre_column
+from .fock import PHASES, _amplitude_column, _chi_overflow
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
 
 
 def coupling_table(eta: float, n_max: int) -> np.ndarray:
     """chi_{nn'} for 0 <= n, n' <= n_max from the Laguerre closed form.
 
-    One ``_laguerre_column`` per order d = |n - n'| fills both diagonals at
-    distance d; each entry is the same product, in the same order and bit for
-    bit, as ``chi(n, n', eta)`` and the terms of the closed-form sums.
-    ``check_padded_basis`` bounds n_max before any column, log(k!) list or
-    table is built.  Raises ``OverflowError``, as ``chi`` does, where a
-    Laguerre factor or eta**d leaves double precision.
+    One ``fock._amplitude_column`` per order d = |n - n'| fills both
+    diagonals at distance d; each entry is the same product, in the same
+    order and bit for bit, as ``chi(n, n', eta)`` and the terms of the
+    closed-form sums.  ``check_padded_basis`` bounds n_max before any column
+    or table is built.  Raises ``OverflowError`` as ``chi`` does.
     """
     check_padded_basis(eta, n_max)
-    x = eta * eta
-    gauss = math.exp(-0.5 * x)
-    log_fact = [math.lgamma(k + 1.0) for k in range(n_max + 1)]
     entries = np.empty((n_max + 1, n_max + 1), dtype=complex)
     for d in range(n_max + 1):
-        try:
-            power = eta**d
-        except OverflowError:
-            raise _chi_overflow(0, d, eta, f"eta**{d}") from None
+        prefactor, lags = _amplitude_column(eta, d, n_max - d)
+        phase = PHASES[d % 4]
         column = [
-            PHASES[d % 4] * (gauss * power * math.exp(0.5 * (log_fact[lo] - log_fact[lo + d])) * lag)
-            for lo, lag in enumerate(_laguerre_column(n_max - d, float(d), x))
+            phase * (prefactor * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(lo + d + 1.0))) * lag)
+            for lo, lag in enumerate(lags)
         ]
         idx = np.arange(n_max + 1 - d)
         entries[idx, idx + d] = column

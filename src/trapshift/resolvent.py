@@ -16,18 +16,22 @@ collapses, with Omega_R and delta_omega in units of the trap frequency, to
 
 valid at all eta for weak drive.  ``bs_shift`` runs each sum once and returns
 only what that pass computes: R_gg, R_ee, delta_omega and a bound on the terms
-left out.  The quadratic-in-eta expansion ``bs_shift_ld`` and the superseded
-first-red-sideband literature formula are separate calls that ``cli`` prints.
+left out; ``bs_shifts`` does so for a batch in one pass of ``_sum_terms``.  The
+quadratic-in-eta expansion ``bs_shift_ld`` and the superseded first-red-sideband
+literature formula are separate calls that ``cli`` prints.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import PerturbativeRegimeWarning
-from .fock import _laguerre_column, rabi_coupling
+from .fock import _amplitude_column, _chi_overflow, rabi_coupling
 from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
 from .params import SidebandId, TrapParams
 
@@ -38,8 +42,11 @@ PERTURBATIVE_RATIO_LIMIT = 0.1
 #: of the accumulated magnitude.
 TERM_CUTOFF = 1e-16
 
+#: Most sums ``_sum_terms`` runs at once, which bounds its memory for any batch.
+SUM_CHUNK = 2048
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PerturbativeShift:
     """Resonance shift of one sideband and the level shifts it is made of.
 
@@ -78,68 +85,63 @@ def _term_majorant(eta: float, center: int, d: int) -> float:
     return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))
 
 
-def _sum_terms(center: int, exclude: int, eta: float) -> tuple[float, int, int]:
-    """fsum of |chi_{center,k}|^2 / (exclude - k) over every k >= 0, k != exclude.
+def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[float, int, int]]:
+    """For each (center, exclude) of ``pairs``, in order, (sum, largest
+    retained k, distance d reached) of the fsum of |chi_{center,k}|^2 /
+    (exclude - k) over every k >= 0, k != exclude.
 
     The integers are the level-shift denominators: at the crossing detuning
     Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
     R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
-    exclude = n_g.  Returns (sum, largest retained k, distance d reached),
-    where d is the distance at which the sum stopped: the first at which
-    ``_term_majorant`` falls to ``TERM_CUTOFF`` times the accumulated
-    magnitude (see ``_tail_bound``).  Every retained denominator has
-    |exclude - k| >= 1, so the majorant bounds the terms at any distance,
-    before the excluded level as well as past it.  Raises ``OverflowError``
-    when a term leaves double precision first.
+    exclude = n_g.  A sum stops at the first d at which ``_term_majorant``
+    falls to ``TERM_CUTOFF`` times its accumulated magnitude (see
+    ``_tail_bound``); every retained |exclude - k| >= 1, so the majorant
+    bounds the terms on both sides of the excluded level.  Raises
+    ``OverflowError`` when a term leaves double precision, naming its chi.
 
-    Terms are generated in ascending |k - center| so that the exactly
-    rounded fsum sees the rapidly decaying sequence in a fixed, symmetric
-    order; this makes carrier nulls and sideband swaps cancel exactly.  At
-    distance d both terms, k = center -+ d, come from one Laguerre column
-    L_0^d..L_center^d(eta^2), and each is the same product, in the same
-    order, as ``chi_magnitude(center, k, eta)**2 / (exclude - k)``, with
-    log(k!) read from lgamma.  Only the column's length, center + 1, is
-    bounded (by ``SidebandId``): k itself may pass ``MAX_LEVELS``.
+    The one loop of every closed-form sum: up to ``SUM_CHUNK`` sums advance
+    together, distance by distance, on one ``fock._amplitude_column`` per d,
+    that of the greatest open center, whose prefix is each shorter column bit
+    for bit.  A sum's terms come in ascending |k - center|, a fixed symmetric
+    order for the exactly rounded fsum (carrier nulls and sideband swaps
+    cancel exactly), each the product of ``chi_magnitude(center, k, eta)**2 /
+    (exclude - k)`` in the same order, so no sum depends on its batch.  Only
+    the column length, center + 1, is bounded (``SidebandId``), not k.
     """
-    x = eta * eta
-    gauss = math.exp(-0.5 * x)
-    log_center = math.lgamma(center + 1.0)
-    terms: list[float] = []
-    running = 0.0
-    k_used = 0
-    d = 0
-    while True:
-        try:
-            power = eta**d
-        except OverflowError:
-            raise _sum_overflow(center, d) from None
-        column = _laguerre_column(center, float(d), x)
-        for k in (center - d, center + d) if d else (center,):
-            if k < 0 or k == exclude:
-                continue
-            if k < center:
-                log_lo, log_hi, lag = math.lgamma(k + 1.0), log_center, column[k]
-            else:
-                log_lo, log_hi, lag = log_center, math.lgamma(k + 1.0), column[center]
-            m = gauss * power * math.exp(0.5 * (log_lo - log_hi)) * lag
-            term = m * m / (exclude - k)
-            terms.append(term)
-            running += abs(term)
-            if k > k_used:
-                k_used = k
-        d += 1
-        if not math.isfinite(running):
-            # a term left double precision; nan would never end the sum
-            raise _sum_overflow(center, d - 1)
-        # not strict, so that an all-zero sum (a carrier at eta = 0) ends
-        if _term_majorant(eta, center, d) <= TERM_CUTOFF * running:
-            break
-    return math.fsum(terms), k_used, d
-
-
-def _sum_overflow(center: int, d: int) -> OverflowError:
-    """The error of a closed-form sum that left double precision at distance d."""
-    return OverflowError(f"the closed-form sum around n = {center} left double precision at distance {d}")
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, SUM_CHUNK)):
+        results: list = [None] * len(chunk)
+        # each open sum, in order of center: [index, center, exclude, terms, running magnitude,
+        # largest k], its terms held as doubles, a quarter of a list's memory
+        sums = sorted(([i, c, e, array("d"), 0.0, 0] for i, (c, e) in enumerate(chunk)), key=lambda s: s[1])
+        d = 0
+        while sums:
+            prefactor, column = _amplitude_column(eta, d, sums[-1][1])
+            still_open = []
+            for state in sums:
+                i, center, exclude, terms, running, k_used = state
+                for k in (center - d, center + d) if d else (center,):
+                    if k < 0 or k == exclude:
+                        continue
+                    lo, hi = (k, center) if k < center else (center, k)
+                    ratio = math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
+                    m = prefactor * ratio * column[lo]
+                    term = m * m / (exclude - k)
+                    if not math.isfinite(term):
+                        raise _chi_overflow(center, k, eta)  # nan would never end the sum
+                    terms.append(term)
+                    running += abs(term)
+                    if k > k_used:
+                        k_used = k
+                # not strict, so that an all-zero sum (a carrier at eta = 0) ends
+                if _term_majorant(eta, center, d + 1) <= TERM_CUTOFF * running:
+                    results[i] = (math.fsum(terms), k_used, d + 1)
+                else:
+                    state[4], state[5] = running, k_used
+                    still_open.append(state)
+            sums = still_open
+            d += 1
+        yield from results
 
 
 def _tail_bound(eta: float, center: int, d: int) -> float:
@@ -184,20 +186,35 @@ def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     is (Omega_R/2)^2 times both sums' ``_tail_bound``.
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
-    ``PERTURBATIVE_RATIO_LIMIT``.
+    ``PERTURBATIVE_RATIO_LIMIT``.  The batch of one of ``bs_shifts``.
     """
     _warn_outside_regime(params)
-    n_g, n_e, eta = sideband.n_g, sideband.n_e, params.eta
-    s_ee, k_ee, d_ee = _sum_terms(n_e, n_g, eta)
-    s_gg, k_gg, d_gg = _sum_terms(n_g, n_e, eta)
+    return _shifts((sideband,), params)[0]
+
+
+def bs_shifts(sidebands: Iterable[SidebandId], params: TrapParams) -> list[PerturbativeShift]:
+    """``bs_shift`` of each sideband at one ``params``, equal to it bit for
+    bit, from one ``_sum_terms`` pass over all their sums.  Warns once above
+    ``PERTURBATIVE_RATIO_LIMIT``."""
+    _warn_outside_regime(params)
+    return _shifts(list(sidebands), params)
+
+
+def _shifts(sidebands: Sequence[SidebandId], params: TrapParams) -> list[PerturbativeShift]:
+    """The shifts of ``bs_shifts``, without its warning."""
+    eta = params.eta
+    sums = _sum_terms((pair for sb in sidebands for pair in ((sb.n_e, sb.n_g), (sb.n_g, sb.n_e))), eta)
     half_sq = (0.5 * params.rabi) ** 2
-    return PerturbativeShift(
-        delta_omega_full=params.rabi**2 / 4.0 * (s_ee - s_gg),
-        r_gg=half_sq * s_gg,
-        r_ee=half_sq * s_ee,
-        k_max_used=max(k_gg, k_ee),
-        tail_bound=half_sq * (_tail_bound(eta, n_g, d_gg) + _tail_bound(eta, n_e, d_ee)),
-    )
+    return [
+        PerturbativeShift(
+            delta_omega_full=params.rabi**2 / 4.0 * (s_ee - s_gg),
+            r_gg=half_sq * s_gg,
+            r_ee=half_sq * s_ee,
+            k_max_used=max(k_gg, k_ee),
+            tail_bound=half_sq * (_tail_bound(eta, sb.n_g, d_gg) + _tail_bound(eta, sb.n_e, d_ee)),
+        )
+        for sb, (s_ee, k_ee, d_ee), (s_gg, k_gg, d_gg) in zip(sidebands, sums, sums)
+    ]
 
 
 level_shift_diag = bs_shift  # not a second entry; trapbench traces this name

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import shlex
+import time
 import warnings
 from pathlib import Path
 
@@ -38,6 +39,7 @@ def fail_if_computed(monkeypatch):
 
     monkeypatch.setattr(np, "linspace", unreachable)
     monkeypatch.setattr(cli, "bs_shift", unreachable)
+    monkeypatch.setattr(cli, "bs_shifts", unreachable)
     monkeypatch.setattr(cli, "find_resonance", unreachable)
 
 
@@ -428,7 +430,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (
             "numeric failure: the inputs overflow double precision "
-            "(the closed-form sum around n = 0 left double precision at distance 365)\n"
+            "(eta**365 at eta = 7.0 overflows)\n"
         )
 
     def test_overflowing_coupling_exits_three_before_any_eigensolve(self, monkeypatch, capsys):
@@ -710,6 +712,7 @@ class TestRowBound:
 
         monkeypatch.setattr(np, "linspace", unreachable)
         monkeypatch.setattr(cli, "bs_shift", unreachable)
+        monkeypatch.setattr(cli, "bs_shifts", unreachable)
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -916,6 +919,23 @@ class TestSidebandsCommand:
         # pure closed form with no BLAS call: the bytes do not depend on the BLAS build or threads
         assert cli.main(["sidebands"]) == 0
         assert capsys.readouterr().out == SIDEBANDS_DEFAULT_STDOUT
+
+    def test_long_table_runs_in_one_pass(self, capsys):
+        # 6003 rows whose sums reach past level 2000: row by row, each sum
+        # building its own Laguerre column at every distance, this took about
+        # a minute; one pass shares each column and takes about a second
+        argv = ["sidebands", "--trap-freq", "1", "--rabi", "0.01", "--max-order", "1", "--max-n", "2000"]
+        start = time.perf_counter()
+        assert cli.main(argv) == 0
+        elapsed = time.perf_counter() - start
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(rows) == 3 * 2001
+        params = ts.TrapParams(rabi=0.01, eta=0.083)
+        for row in rows[::97] + rows[-3:]:
+            record = dict(zip(header, row))
+            sideband = ts.SidebandId(int(record["n_g"]), int(record["n_e"]))
+            assert record["shift"] == repr(ts.bs_shift(sideband, params).delta_omega_full), record
+        assert elapsed < 20.0
 
 
 SIDEBANDS_DEFAULT_STDOUT = """\

@@ -181,7 +181,7 @@ class TestChi:
 
     def test_overflowing_power_of_eta_is_named(self):
         # 7.0**400 raises Python's bare OverflowError before the product is formed
-        with pytest.raises(OverflowError, match=r"^eta\*\*400 of chi_\{0,400\} at eta = 7\.0 overflows$"):
+        with pytest.raises(OverflowError, match=r"^eta\*\*400 at eta = 7\.0 overflows$"):
             ts.chi_magnitude(0, 400, 7.0)
 
 
@@ -255,8 +255,8 @@ class TestCouplingTable:
             ts.chi_magnitude(378, 1099, 0.1)
 
     def test_overflowing_power_of_eta_is_named(self):
-        # 7.0**365 is the first power past double precision; its first pair is named
-        with pytest.raises(OverflowError, match=r"^eta\*\*365 of chi_\{0,365\} at eta = 7\.0 overflows$"):
+        # 7.0**365 is the first power past double precision
+        with pytest.raises(OverflowError, match=r"^eta\*\*365 at eta = 7\.0 overflows$"):
             ts.coupling_table(7.0, 400)
 
 

@@ -15,14 +15,14 @@ from trapshift.params import MAX_LEVELS
 
 
 def _forbid_laguerre_columns(monkeypatch):
-    """Make every Laguerre column, in the closed form and in its table, fail."""
-    from trapshift import fock, hamiltonian, resolvent
+    """Make every Laguerre column, in the closed form and in its table, fail:
+    each is built by ``fock._laguerre_column``."""
+    from trapshift import fock
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a Laguerre column was built before the bound")
 
-    for module in (fock, resolvent, hamiltonian):
-        monkeypatch.setattr(module, "_laguerre_column", unreachable)
+    monkeypatch.setattr(fock, "_laguerre_column", unreachable)
 
 
 class TestTrapParams:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import pytest
@@ -52,6 +53,12 @@ def reference_sum(center, exclude, eta):
         log_root = d * math.log(eta * math.sqrt(center + d)) if eta else -math.inf
         if math.exp(2.0 * (log_root - math.lgamma(d + 1.0))) <= resolvent.TERM_CUTOFF * running:
             return math.fsum(terms), k_used, d
+
+
+def one_sum(center, exclude, eta):
+    """``resolvent._sum_terms`` over the one pair (center, exclude)."""
+    [result] = resolvent._sum_terms([(center, exclude)], eta)
+    return result
 
 
 def reference_majorant_tail(center, exclude, eta):
@@ -129,7 +136,7 @@ class TestLevelShiftDiag:
     def test_tail_bound_covers_the_omitted_terms(self, eta):
         # every term each sum left out, 200 levels past its stop on both sides
         def omitted(center, exclude):
-            d = resolvent._sum_terms(center, exclude, eta)[2]
+            d = one_sum(center, exclude, eta)[2]
             return math.fsum(
                 ts.chi_magnitude(center, k, eta) ** 2 / abs(exclude - k)
                 for j in range(d, d + 200)
@@ -201,13 +208,25 @@ class TestBsShift:
         params = ts.TrapParams(rabi=0.01, eta=eta)
         assert ts.bs_shift(ts.SidebandId(n_g, n_e), params).delta_omega_full == frozen
 
+    def test_batch_is_each_shift_bit_for_bit(self):
+        # any order and any iterable: one pass over all the sums gives each shift
+        sidebands = [ts.SidebandId(n_g, n_e) for n_g in (0, 7, 3) for n_e in (5, 0, 3)]
+        assert ts.bs_shifts(iter(sidebands), P01) == [ts.bs_shift(sb, P01) for sb in sidebands]
+        assert ts.bs_shifts([], P01) == []
+
     @pytest.mark.parametrize("eta", DIFFERENTIAL_ETAS)
-    def test_sums_match_per_term_chi(self, eta):
-        # every (sum, largest k, distance) equals the per-term reference bit for bit
-        for center in range(31):
-            for exclude in range(31):
-                got = resolvent._sum_terms(center, exclude, eta)
-                assert got == reference_sum(center, exclude, eta), (center, exclude)
+    def test_sums_match_per_term_chi(self, eta, monkeypatch):
+        # every (sum, largest k, distance) equals the per-term reference bit
+        # for bit, run alone and in one batch of the whole grid, whose chunks
+        # of 100 sums each mix every center
+        pairs = [(center, exclude) for exclude in range(31) for center in range(31)]
+        monkeypatch.setattr(resolvent, "SUM_CHUNK", 100)
+        batch = list(resolvent._sum_terms(pairs, eta))
+        assert len(batch) == len(pairs)
+        for (center, exclude), in_batch in zip(pairs, batch):
+            expected = reference_sum(center, exclude, eta)
+            assert one_sum(center, exclude, eta) == expected, (center, exclude)
+            assert in_batch == expected, (center, exclude)
 
     # Far sidebands of high levels: the sum around the high level ends on its
     # majorant long before the excluded level, whose Laguerre columns would
@@ -220,8 +239,8 @@ class TestBsShift:
     def test_far_sidebands_of_high_levels_are_finite(self, n_g, n_e, eta, shift):
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
         ref_ee, ref_gg = reference_sum(n_e, n_g, eta), reference_sum(n_g, n_e, eta)
-        assert resolvent._sum_terms(n_e, n_g, eta) == ref_ee
-        assert resolvent._sum_terms(n_g, n_e, eta) == ref_gg
+        assert one_sum(n_e, n_g, eta) == ref_ee
+        assert one_sum(n_g, n_e, eta) == ref_gg
         got = ts.bs_shift(sideband, params).delta_omega_full
         assert got == 0.01**2 / 4.0 * (ref_ee[0] - ref_gg[0])
         assert got == pytest.approx(shift, rel=1e-9)
@@ -296,21 +315,34 @@ class TestBsShift:
         # chi_{3000,6000} at eta 0.1 leaves double precision, but neither sum
         # reaches the other level: the shift is the two sums, bit for bit
         sideband, params = ts.SidebandId(3000, 6000), ts.TrapParams(rabi=0.01, eta=0.1)
-        s_ee = resolvent._sum_terms(6000, 3000, 0.1)[0]
-        s_gg = resolvent._sum_terms(3000, 6000, 0.1)[0]
+        s_ee = one_sum(6000, 3000, 0.1)[0]
+        s_gg = one_sum(3000, 6000, 0.1)[0]
         result = ts.bs_shift(sideband, params)
         assert math.isfinite(result.delta_omega_full) and math.isfinite(result.tail_bound)
         assert result.delta_omega_full == 0.01**2 / 4.0 * (s_ee - s_gg)
         with pytest.raises(OverflowError):
             ts.splitting_half(sideband, params)
 
-    def test_overflowing_power_of_eta_names_the_sum(self):
-        # 7.0**365 leaves double precision before any term of that distance is formed
-        message = r"^the closed-form sum around n = {} left double precision at distance 365$"
-        with pytest.raises(OverflowError, match=message.format(0)):
-            resolvent._sum_terms(0, 1, 7.0)
-        with pytest.raises(OverflowError, match=message.format(1)):
+    def test_overflowing_power_of_eta_is_named(self):
+        # 7.0**365 leaves double precision before any term of that distance
+        # is formed, in the one message of chi_magnitude and coupling_table
+        message = r"^eta\*\*365 at eta = 7\.0 overflows$"
+        with pytest.raises(OverflowError, match=message):
+            one_sum(0, 1, 7.0)
+        with pytest.raises(OverflowError, match=message):
             ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=0.01, eta=7.0))
+        with pytest.raises(OverflowError, match=message):
+            ts.bs_shifts([SB10, ts.SidebandId(5, 5)], ts.TrapParams(rabi=0.01, eta=7.0))
+
+    def test_overflowing_term_names_its_pair(self):
+        # around n = 3000 at eta 2 a Laguerre factor leaves double precision;
+        # the sum names the element as chi_magnitude does
+        with pytest.raises(OverflowError) as raised:
+            one_sum(3000, 0, 2.0)
+        found = re.fullmatch(r"the Laguerre factor of chi_\{3000,(\d+)\} at eta = 2\.0 overflows", str(raised.value))
+        assert found, str(raised.value)
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(raised.value))}$"):
+            ts.chi_magnitude(3000, int(found[1]), 2.0)
 
 
 class TestRegimeWarning:
@@ -323,6 +355,15 @@ class TestRegimeWarning:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ts.bs_shift(carrier, params)
+        assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning]
+        assert caught[0].filename == __file__
+
+    def test_batch_warns_once_at_the_caller(self):
+        sidebands = [ts.SidebandId(n_g, n_e) for n_g in range(4) for n_e in range(4)]
+        params = ts.TrapParams(rabi=0.3, eta=0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ts.bs_shifts(sidebands, params)
         assert [w.category for w in caught] == [ts.PerturbativeRegimeWarning]
         assert caught[0].filename == __file__
 
