@@ -75,8 +75,9 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
 
 def _spread(eta: float, n: int) -> int:
     """4*ceil(eta*sqrt(n)): the displaced number state D|n> spreads over k from
-    about (sqrt(n) - eta)^2 to (sqrt(n) + eta)^2, a width of about 4*eta*sqrt(n)."""
-    return 4 * math.ceil(eta * math.sqrt(max(n, 1)))
+    about (sqrt(n) - eta)^2 to (sqrt(n) + eta)^2, a width of about 4*eta*sqrt(n),
+    the product saturated at ``MAX_LEVELS``, past which no basis fits."""
+    return 4 * math.ceil(min(eta * math.sqrt(max(n, 1)), MAX_LEVELS))
 
 
 def oracle_pad(eta: float, n_max: int) -> int:
@@ -162,11 +163,12 @@ def bare_energy(state: str, n: int, params: TrapParams) -> float:
 def default_n_max(sideband: SidebandId, eta: float) -> int:
     """Default truncation: pair maximum plus a margin that grows with eta^2, or
     with the ``_spread`` of the displaced pair maximum where that is wider.
+    Both saturate at ``MAX_LEVELS``, which ``check_padded_basis`` rejects.
 
     Validated downstream by the doubled-basis re-locate of ``find_resonance``.
     """
     n = max(sideband.n_g, sideband.n_e)
-    return n + max(15 + math.ceil(25.0 * eta * eta), _spread(eta, n))
+    return n + max(15 + math.ceil(min(25.0 * eta * eta, MAX_LEVELS)), _spread(eta, n))
 
 
 @dataclass(frozen=True, eq=False)

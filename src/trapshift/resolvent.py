@@ -16,9 +16,10 @@ collapses, with Omega_R and delta_omega in units of the trap frequency, to
 
 valid at all eta for weak drive.  ``bs_shift`` runs each sum once and returns
 only what that pass computes: R_gg, R_ee, delta_omega and a bound on the terms
-left out; ``bs_shifts`` does so for a batch in one pass of ``_sum_terms``.  The
-quadratic-in-eta expansion ``bs_shift_ld`` and the superseded first-red-sideband
-literature formula are separate calls that ``cli`` prints.
+left out, from the majorants at which each sum stopped; ``bs_shifts`` does so
+for a batch in one pass of ``_sum_terms``.  The quadratic-in-eta expansion
+``bs_shift_ld`` and the superseded first-red-sideband literature formula are
+separate calls that ``cli`` prints.
 """
 
 from __future__ import annotations
@@ -75,29 +76,42 @@ def _warn_outside_regime(params: TrapParams) -> None:
 
 
 def _term_majorant(eta: float, center: int, d: int) -> float:
-    """Upper bound on |chi_{center,k}|^2 / |denominator| at distance
-    d = |k - center| >= 1.
+    """Upper bound M(d) on |chi_{center,k}|^2 / |denominator| at distance
+    d = |k - center| >= 1, ``math.inf`` where it leaves double precision (a
+    bound above 1 says nothing about a |chi|^2 term).
 
-    Uses |chi_{n,k}| <= (eta*sqrt(n_>))^d / d! and |denominator| >= 1.
+    Uses |chi_{n,k}| <= (eta*sqrt(n_>))^d / d! and |denominator| >= 1.  The
+    ratio rho(j) = M(j+1)/M(j) = eta^2 (c+j+1)/(j+1)^2 (1 + 1/(c+j))^j at
+    c = center never grows with j (its log-derivative is at most 1/(c+j+1)
+    + (c+1)/((c+j)(c+j+1)) - 2/(j+1) <= 0 where c^2 + cj + j^2 >= 1, and
+    rho(0) = rho(1) at c = 0), so a geometric series of ratio rho(d) bounds
+    the majorants past d.
     """
     if eta == 0.0:
         return 0.0
-    return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))
+    try:
+        return math.exp(2.0 * (d * math.log(eta * math.sqrt(center + d)) - math.lgamma(d + 1.0)))
+    except OverflowError:
+        return math.inf
 
 
-def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[float, int, int]]:
+def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[float, int, float]]:
     """For each (center, exclude) of ``pairs``, in order, (sum, largest
-    retained k, distance d reached) of the fsum of |chi_{center,k}|^2 /
-    (exclude - k) over every k >= 0, k != exclude.
+    retained k, tail) of the fsum of |chi_{center,k}|^2 / (exclude - k) over
+    every k >= 0, k != exclude, where tail bounds every term it left out.
 
     The integers are the level-shift denominators: at the crossing detuning
     Delta0 = n_e - n_g, E0 - E_{e,k} = n_e - k and E0 - E_{g,k} = n_g - k, so
     R_gg is (Omega_R/2)^2 times this sum with exclude = n_e, and R_ee with
     exclude = n_g.  A sum stops at the first d at which ``_term_majorant``
-    falls to ``TERM_CUTOFF`` times its accumulated magnitude (see
-    ``_tail_bound``); every retained |exclude - k| >= 1, so the majorant
-    bounds the terms on both sides of the excluded level.  Raises
-    ``OverflowError`` when a term leaves double precision, naming its chi.
+    M(d) falls to ``TERM_CUTOFF`` times its accumulated magnitude; every
+    retained |exclude - k| >= 1, so M bounds the terms on both sides of the
+    excluded level, and the stop's tail is 2 M(d) / (1 - rho), rho =
+    M(d+1)/M(d) (0 where M(d) is 0).  rho < 1 at a stop: else M(d) >= M(0) =
+    1, but a stop needs M(d) <= 1e-16 times a running magnitude that
+    unitarity and |denominator| >= 1 keep below 1; ``ArithmeticError`` should
+    rho reach 1 all the same.  Raises ``OverflowError`` when a term leaves
+    double precision, naming its chi.
 
     The one loop of every closed-form sum: up to ``SUM_CHUNK`` sums advance
     together, distance by distance, on one ``fock._amplitude_column`` per d,
@@ -133,39 +147,22 @@ def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[f
                     running += abs(term)
                     if k > k_used:
                         k_used = k
+                majorant = _term_majorant(eta, center, d + 1)
                 # not strict, so that an all-zero sum (a carrier at eta = 0) ends
-                if _term_majorant(eta, center, d + 1) <= TERM_CUTOFF * running:
-                    results[i] = (math.fsum(terms), k_used, d + 1)
+                if majorant <= TERM_CUTOFF * running:
+                    rho = _term_majorant(eta, center, d + 2) / majorant if majorant else 0.0
+                    if not rho < 1.0:
+                        raise ArithmeticError(
+                            f"the majorant around n = {center} at eta = {eta!r} "
+                            f"does not decay past distance {d + 1}"
+                        )
+                    results[i] = (math.fsum(terms), k_used, 2.0 * majorant / (1.0 - rho))
                 else:
                     state[4], state[5] = running, k_used
                     still_open.append(state)
             sums = still_open
             d += 1
         yield from results
-
-
-def _tail_bound(eta: float, center: int, d: int) -> float:
-    """Bound on every term a sum around center left out, both sides, when it
-    stopped at distance d: 2 M(d) / (1 - rho), rho = M(d+1)/M(d) and M the
-    ``_term_majorant`` (0 when M(d) is 0).
-
-    rho(j) = eta^2 (c+j+1)/(j+1)^2 (1 + 1/(c+j))^j at c = center never grows
-    with j (its log-derivative is at most 1/(c+j+1) + (c+1)/((c+j)(c+j+1))
-    - 2/(j+1) <= 0 where c^2 + cj + j^2 >= 1, and rho(0) = rho(1) at c = 0),
-    so a geometric series bounds the majorants past d.  rho < 1 at a stop:
-    else M(d) >= M(0) = 1, but a stop needs M(d) <= 1e-16 times a running
-    magnitude that unitarity and |denominator| >= 1 keep below 1.  Raises
-    ``ArithmeticError`` should rho reach 1 all the same.
-    """
-    m_d = _term_majorant(eta, center, d)
-    if m_d == 0.0:
-        return 0.0
-    ratio = _term_majorant(eta, center, d + 1) / m_d
-    if not ratio < 1.0:
-        raise ArithmeticError(
-            f"the majorant around n = {center} at eta = {eta!r} does not decay past distance {d}"
-        )
-    return 2.0 * m_d / (1.0 - ratio)
 
 
 def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
@@ -183,7 +180,7 @@ def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     |chi_{n_g,k}|^2/(n_e - k) and |chi_{n_e,k}|^2/(n_g - k), whose integers
     are the denominators E0 - E_{e,k} and E0 - E_{g,k} (see ``_sum_terms``);
     no retained one vanishes.  delta_omega = R_ee - R_gg, and ``tail_bound``
-    is (Omega_R/2)^2 times both sums' ``_tail_bound``.
+    is (Omega_R/2)^2 times both sums' tails, each bounded where its sum stops.
     Exactly zero for carriers and exactly antisymmetric under exchanging n_g
     and n_e, by construction of the summation order.  Warns above
     ``PERTURBATIVE_RATIO_LIMIT``.  The batch of one of ``bs_shifts``.
@@ -211,9 +208,9 @@ def _shifts(sidebands: Sequence[SidebandId], params: TrapParams) -> list[Perturb
             r_gg=half_sq * s_gg,
             r_ee=half_sq * s_ee,
             k_max_used=max(k_gg, k_ee),
-            tail_bound=half_sq * (_tail_bound(eta, sb.n_g, d_gg) + _tail_bound(eta, sb.n_e, d_ee)),
+            tail_bound=half_sq * (t_gg + t_ee),
         )
-        for sb, (s_ee, k_ee, d_ee), (s_gg, k_gg, d_gg) in zip(sidebands, sums, sums)
+        for sb, (s_ee, k_ee, t_ee), (s_gg, k_gg, t_gg) in zip(sidebands, sums, sums)
     ]
 
 

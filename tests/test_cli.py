@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import shlex
 import time
 import warnings
@@ -408,10 +409,7 @@ class TestExitCodes:
             assert float(record["shift"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("argv", [
-        ["sidebands", "--rabi", "0.01", "--eta", "1000"],  # term majorant
-        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "1e200"],  # default n_max
-        ["sweep", "--eta", "1e200"],
-        ["scan-eta", "--eta-max", "1e200", "--points", "2"],
+        ["sidebands", "--rabi", "0.01", "--eta", "1000"],  # term majorant, then eta**d
         ["sidebands", "--rabi", "1e200", "--eta", "0.1"],  # rabi**2
         ["sidebands", "--rabi", "0.01", "--eta", "20"],  # eta**d
         ["shift", "--ng", "3000", "--ne", "0", "--rabi", "0.01", "--eta", "2"],  # Laguerre column
@@ -422,6 +420,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: the inputs overflow double precision")
         assert "Traceback" not in err
+
+    def test_unbounded_majorant_ends_in_the_named_power_of_eta(self, capsys):
+        # the term majorant's exp overflowed with a bare "(math range error)";
+        # it is infinite now, stops no sum, and eta**103 names the overflow
+        assert cli.main(["sidebands", "--rabi", "0.01", "--eta", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the inputs overflow double precision "
+            "(eta**103 at eta = 1000.0 overflows)\n"
+        )
 
     def test_overflowing_power_of_eta_is_named(self, capsys):
         # eta**d raised a bare OverflowError, "(34, 'Numerical result out of range')"
@@ -634,6 +643,23 @@ class TestBasisBound:
         err = capsys.readouterr().err
         assert err.startswith("error: basis of 1" + "0" * 401 + " levels")
         assert "+ pad" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "1e200"],
+        ["sweep", "--eta", "1e200"],
+        ["scan-eta", "--eta-max", "1e200", "--points", "2"],
+    ])
+    def test_huge_eta_is_an_oversized_basis(self, argv, monkeypatch, capsys):
+        # default_n_max's margin saturates at MAX_LEVELS where 25 eta^2 is an
+        # infinite float, which ceil could not convert (exit 3); the basis is
+        # rejected before any array is made
+        from trapshift import hamiltonian
+
+        monkeypatch.delattr(hamiltonian, "np")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        message = r"error: basis of \d+ levels before padding is beyond the supported range \(10000 levels\)\n"
+        assert re.fullmatch(message, err), err
 
     def test_padded_basis_above_bound_is_config_error(self, monkeypatch, capsys):
         # --nmax 9990 is within the bound, but the operator exponential of the

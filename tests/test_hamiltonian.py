@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -468,3 +469,15 @@ class TestDefaultNMax:
         for eta, first in [(0.1, 1601), (0.4, 101), (0.5, 101), (0.8, 77), (1.0, 101)]:
             for n in (first - 1, first):
                 assert (ts.default_n_max(ts.SidebandId(n, 0), eta) > fixed(n, eta)) == (n == first)
+
+    @pytest.mark.parametrize("eta", [1e3, 1e200, sys.float_info.max])
+    def test_huge_eta_is_an_oversized_basis(self, eta):
+        # 25 eta^2 and eta sqrt(n) saturate at MAX_LEVELS, not at an
+        # infinite float that ceil cannot convert
+        from trapshift.hamiltonian import check_padded_basis
+
+        for n in (0, 1, MAX_LEVELS - 1):
+            n_max = ts.default_n_max(ts.SidebandId(0, n), eta)
+            assert n_max >= MAX_LEVELS
+            with pytest.raises(ValueError, match=f"^basis of {n_max + 1} levels before padding is beyond"):
+                check_padded_basis(eta, n_max)

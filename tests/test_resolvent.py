@@ -34,8 +34,15 @@ FROZEN = [
 DIFFERENTIAL_ETAS = [0.0, 1e-3, 0.083, 0.4, 1.2, 2.5, 4.0]
 
 
+def majorant(center, eta, d):
+    """((eta * sqrt(center + d))^d / d!)^2, which bounds |chi_{center,k}|^2 at distance d."""
+    log_root = d * math.log(eta * math.sqrt(center + d)) if eta else -math.inf
+    return math.exp(2.0 * (log_root - math.lgamma(d + 1.0)))
+
+
 def reference_sum(center, exclude, eta):
-    """``resolvent._sum_terms`` with one validated chi_magnitude call per term.
+    """The sum of ``resolvent._sum_terms`` with one validated chi_magnitude
+    call per term.
 
     Returns (sum, largest retained k, distance reached): the sum runs over
     every k >= 0 until the majorant of the terms left bounds the rest.
@@ -49,10 +56,18 @@ def reference_sum(center, exclude, eta):
                 running += abs(terms[-1])
                 k_used = max(k_used, k)
         d += 1
-        # |chi_{center,k}|^2 <= ((eta * sqrt(center + d))^d / d!)^2 at distance d
-        log_root = d * math.log(eta * math.sqrt(center + d)) if eta else -math.inf
-        if math.exp(2.0 * (log_root - math.lgamma(d + 1.0))) <= resolvent.TERM_CUTOFF * running:
+        if majorant(center, eta, d) <= resolvent.TERM_CUTOFF * running:
             return math.fsum(terms), k_used, d
+
+
+def reference_terms(center, exclude, eta):
+    """``resolvent._sum_terms`` for one pair: (sum, largest retained k, tail),
+    the tail the geometric bound 2 M(d) / (1 - M(d+1)/M(d)) on both sides
+    past the stop d of ``reference_sum``, M the ``majorant`` (0 when M(d) is 0)."""
+    total, k_used, d = reference_sum(center, exclude, eta)
+    m_d = majorant(center, eta, d)
+    tail = 2.0 * m_d / (1.0 - majorant(center, eta, d + 1) / m_d) if m_d else 0.0
+    return total, k_used, tail
 
 
 def one_sum(center, exclude, eta):
@@ -66,10 +81,7 @@ def reference_majorant_tail(center, exclude, eta):
     d = reference_sum(center, exclude, eta)[2]
     if eta == 0.0:
         return 0.0
-    return 2.0 * math.fsum(
-        math.exp(2.0 * (j * math.log(eta * math.sqrt(center + j)) - math.lgamma(j + 1.0)))
-        for j in range(d, d + 60)
-    )
+    return 2.0 * math.fsum(majorant(center, eta, j) for j in range(d, d + 60))
 
 
 class TestLevelShiftDiag:
@@ -136,7 +148,7 @@ class TestLevelShiftDiag:
     def test_tail_bound_covers_the_omitted_terms(self, eta):
         # every term each sum left out, 200 levels past its stop on both sides
         def omitted(center, exclude):
-            d = one_sum(center, exclude, eta)[2]
+            d = reference_sum(center, exclude, eta)[2]
             return math.fsum(
                 ts.chi_magnitude(center, k, eta) ** 2 / abs(exclude - k)
                 for j in range(d, d + 200)
@@ -216,15 +228,15 @@ class TestBsShift:
 
     @pytest.mark.parametrize("eta", DIFFERENTIAL_ETAS)
     def test_sums_match_per_term_chi(self, eta, monkeypatch):
-        # every (sum, largest k, distance) equals the per-term reference bit
-        # for bit, run alone and in one batch of the whole grid, whose chunks
-        # of 100 sums each mix every center
+        # every (sum, largest k, tail) equals the per-term reference bit for
+        # bit, run alone and in one batch of the whole grid, whose chunks of
+        # 100 sums each mix every center
         pairs = [(center, exclude) for exclude in range(31) for center in range(31)]
         monkeypatch.setattr(resolvent, "SUM_CHUNK", 100)
         batch = list(resolvent._sum_terms(pairs, eta))
         assert len(batch) == len(pairs)
         for (center, exclude), in_batch in zip(pairs, batch):
-            expected = reference_sum(center, exclude, eta)
+            expected = reference_terms(center, exclude, eta)
             assert one_sum(center, exclude, eta) == expected, (center, exclude)
             assert in_batch == expected, (center, exclude)
 
@@ -238,10 +250,12 @@ class TestBsShift:
     ])
     def test_far_sidebands_of_high_levels_are_finite(self, n_g, n_e, eta, shift):
         sideband, params = ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta)
-        ref_ee, ref_gg = reference_sum(n_e, n_g, eta), reference_sum(n_g, n_e, eta)
+        ref_ee, ref_gg = reference_terms(n_e, n_g, eta), reference_terms(n_g, n_e, eta)
         assert one_sum(n_e, n_g, eta) == ref_ee
         assert one_sum(n_g, n_e, eta) == ref_gg
-        got = ts.bs_shift(sideband, params).delta_omega_full
+        result = ts.bs_shift(sideband, params)
+        assert result.tail_bound == (0.5 * 0.01) ** 2 * (ref_gg[2] + ref_ee[2])
+        got = result.delta_omega_full
         assert got == 0.01**2 / 4.0 * (ref_ee[0] - ref_gg[0])
         assert got == pytest.approx(shift, rel=1e-9)
         # within 1% of the off-resonant carrier's Stark shift -rabi^2 / (2 delta0)
@@ -333,6 +347,13 @@ class TestBsShift:
             ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=0.01, eta=7.0))
         with pytest.raises(OverflowError, match=message):
             ts.bs_shifts([SB10, ts.SidebandId(5, 5)], ts.TrapParams(rabi=0.01, eta=7.0))
+
+    def test_unbounded_majorant_ends_in_the_named_power_of_eta(self):
+        # at eta 1000 the majorant is infinite from distance 61 or 62, where
+        # its exp overflowed with a bare "math range error"; it stops no
+        # sum, which runs on to eta**103
+        with pytest.raises(OverflowError, match=r"^eta\*\*103 at eta = 1000\.0 overflows$"):
+            ts.bs_shifts([SB01, ts.SidebandId(3, 3)], ts.TrapParams(rabi=0.01, eta=1000.0))
 
     def test_overflowing_term_names_its_pair(self):
         # around n = 3000 at eta 2 a Laguerre factor leaves double precision;
