@@ -408,11 +408,15 @@ class TestExitCodes:
             expected = 0.01**2 / 4.0 * (per_term(n_e, n_g) - per_term(n_g, n_e))
             assert float(record["shift"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
+    # argv1-argv3 were the eta = 1e200 rows, which now exit 2 in
+    # test_huge_eta_is_an_oversized_basis; the other rows keep their ids
     @pytest.mark.parametrize("argv", [
-        ["sidebands", "--rabi", "0.01", "--eta", "1000"],  # term majorant, then eta**d
-        ["sidebands", "--rabi", "1e200", "--eta", "0.1"],  # rabi**2
-        ["sidebands", "--rabi", "0.01", "--eta", "20"],  # eta**d
-        ["shift", "--ng", "3000", "--ne", "0", "--rabi", "0.01", "--eta", "2"],  # Laguerre column
+        pytest.param(["sidebands", "--rabi", "0.01", "--eta", "1000"], id="argv0"),  # term majorant, then eta**d
+        pytest.param(["sidebands", "--rabi", "1e200", "--eta", "0.1"], id="argv4"),  # rabi**2
+        pytest.param(["sidebands", "--rabi", "0.01", "--eta", "20"], id="argv5"),  # eta**d
+        pytest.param(  # Laguerre column
+            ["shift", "--ng", "3000", "--ne", "0", "--rabi", "0.01", "--eta", "2"], id="argv6"
+        ),
     ])
     @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
     def test_overflowing_finite_input_exits_three(self, argv, capsys):
