@@ -6,14 +6,16 @@ The central object is the matrix element
               = exp(-eta^2/2) * (i*eta)^|n-n'| * sqrt(n_<!/n_>!) * L_{n_<}^{|n-n'|}(eta^2)
 
 with n_< (n_>) the lesser (greater) of n and n'.  ``_amplitude_column``
-forms every amplitude: per distance d = |n - n'|, the prefactor
-exp(-eta^2/2) * eta^d (the package's one eta**d overflow is raised there) and
-the column L_0^d..L_n^d(eta^2) of ``_laguerre_column``, the three-term
-recurrence in n.  ``chi_magnitude`` reads a column's last entry, the table
-``hamiltonian.coupling_table`` every entry, and all the closed-form sums of
-a ``resolvent`` call share one column per distance.  log(k!) comes from
-``math.lgamma``, so the closed form keeps no state; every column is bounded
-below ``params.MAX_LEVELS`` by ``params.check_level``, eta by ``check_eta``.
+forms, per distance d = |n - n'|, the prefactor exp(-eta^2/2) * eta^d (the
+package's one eta**d overflow is raised there) and the column
+L_0^d..L_n^d(eta^2) of ``_laguerre_column``, the three-term recurrence in n.
+Each of its three readers multiplies in sqrt(n_<!/n_>!) itself, in the same
+order: ``chi_magnitude`` with a column's last entry, the table
+``hamiltonian.coupling_table`` with every entry, and all the closed-form
+sums of a ``resolvent`` call with one shared column per distance.  log(k!)
+comes from ``math.lgamma``, so the closed form keeps no state; every column
+is bounded below ``params.MAX_LEVELS`` by ``params.check_level``, eta by
+``check_eta``.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
 library, so the closed form loads no numpy.  The exact route takes the same

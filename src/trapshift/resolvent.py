@@ -201,10 +201,14 @@ def _shifts(sidebands: Sequence[SidebandId], params: TrapParams) -> list[Perturb
     """The shifts of ``bs_shifts``, without its warning."""
     eta = params.eta
     sums = _sum_terms((pair for sb in sidebands for pair in ((sb.n_e, sb.n_g), (sb.n_g, sb.n_e))), eta)
-    half_sq = (0.5 * params.rabi) ** 2
+    try:
+        rabi_sq = params.rabi**2  # overflows above 1.34e154, (0.5 * rabi)**2 above 2.68e154
+    except OverflowError:
+        raise OverflowError(f"rabi**2 at rabi = {params.rabi!r} overflows") from None
+    half_sq = (0.5 * params.rabi) ** 2  # not rabi_sq / 4.0, which differs in the last bit
     return [
         PerturbativeShift(
-            delta_omega_full=params.rabi**2 / 4.0 * (s_ee - s_gg),
+            delta_omega_full=rabi_sq / 4.0 * (s_ee - s_gg),
             r_gg=half_sq * s_gg,
             r_ee=half_sq * s_ee,
             k_max_used=max(k_gg, k_ee),

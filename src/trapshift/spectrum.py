@@ -13,13 +13,14 @@ its ``coupling_block`` exponentiates, never from the Laguerre formula that
 ``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
 nothing downstream can observe the gauge.  This module imports nothing of the
 closed form (``fock``, ``resolvent``), so their agreement is a cross-check.
-Each job has one code path: ``_search_window`` is the coarse window and gap
-search behind ``find_resonance``, whose ``gap`` is the measured splitting of
-the pair (a carrier's is read off one column of the same operator);
-``find_resonance`` is the one basis-doubling check (one re-locate on the
-doubled margin), and ``sweep_spectrum`` the branch continuation behind
-``track_branch``.  Scans are sequential and deterministic; share nothing
-across threads except the immutable inputs.
+Each job has one code path: ``_search_window`` is the coarse window scan
+behind ``find_resonance``, and ``_locate`` measures the pair's gap inside it
+and chooses the mode, extremum or intersection, in one place; the measured
+splitting is ``find_resonance``'s ``gap`` (a carrier's is read off one column
+of the same operator); ``find_resonance`` is the one basis-doubling check
+(one re-locate on the doubled margin), and ``sweep_spectrum`` the branch
+continuation behind ``track_branch``.  Scans are sequential and
+deterministic; share nothing across threads except the immutable inputs.
 """
 
 from __future__ import annotations
@@ -153,54 +154,16 @@ def _refine_minimum(fun, lo: float, hi: float) -> tuple[float, float]:
     return float(result.x), float(result.fun)
 
 
-def _tagged_root(
-    scan: _DetuningScan, sideband: SidebandId, lo: float, hi: float
-) -> float | None:
-    """Where the tagged branches E(g, n_g) and E(e, n_e) cross inside [lo, hi];
-    None when their difference does not change sign there."""
-    def difference(d: float) -> float:
-        return scan.tagged_difference(d, sideband)
-
-    if difference(lo) * difference(hi) >= 0:
-        return None
-    return float(brentq(difference, lo, hi, xtol=1e-14))
-
-
-def _min_pair_gap(
-    scan: _DetuningScan, sideband: SidebandId, lo: float, hi: float
-) -> tuple[float, float | None]:
-    """Minimal pair separation in [lo, hi], and where the tagged branches cross
-    there (None where no crossing was sought or found).
-
-    Smooth anti-crossing bottoms come out of the parabolic minimizer; when the
-    result is consistent with a near-crossing the V-shaped bottom defeats the
-    minimizer's relative positioning floor, so the sign change of the tagged
-    branch difference is root-found instead and the gap is sampled there.
-    This is the crossing's one root search; below ``GAP_FLOOR_FRACTION``
-    with no crossing in [lo, hi] it raises ``ResonanceWindowError``.
-    """
-    _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), lo, hi)
-    root = _tagged_root(scan, sideband, lo, hi) if gap_min < 1e-6 else None
-    if root is not None:
-        gap_min = min(gap_min, scan.pair_gap(root, sideband))
-    elif gap_min < GAP_FLOOR_FRACTION:
-        raise ResonanceWindowError(
-            f"tagged branches of {sideband} do not intersect inside "
-            f"the gap bracket [{float(lo)!r}, {float(hi)!r}]"
-        )
-    return gap_min, root
-
-
 def _search_window(
     scan: _DetuningScan, sideband: SidebandId
-) -> tuple[float, tuple[float, float], float, float | None]:
-    """Coarse scan of the pair around delta0 and the minimal gap inside it.
+) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """Coarse scan of the pair around delta0.
 
     The window is widened until the lower pair branch has an interior
     maximum; of several local minima of the gap, the one nearest delta0 is
-    refined, and a window with none raises ``ResonanceWindowError``.
-    Returns (window half-width, coarse bracket of that maximum, minimal gap,
-    tagged-branch crossing of ``_min_pair_gap``).
+    kept, and a window with none raises ``ResonanceWindowError``.
+    Returns (window half-width, coarse bracket of that maximum, coarse
+    bracket of that gap minimum).
     """
     delta0 = float(sideband.order)
     # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
@@ -231,20 +194,41 @@ def _search_window(
             f"[{delta0 - half!r}, {delta0 + half!r}]"
         )
     i_gap = min(minima, key=lambda i: abs(grid[i] - delta0))
-    # a local minimum is an interior sample, so both neighbours exist
-    g_lo, g_hi = grid[i_gap - 1], grid[i_gap + 1]
     bracket = (float(grid[i_max - 1]), float(grid[i_max + 1]))
-    gap_min, root = _min_pair_gap(scan, sideband, g_lo, g_hi)
-    return half, bracket, gap_min, root
+    # a local minimum is an interior sample, so both neighbours exist
+    return half, bracket, (float(grid[i_gap - 1]), float(grid[i_gap + 1]))
 
 
 def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, str]:
-    """Locate the resonance: returns (delta_star, minimal gap, method).  A
-    decoupled pair's crossing of the tagged lines is root-found once, on the
-    gap bracket by ``_min_pair_gap``, and reported as it is."""
-    _, (lo, hi), gap_min, root = _search_window(scan, sideband)
+    """Locate the resonance: returns (delta_star, minimal gap, method).
+
+    The minimal gap comes from the parabolic minimizer on the gap bracket of
+    ``_search_window``.  Below 1e-6 the pair may be a near-crossing, whose
+    V-shaped bottom defeats the minimizer's relative positioning floor, so
+    the sign change of the tagged branch difference E(g, n_g) - E(e, n_e) is
+    root-found on the same bracket and the gap is sampled there as well.
+    A gap below ``GAP_FLOOR_FRACTION`` marks a decoupled pair: its crossing
+    is reported as it is ("intersection"), and a bracket without one raises
+    ``ResonanceWindowError``.  Otherwise the lower branch's maximum is
+    refined on its bracket ("extremum").
+    """
+    _, (lo, hi), (g_lo, g_hi) = _search_window(scan, sideband)
+
+    def difference(d: float) -> float:
+        return scan.tagged_difference(d, sideband)
+
+    _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), g_lo, g_hi)
+    root = None
+    if gap_min < 1e-6 and difference(g_lo) * difference(g_hi) < 0:
+        root = float(brentq(difference, g_lo, g_hi, xtol=1e-14))
+        gap_min = min(gap_min, scan.pair_gap(root, sideband))
 
     if gap_min < GAP_FLOOR_FRACTION:
+        if root is None:
+            raise ResonanceWindowError(
+                f"tagged branches of {sideband} do not intersect inside "
+                f"the gap bracket [{g_lo!r}, {g_hi!r}]"
+            )
         return root, gap_min, "intersection"
 
     delta_star = _refine_maximum(lambda d: scan.pair_levels(d, sideband)[0], lo, hi)

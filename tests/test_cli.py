@@ -436,6 +436,22 @@ class TestExitCodes:
             "(eta**103 at eta = 1000.0 overflows)\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["sidebands", "--rabi", "1e200", "--eta", "0.1"],
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "1e200", "--eta", "0.1"],
+        ["scan-eta", "--rabi", "1e200", "--points", "2", "--eta-max", "0.1"],
+    ])
+    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    def test_overflowing_drive_is_named(self, argv, capsys):
+        # the square of the drive raised a bare "(34, 'Numerical result out of range')"
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the inputs overflow double precision "
+            "(rabi**2 at rabi = 1e+200 overflows)\n"
+        )
+
     def test_overflowing_power_of_eta_is_named(self, capsys):
         # eta**d raised a bare OverflowError, "(34, 'Numerical result out of range')"
         assert cli.main(["sidebands", "--eta", "7"]) == 3

@@ -355,6 +355,18 @@ class TestBsShift:
         with pytest.raises(OverflowError, match=r"^eta\*\*103 at eta = 1000\.0 overflows$"):
             ts.bs_shifts([SB01, ts.SidebandId(3, 3)], ts.TrapParams(rabi=0.01, eta=1000.0))
 
+    @pytest.mark.parametrize("rabi", [1e200, 1.5e154])
+    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    def test_overflowing_drive_is_named(self, rabi):
+        # rabi**2 overflows above 1.34e154 and (0.5 * rabi)**2 above 2.68e154;
+        # both raised a bare "(34, 'Numerical result out of range')"
+        message = rf"^rabi\*\*2 at rabi = {re.escape(repr(rabi))} overflows$"
+        params = ts.TrapParams(rabi=rabi, eta=0.1)
+        with pytest.raises(OverflowError, match=message):
+            ts.bs_shift(SB01, params)
+        with pytest.raises(OverflowError, match=message):
+            ts.bs_shifts([SB01, ts.SidebandId(3, 3)], params)
+
     def test_overflowing_term_names_its_pair(self):
         # around n = 3000 at eta 2 a Laguerre factor leaves double precision;
         # the sum names the element as chi_magnitude does

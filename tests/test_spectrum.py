@@ -317,21 +317,28 @@ def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
 
 
 def test_decoupled_crossing_is_root_found_once_per_basis(monkeypatch):
-    # the gap search root-finds the tagged crossing, and _locate reports that
-    # root instead of searching the whole window again
+    # _locate root-finds the tagged crossing on the gap bracket once, and
+    # reports that root instead of searching the whole window again
     sideband = ts.SidebandId(1, 0)
-    bases = []
-    root = spectrum._tagged_root
+    bases, roots = [], []
+    difference, brentq = _DetuningScan.tagged_difference, spectrum.brentq
 
-    def recording(scan, *args):
-        bases.append(scan.nb)
-        return root(scan, *args)
+    def recording(self, *args):
+        bases.append(self.nb)
+        return difference(self, *args)
 
-    monkeypatch.setattr(spectrum, "_tagged_root", recording)
+    def counting(*args, **kwargs):
+        roots.append(bases[-1])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(_DetuningScan, "tagged_difference", recording)
+    monkeypatch.setattr(spectrum, "brentq", counting)
     report = ts.find_resonance(sideband, ts.TrapParams(rabi=0.01, eta=0.0))
     assert report.method == "intersection" and report.converged
     n_used, n_doubled = spectrum.check_bases(sideband, None, 0.0)
-    assert bases == [n_used + 1, n_doubled + 1]
+    # one contiguous run of sign tests and root iterations per basis
+    runs = [nb for i, nb in enumerate(bases) if i == 0 or bases[i - 1] != nb]
+    assert runs == roots == [n_used + 1, n_doubled + 1]
 
 
 SWEEP_PARAMS = ts.TrapParams(rabi=0.3, eta=0.4)
@@ -379,7 +386,10 @@ class TestLocatorFallbacks:
         # forced: a closed gap whose bracket holds no sign change of the
         # tagged difference leaves _locate no crossing to report
         monkeypatch.setattr(spectrum, "_refine_minimum", lambda fun, lo, hi: (lo, 0.0))
-        monkeypatch.setattr(spectrum, "_tagged_root", lambda *args: None)
+        difference = _DetuningScan.tagged_difference
+        monkeypatch.setattr(
+            _DetuningScan, "tagged_difference", lambda self, *args: abs(difference(self, *args)) + 1.0
+        )
         with pytest.raises(ts.ResonanceWindowError, match="inside the gap bracket"):
             ts.find_resonance(ts.SidebandId(1, 0), ts.TrapParams(rabi=0.01, eta=0.0))
 
