@@ -261,7 +261,10 @@ def _sideband(args: argparse.Namespace) -> SidebandId:
 def _hz(value_dimensionless: float | None, omega_phys: float | None) -> float | None:
     if value_dimensionless is None or omega_phys is None:
         return None
-    return value_dimensionless * omega_phys / (2.0 * math.pi)
+    hz = value_dimensionless * omega_phys / (2.0 * math.pi)
+    if not math.isfinite(hz):
+        raise OverflowError(f"{value_dimensionless!r} times the trap frequency overflows in Hz")
+    return hz
 
 
 def _report_not_converged(sideband: SidebandId, eta: float, report: ShiftReport) -> None:

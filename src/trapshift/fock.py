@@ -9,13 +9,13 @@ with n_< (n_>) the lesser (greater) of n and n'.  ``_amplitude_column``
 forms, per distance d = |n - n'|, the prefactor exp(-eta^2/2) * eta^d (the
 package's one eta**d overflow is raised there) and the column
 L_0^d..L_n^d(eta^2) of ``_laguerre_column``, the three-term recurrence in n.
-Each of its three readers multiplies in sqrt(n_<!/n_>!) itself, in the same
-order: ``chi_magnitude`` with a column's last entry, the table
-``hamiltonian.coupling_table`` with every entry, and all the closed-form
-sums of a ``resolvent`` call with one shared column per distance.  log(k!)
-comes from ``math.lgamma``, so the closed form keeps no state; every column
-is bounded below ``params.MAX_LEVELS`` by ``params.check_level``, eta by
-``check_eta``.
+``_amplitude`` multiplies in sqrt(n_<!/n_>!) and one column entry, the one
+product of every chi amplitude, and raises the one overflow of a Laguerre
+factor.  ``chi_magnitude`` reads one entry of a column, the table
+``hamiltonian.coupling_table`` every entry, and all the closed-form sums of a
+``resolvent`` call share one column per distance.  log(k!) comes from
+``math.lgamma``, so the closed form keeps no state; every column is bounded
+below ``params.MAX_LEVELS`` by ``params.check_level``, eta by ``check_eta``.
 
 This module, like ``resolvent`` and ``params``, needs only the standard
 library, so the closed form loads no numpy.  The exact route takes the same
@@ -60,15 +60,28 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 
 
 def _amplitude_column(eta: float, d: int, n: int) -> tuple[float, list[float]]:
-    """(exp(-eta^2/2) * eta^d, [L_0^d(eta^2)..L_n^d(eta^2)]): every chi amplitude at distance d
-    is ``prefactor * exp(0.5 * (lgamma(lo + 1) - lgamma(lo + d + 1))) * column[lo]``, in
-    that order, for some lo <= n.  Raises the one ``OverflowError`` of eta**d."""
+    """(exp(-eta^2/2) * eta^d, [L_0^d(eta^2)..L_n^d(eta^2)]), from which ``_amplitude``
+    forms every chi amplitude at distance d whose lesser index is at most n.  Raises the
+    one ``OverflowError`` of eta**d."""
     x = eta * eta
     try:
         power = eta**d
     except OverflowError:
         raise OverflowError(f"eta**{d} at eta = {eta!r} overflows") from None
     return math.exp(-0.5 * x) * power, _laguerre_column(n, float(d), x)
+
+
+def _amplitude(prefactor: float, column: list[float], n: int, nprime: int, eta: float) -> float:
+    """Signed amplitude of chi_{nn'} from the ``_amplitude_column`` at d = |n - n'|, the one
+    product ``prefactor * exp(0.5 * (lgamma(lo + 1) - lgamma(hi + 1))) * column[lo]`` with
+    lo (hi) the lesser (greater) of n and n'.  Raises ``OverflowError`` where it is not
+    finite: the Laguerre factor left double precision (its product with an underflowed
+    prefactor would be nan)."""
+    lo, hi = (n, nprime) if n <= nprime else (nprime, n)
+    m = prefactor * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0))) * column[lo]
+    if not math.isfinite(m):
+        raise OverflowError(f"the Laguerre factor of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
+    return m
 
 
 def chi_magnitude(n: int, nprime: int, eta: float) -> float:
@@ -80,8 +93,7 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     lesser index, the length of the Laguerre column, is bounded below
     ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta,
     and is bounded below 2**53, past which hi + 1.0 no longer counts integers.
-    Raises ``OverflowError`` when the Laguerre factor leaves double precision
-    (its product with an underflowed prefactor would be nan), or eta**d does.
+    Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
     """
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
@@ -89,15 +101,7 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
         raise ValueError(f"max(n, nprime) must be below 2**53, got {hi!r}")
     check_eta(eta)
     prefactor, column = _amplitude_column(eta, hi - lo, lo)
-    m = prefactor * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0))) * column[-1]
-    if not math.isfinite(m):
-        raise _chi_overflow(n, nprime, eta)
-    return m
-
-
-def _chi_overflow(n: int, nprime: int, eta: float) -> OverflowError:
-    """The error of a chi_{nn'} whose Laguerre factor left double precision."""
-    return OverflowError(f"the Laguerre factor of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
+    return _amplitude(prefactor, column, n, nprime, eta)
 
 
 def chi(n: int, nprime: int, eta: float) -> complex:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _amplitude_column, _chi_overflow
+from .fock import PHASES, _amplitude, _amplitude_column
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
 
 
@@ -50,26 +50,20 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
     """chi_{nn'} for 0 <= n, n' <= n_max from the Laguerre closed form.
 
     One ``fock._amplitude_column`` per order d = |n - n'| fills both
-    diagonals at distance d; each entry is the same product, in the same
-    order and bit for bit, as ``chi(n, n', eta)`` and the terms of the
-    closed-form sums.  ``check_padded_basis`` bounds n_max before any column
-    or table is built.  Raises ``OverflowError`` as ``chi`` does.
+    diagonals at distance d with ``fock._amplitude``, as ``chi(n, n', eta)``
+    and the closed-form sums do.  ``check_padded_basis`` bounds n_max before
+    any column or table is built.  Raises ``OverflowError`` as ``chi`` does,
+    naming the first chi_{n,n+d} of the build, by distance and then by row.
     """
     check_padded_basis(eta, n_max)
     entries = np.empty((n_max + 1, n_max + 1), dtype=complex)
     for d in range(n_max + 1):
         prefactor, lags = _amplitude_column(eta, d, n_max - d)
         phase = PHASES[d % 4]
-        column = [
-            phase * (prefactor * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(lo + d + 1.0))) * lag)
-            for lo, lag in enumerate(lags)
-        ]
+        column = [phase * _amplitude(prefactor, lags, lo, lo + d, eta) for lo in range(n_max + 1 - d)]
         idx = np.arange(n_max + 1 - d)
         entries[idx, idx + d] = column
         entries[idx + d, idx] = column
-    if not np.isfinite(entries).all():
-        n, nprime = np.argwhere(~np.isfinite(entries))[0]
-        raise _chi_overflow(int(n), int(nprime), eta)
     return entries
 
 

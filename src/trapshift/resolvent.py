@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import PerturbativeRegimeWarning
-from .fock import _amplitude_column, _chi_overflow, rabi_coupling
+from .fock import _amplitude, _amplitude_column, rabi_coupling
 from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
 from .params import SidebandId, TrapParams
 
@@ -110,16 +110,18 @@ def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[f
     M(d+1)/M(d) (0 where M(d) is 0).  rho < 1 at a stop: else M(d) >= M(0) =
     1, but a stop needs M(d) <= 1e-16 times a running magnitude that
     unitarity and |denominator| >= 1 keep below 1; ``ArithmeticError`` should
-    rho reach 1 all the same.  Raises ``OverflowError`` when a term leaves
-    double precision, naming its chi.
+    rho reach 1 all the same.  Raises ``fock._amplitude``'s ``OverflowError``
+    where an amplitude is not finite (nan would never end the sum); a finite
+    one is at most about 1 in size (|chi| <= 1, and subnormal rounding at
+    most doubles a tiny value), so over |exclude - k| >= 1 its term is finite.
 
     The one loop of every closed-form sum: up to ``SUM_CHUNK`` sums advance
     together, distance by distance, on one ``fock._amplitude_column`` per d,
     that of the greatest open center, whose prefix is each shorter column bit
     for bit.  A sum's terms come in ascending |k - center|, a fixed symmetric
     order for the exactly rounded fsum (carrier nulls and sideband swaps
-    cancel exactly), each the product of ``chi_magnitude(center, k, eta)**2 /
-    (exclude - k)`` in the same order, so no sum depends on its batch.  Only
+    cancel exactly), each ``fock._amplitude``, the amplitude ``chi_magnitude``
+    returns, squared over exclude - k, so no sum depends on its batch.  Only
     the column length, center + 1, is bounded (``SidebandId``), not k.
     """
     pairs = iter(pairs)
@@ -137,12 +139,8 @@ def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[f
                 for k in (center - d, center + d) if d else (center,):
                     if k < 0 or k == exclude:
                         continue
-                    lo, hi = (k, center) if k < center else (center, k)
-                    ratio = math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0)))
-                    m = prefactor * ratio * column[lo]
+                    m = _amplitude(prefactor, column, center, k, eta)
                     term = m * m / (exclude - k)
-                    if not math.isfinite(term):
-                        raise _chi_overflow(center, k, eta)  # nan would never end the sum
                     terms.append(term)
                     running += abs(term)
                     if k > k_used:

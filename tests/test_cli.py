@@ -452,6 +452,20 @@ class TestExitCodes:
             "(rabi**2 at rabi = 1e+200 overflows)\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    def test_overflowing_frequency_is_named(self, fmt, capsys):
+        # the shift 8.3e307 is finite, but times 2pi*1.36 MHz / 2pi it is not;
+        # the rows printed inf in CSV and Infinity, invalid JSON, with exit 0
+        argv = ["sidebands", "--rabi", "1.3e154", "--eta", "0.1", "--max-n", "1", "--max-order", "1"]
+        assert cli.main([*argv, "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the inputs overflow double precision "
+            "(8.324091489704567e+307 times the trap frequency overflows in Hz)\n"
+        )
+
     def test_overflowing_power_of_eta_is_named(self, capsys):
         # eta**d raised a bare OverflowError, "(34, 'Numerical result out of range')"
         assert cli.main(["sidebands", "--eta", "7"]) == 3

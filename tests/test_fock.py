@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -248,9 +249,12 @@ class TestCouplingTable:
         assert np.abs(entries).max() <= 1.0 + 1e-12
 
     def test_overflowing_laguerre_factor_raises(self):
-        # 37 036 entries of this table would be nan; the first is named
-        with pytest.raises(OverflowError, match=r"chi_\{378,1099\} at eta = 0\.1 overflows"):
+        # 37 036 entries of this table would be nan; the first one built, by
+        # distance and then by row, is named as chi_magnitude names it
+        with pytest.raises(OverflowError, match=r"chi_\{724,1100\} at eta = 0\.1 overflows") as raised:
             ts.coupling_table(0.1, 1100)
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(raised.value))}$"):
+            ts.chi_magnitude(724, 1100, 0.1)
         with pytest.raises(OverflowError):
             ts.chi_magnitude(378, 1099, 0.1)
 
