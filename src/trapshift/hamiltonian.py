@@ -5,8 +5,8 @@ the trap frequency omega_t:
 
     H = a^dag a - (delta/2) * sigma_z + (rabi/2) * [chi * sigma_+ + h.c.]
 
-Basis ordering is fixed: |g,0> .. |g,n_max| then |e,0> .. |e,n_max>, so the
-matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
+Basis ordering (``basis_rows``): |g,0> .. |g,n_max> then |e,0> .. |e,n_max>,
+so the matrix splits into diagonal g/e blocks and chi-valued coupling blocks.
 
 The two routes build their chi tables apart.  The exact route's is the
 operator itself: ``_real_displacement`` exponentiates the real generator
@@ -144,6 +144,11 @@ def displacement_oracle(eta: float, n_max: int) -> np.ndarray:
     return entries
 
 
+def basis_rows(n_max: int) -> dict[tuple[str, int], int]:
+    """Row of each bare state |state, n>: |g,0> .. |g,n_max>, then |e,0> .. |e,n_max>."""
+    return {tag: row for row, tag in enumerate((state, n) for state in "ge" for n in range(n_max + 1))}
+
+
 def bare_energy(state: str, n: int, params: TrapParams) -> float:
     """Uncoupled level energy: E_{g,n} = n + delta/2, E_{e,n} = n - delta/2."""
     check_level("n", n)
@@ -200,10 +205,8 @@ def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
 
 def set_detuning(h: np.ndarray, delta: float) -> None:
     """Write the bare energies n +/- delta/2 onto the diagonal of h, in place."""
-    nb = len(h) // 2
-    n = np.arange(nb)
-    h[n, n] = n + 0.5 * delta
-    h[nb + n, nb + n] = n - 0.5 * delta
+    n = np.arange(len(h) // 2)
+    np.fill_diagonal(h, np.concatenate([n + 0.5 * delta, n - 0.5 * delta]))
 
 
 def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:

@@ -6,12 +6,15 @@ enters the target anti-crossing from the tagged bare state; when the pair is
 decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
-Every eigensolve runs on the one Hamiltonian the package assembles,
-``real_gauge_matrix`` of ``hamiltonian`` (H in its exact real symmetric
-gauge), built from the real displacement operator exp(eta*(a - a^dag)) that
-its ``coupling_block`` exponentiates, never from the Laguerre formula that
+Every eigensolve solves the real pencil H(delta) = A + delta*S of one
+``_DetuningScan``: H is the one Hamiltonian the package assembles,
+``real_gauge_matrix`` of ``hamiltonian`` (its exact real symmetric gauge),
+from the real displacement operator exp(eta*(a - a^dag)) that its
+``coupling_block`` exponentiates, never from the Laguerre formula that
 ``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
-nothing downstream can observe the gauge.  This module imports nothing of the
+nothing downstream can observe the gauge.  A scan that locates a resonance
+is built with its pair and gives the locator the pair's rows, delta0 and
+coupling entry; a sweep's scan has none.  This module imports nothing of the
 closed form (``fock``, ``resolvent``), so their agreement is a cross-check.
 Each job has one code path: ``_search_window`` is the coarse window scan
 behind ``find_resonance``, and ``_locate`` measures the pair's gap inside it
@@ -33,7 +36,8 @@ from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
 from .errors import ResonanceWindowError, TrackingAmbiguityError
 from .hamiltonian import (
-    check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix, set_detuning,
+    basis_rows, check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix,
+    set_detuning,
 )
 from .params import SidebandId, TrapParams
 
@@ -82,46 +86,47 @@ class DressedSpectrum:
 
 
 class _DetuningScan:
-    """Reusable eigensolver for one (params, n_max) across many detunings.
+    """The pencil H(delta) = A + delta*S of one (params, n_max), and the pair it locates.
 
-    Holds the detuning-independent coupling block in the real gauge so each
-    sample only rewrites the diagonal.  Not thread-safe; make one per thread.
-    """
+    A has the bare energies n on its diagonal and the real-gauge coupling block
+    off it, S = diag(+1/2 on g, -1/2 on e): a sample rewrites the diagonal only.
+    ``sideband`` (None for a sweep) gives delta0 and the messages' label, its
+    rows |g, n_g>, |e, n_e> (``basis_rows``), and ``coupling``, their A entry.
+    Not thread-safe; make one per thread."""
 
-    def __init__(self, params: TrapParams, n_max: int):
-        self.nb = n_max + 1
+    def __init__(self, params: TrapParams, n_max: int, sideband: SidebandId | None = None):
         self._h = real_gauge_matrix(params, coupling_block(params, n_max))
+        self.sideband = sideband
+        if sideband is not None:
+            rows = basis_rows(n_max)
+            g, e = self._pair = rows["g", sideband.n_g], rows["e", sideband.n_e]
+            self.coupling = float(self._h[g, e])
 
     def eigen(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         set_detuning(self._h, delta)
         return np.linalg.eigh(self._h)
 
-    def pair_levels(self, delta: float, sideband: SidebandId) -> tuple[float, float]:
+    def pair_levels(self, delta: float) -> tuple[float, float]:
         """(E_low, E_up) of the two eigenstates with most weight on the pair."""
         values, vectors = self.eigen(delta)
-        support = vectors[sideband.n_g, :] ** 2 + vectors[self.nb + sideband.n_e, :] ** 2
+        support = np.sum(vectors[self._pair, :] ** 2, axis=0)
         top = np.argpartition(support, -2)[-2:]
         pair = np.sort(values[top])
         return float(pair[0]), float(pair[1])
 
-    def pair_gap(self, delta: float, sideband: SidebandId) -> float:
-        low, up = self.pair_levels(delta, sideband)
+    def pair_gap(self, delta: float) -> float:
+        low, up = self.pair_levels(delta)
         return up - low
 
-    def tagged_difference(self, delta: float, sideband: SidebandId) -> float:
+    def tagged_difference(self, delta: float) -> float:
         """E(g, n_g) - E(e, n_e) with each branch tagged by its dominant bare state."""
         values, vectors = self.eigen(delta)
-        jg = int(np.argmax(vectors[sideband.n_g, :] ** 2))
-        je = int(np.argmax(vectors[self.nb + sideband.n_e, :] ** 2))
+        jg, je = np.argmax(vectors[self._pair, :] ** 2, axis=1)
         return float(values[jg] - values[je])
 
 
-def _local_minima(values: np.ndarray) -> list[int]:
-    out = []
-    for i in range(1, len(values) - 1):
-        if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-            out.append(i)
-    return out
+def _local_minima(v: np.ndarray) -> list[int]:
+    return (np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])) + 1).tolist()
 
 
 def _refine_maximum(fun, lo: float, hi: float) -> float:
@@ -154,10 +159,8 @@ def _refine_minimum(fun, lo: float, hi: float) -> tuple[float, float]:
     return float(result.x), float(result.fun)
 
 
-def _search_window(
-    scan: _DetuningScan, sideband: SidebandId
-) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Coarse scan of the pair around delta0.
+def _search_window(scan: _DetuningScan) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """Coarse scan of the scan's pair around its delta0.
 
     The window is widened until the lower pair branch has an interior
     maximum; of several local minima of the gap, the one nearest delta0 is
@@ -165,15 +168,14 @@ def _search_window(
     Returns (window half-width, coarse bracket of that maximum, coarse
     bracket of that gap minimum).
     """
-    delta0 = float(sideband.order)
-    # |Omega_{n_g,n_e}| from the scan's own coupling block, not the closed form
-    gap_estimate = 2.0 * abs(float(scan._h[sideband.n_g, scan.nb + sideband.n_e]))
-    half = max(WINDOW_GAP_MULTIPLE * gap_estimate, WINDOW_FRACTION)
+    delta0 = float(scan.sideband.order)
+    # the gap estimate |Omega_{n_g,n_e}| = 2|coupling| is the scan's own, not the closed form's
+    half = max(WINDOW_GAP_MULTIPLE * (2.0 * abs(scan.coupling)), WINDOW_FRACTION)
 
     escalations = 0
     while True:
         grid = np.linspace(delta0 - half, delta0 + half, COARSE_POINTS)
-        levels = np.array([scan.pair_levels(d, sideband) for d in grid])
+        levels = np.array([scan.pair_levels(d) for d in grid])
         low, gaps = levels[:, 0], levels[:, 1] - levels[:, 0]
 
         i_max = int(np.argmax(low))
@@ -181,7 +183,7 @@ def _search_window(
             break
         if escalations >= MAX_WINDOW_ESCALATIONS:
             raise ResonanceWindowError(
-                f"no interior extremum for {sideband} within "
+                f"no interior extremum for {scan.sideband} within "
                 f"[{delta0 - half!r}, {delta0 + half!r}] after escalation"
             )
         escalations += 1
@@ -190,7 +192,7 @@ def _search_window(
     minima = _local_minima(gaps)
     if not minima:
         raise ResonanceWindowError(
-            f"no local minimum of the pair gap of {sideband} within "
+            f"no local minimum of the pair gap of {scan.sideband} within "
             f"[{delta0 - half!r}, {delta0 + half!r}]"
         )
     i_gap = min(minima, key=lambda i: abs(grid[i] - delta0))
@@ -199,8 +201,8 @@ def _search_window(
     return half, bracket, (float(grid[i_gap - 1]), float(grid[i_gap + 1]))
 
 
-def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, str]:
-    """Locate the resonance: returns (delta_star, minimal gap, method).
+def _locate(scan: _DetuningScan) -> tuple[float, float, str]:
+    """Locate the scan's resonance: returns (delta_star, minimal gap, method).
 
     The minimal gap comes from the parabolic minimizer on the gap bracket of
     ``_search_window``.  Below 1e-6 the pair may be a near-crossing, whose
@@ -212,29 +214,25 @@ def _locate(scan: _DetuningScan, sideband: SidebandId) -> tuple[float, float, st
     ``ResonanceWindowError``.  Otherwise the lower branch's maximum is
     refined on its bracket ("extremum").
     """
-    _, (lo, hi), (g_lo, g_hi) = _search_window(scan, sideband)
-
-    def difference(d: float) -> float:
-        return scan.tagged_difference(d, sideband)
-
-    _, gap_min = _refine_minimum(lambda d: scan.pair_gap(d, sideband), g_lo, g_hi)
+    _, (lo, hi), (g_lo, g_hi) = _search_window(scan)
+    _, gap_min = _refine_minimum(scan.pair_gap, g_lo, g_hi)
     root = None
-    if gap_min < 1e-6 and difference(g_lo) * difference(g_hi) < 0:
-        root = float(brentq(difference, g_lo, g_hi, xtol=1e-14))
-        gap_min = min(gap_min, scan.pair_gap(root, sideband))
+    if gap_min < 1e-6 and scan.tagged_difference(g_lo) * scan.tagged_difference(g_hi) < 0:
+        root = float(brentq(scan.tagged_difference, g_lo, g_hi, xtol=1e-14))
+        gap_min = min(gap_min, scan.pair_gap(root))
 
     if gap_min < GAP_FLOOR_FRACTION:
         if root is None:
             raise ResonanceWindowError(
-                f"tagged branches of {sideband} do not intersect inside "
+                f"tagged branches of {scan.sideband} do not intersect inside "
                 f"the gap bracket [{g_lo!r}, {g_hi!r}]"
             )
         return root, gap_min, "intersection"
 
-    delta_star = _refine_maximum(lambda d: scan.pair_levels(d, sideband)[0], lo, hi)
+    delta_star = _refine_maximum(lambda d: scan.pair_levels(d)[0], lo, hi)
     if not lo <= delta_star <= hi:
         raise ResonanceWindowError(
-            f"no stationary point of the lower branch of {sideband} inside "
+            f"no stationary point of the lower branch of {scan.sideband} inside "
             f"[{lo!r}, {hi!r}]: its refinement ends at {delta_star!r}"
         )
     return delta_star, gap_min, "extremum"
@@ -294,9 +292,9 @@ def find_resonance(
         gap = float(2 * abs(0.5 * params.rabi * displacement_column(params.eta, n_used, n)[n]))
         delta_star, method, converged = 0.0, "carrier", True
     else:
-        delta_star, gap, method = _locate(_DetuningScan(params, n_used), sideband)
+        delta_star, gap, method = _locate(_DetuningScan(params, n_used, sideband))
         shift = delta_star - delta0
-        doubled = _locate(_DetuningScan(params, n_doubled), sideband)[0] - delta0
+        doubled = _locate(_DetuningScan(params, n_doubled, sideband))[0] - delta0
         converged = abs(doubled - shift) <= max(CONVERGENCE_RELATIVE * abs(doubled), CONVERGENCE_ABSOLUTE)
     return ShiftReport(
         delta_star=delta_star,
@@ -360,17 +358,16 @@ def sweep_spectrum(
     if deltas.ndim != 1 or len(deltas) < 2:
         raise ValueError("deltas must be a 1-D grid with at least two points")
     check_padded_basis(params.eta, n_max)
-    nb = n_max + 1
-    bare_index = {("g", n): n for n in range(nb)} | {("e", n): nb + n for n in range(nb)}
+    rows = basis_rows(n_max)
     for tag in tags:
-        if tag not in bare_index:
+        if tag not in rows:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
     scan = _DetuningScan(params, n_max)
 
     points = deltas.tolist()
     values, vectors = scan.eigen(points[0])
     # Identify eigenvectors with bare states at the first grid point.
-    perm, _ = _assign(np.eye(2 * nb), vectors)
+    perm, _ = _assign(np.eye(len(rows)), vectors)
 
     energy = {tag: np.empty(len(deltas)) for tag in tags}
     weight = {tag: np.empty(len(deltas)) for tag in tags}
@@ -381,9 +378,9 @@ def sweep_spectrum(
             step = _step_permutation(scan, points[j - 1], prev_vectors, delta, vectors)
             perm = step[perm]
         for tag in tags:
-            col = perm[bare_index[tag]]
+            col = perm[rows[tag]]
             energy[tag][j] = values[col]
-            weight[tag][j] = vectors[bare_index[tag], col] ** 2
+            weight[tag][j] = vectors[rows[tag], col] ** 2
 
     return DressedSpectrum(grid=deltas, branches=energy, overlaps=weight)
 

@@ -77,8 +77,8 @@ def test_criterion_03_carrier_null():
     worst_probe = 0.0
     for n, eta in ((0, 0.3), (2, 0.4)):
         params = ts.TrapParams(rabi=0.01, eta=eta)
-        scan = _DetuningScan(params, ts.default_n_max(ts.SidebandId(n, n), eta))
-        delta_star, _, method = _locate(scan, ts.SidebandId(n, n))
+        carrier = ts.SidebandId(n, n)
+        delta_star, _, method = _locate(_DetuningScan(params, ts.default_n_max(carrier, eta), carrier))
         assert method == "extremum"
         worst_probe = max(worst_probe, abs(delta_star))
     assert worst_probe <= 1e-10

@@ -200,12 +200,26 @@ class TestBuildHamiltonian:
         assert np.array_equal(h, h.T)
 
     def test_basis_ordering(self):
-        # |g,0> .. |g,n_max> then |e,0> .. |e,n_max>
+        # |g,0> .. |g,n_max> then |e,0> .. |e,n_max>, checked at every row
+        from trapshift.hamiltonian import basis_rows
+
+        n_max = 5
         params = ts.TrapParams(rabi=0.01, eta=0.1, delta=0.3)
-        h = ts.build_hamiltonian(params, 3)
-        assert h.matrix.shape == (8, 8)
-        assert h.matrix[2, 2] == ts.bare_energy("g", 2, params)
-        assert h.matrix[4, 4] == ts.bare_energy("e", 0, params)
+        h = ts.build_hamiltonian(params, n_max).matrix
+        assert h.shape == (12, 12)
+        tags = [(state, n) for state in ("g", "e") for n in range(n_max + 1)]
+        rows = basis_rows(n_max)
+        assert list(rows) == tags
+        # undriven, every branch of a sweep is its tag's bare state
+        grid = np.array([0.3, 0.35])
+        swept = ts.sweep_spectrum(ts.TrapParams(rabi=0.0, eta=0.1), grid, n_max, tags=tags)
+        for state, n in tags:
+            row = rows[state, n]
+            assert row == (n if state == "g" else n_max + 1 + n)
+            assert h[row, row] == ts.bare_energy(state, n, params)
+            for j, delta in enumerate(grid):
+                assert swept.branches[state, n][j] == ts.bare_energy(state, n, params.with_delta(float(delta)))
+                assert swept.overlaps[state, n][j] == 1.0
 
 
 class TestRealGauge:

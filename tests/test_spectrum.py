@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trapshift as ts
 from trapshift import spectrum
@@ -151,6 +154,16 @@ class TestRefineMaximum:
         assert spectrum._refine_maximum(lambda d: -(d - 10) ** 2, 0.0, 1.0) == searched
 
 
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0, -math.inf, math.nan]) | st.floats(), max_size=12))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_local_minima_match_the_loop(values):
+    # a strict drop into a sample and no drop out of it, the rule the coarse
+    # gap scan applies; the loop is the reference for the vectorized form
+    v = np.array(values, dtype=float)
+    loop = [i for i in range(1, len(v) - 1) if v[i] < v[i - 1] and v[i] <= v[i + 1]]
+    assert spectrum._local_minima(v) == loop
+
+
 def test_exact_pipeline_does_not_warn():
     # diagonalization has no weak-drive limit; only the closed form warns
     with warnings.catch_warnings():
@@ -274,12 +287,9 @@ class TestFindResonance:
 
     def test_extremum_derivative_residual(self):
         report = ts.find_resonance(SB01, P01, n_max=20)
-        scan = _DetuningScan(P01, 20)
+        scan = _DetuningScan(P01, 20, SB01)
         h = 1e-5
-        slope = (
-            scan.pair_levels(report.delta_star + h, SB01)[0]
-            - scan.pair_levels(report.delta_star - h, SB01)[0]
-        ) / (2.0 * h)
+        slope = (scan.pair_levels(report.delta_star + h)[0] - scan.pair_levels(report.delta_star - h)[0]) / (2.0 * h)
         assert abs(slope) <= 1e-7
 
     def test_numeric_swap_antisymmetry(self):
@@ -291,8 +301,7 @@ class TestFindResonance:
     def test_carrier_extremum_probed_numerically(self):
         # the pair machinery applied to a carrier must find its extremum at 0
         params = ts.TrapParams(rabi=0.01, eta=0.3)
-        scan = _DetuningScan(params, 18)
-        delta_star, gap, method = _locate(scan, ts.SidebandId(0, 0))
+        delta_star, gap, method = _locate(_DetuningScan(params, 18, ts.SidebandId(0, 0)))
         assert method == "extremum"
         assert abs(delta_star) <= 1e-10
         assert gap == pytest.approx(0.01 * abs(ts.chi(0, 0, 0.3)), rel=1e-4)
@@ -323,9 +332,9 @@ def test_decoupled_crossing_is_root_found_once_per_basis(monkeypatch):
     bases, roots = [], []
     difference, brentq = _DetuningScan.tagged_difference, spectrum.brentq
 
-    def recording(self, *args):
-        bases.append(self.nb)
-        return difference(self, *args)
+    def recording(self, delta):
+        bases.append(len(self._h) // 2)
+        return difference(self, delta)
 
     def counting(*args, **kwargs):
         roots.append(bases[-1])
@@ -339,6 +348,30 @@ def test_decoupled_crossing_is_root_found_once_per_basis(monkeypatch):
     # one contiguous run of sign tests and root iterations per basis
     runs = [nb for i, nb in enumerate(bases) if i == 0 or bases[i - 1] != nb]
     assert runs == roots == [n_used + 1, n_doubled + 1]
+
+
+@pytest.mark.parametrize(("pair", "eta", "solves", "method"), [
+    ((0, 1), 0.1, {36: 125, 68: 125}, "extremum"),
+    ((1, 0), 0.0, {34: 126, 64: 125}, "intersection"),
+    ((2, 4), 0.3, {46: 123, 82: 129}, "extremum"),
+])
+def test_eigensolve_counts(pair, eta, solves, method, monkeypatch):
+    # eigensolves per basis dimension at rabi 0.01: the count does not depend
+    # on the machine, so a locator change that moves it must say so
+    dims = []
+    eigen = _DetuningScan.eigen
+
+    def counting(self, delta):
+        values, vectors = eigen(self, delta)
+        dims.append(len(values))
+        return values, vectors
+
+    monkeypatch.setattr(_DetuningScan, "eigen", counting)
+    report = ts.find_resonance(ts.SidebandId(*pair), ts.TrapParams(rabi=0.01, eta=eta))
+    assert report.method == method
+    # the doubled basis is solved only after the first is done
+    assert dims == sorted(dims)
+    assert dict(Counter(dims)) == solves
 
 
 SWEEP_PARAMS = ts.TrapParams(rabi=0.3, eta=0.4)
@@ -374,12 +407,9 @@ class TestLocatorFallbacks:
         assert report.method == "extremum"
         assert report.converged
         assert report.delta_star == pytest.approx(0.60195, abs=1e-5)
-        scan = _DetuningScan(params, report.n_max_used)
+        scan = _DetuningScan(params, report.n_max_used, SB01)
         h = 1e-5
-        slope = (
-            scan.pair_levels(report.delta_star + h, SB01)[0]
-            - scan.pair_levels(report.delta_star - h, SB01)[0]
-        ) / (2.0 * h)
+        slope = (scan.pair_levels(report.delta_star + h)[0] - scan.pair_levels(report.delta_star - h)[0]) / (2.0 * h)
         assert abs(slope) <= 1e-7
 
     def test_decoupled_pair_without_a_crossing_in_the_gap_bracket(self, monkeypatch):
