@@ -16,7 +16,6 @@ from .errors import (
     TrackingAmbiguityError,
     TrapshiftError,
 )
-from .fock import chi, chi_magnitude, laguerre, rabi_coupling
 from .params import SidebandId, TrapParams
 from .resolvent import (
     PerturbativeShift,
@@ -24,8 +23,11 @@ from .resolvent import (
     bs_shift_ld,
     bs_shift_literature,
     bs_shifts,
+    chi,
+    chi_magnitude,
     eta_zero_shift,
-    splitting_half,
+    laguerre,
+    rabi_coupling,
 )
 
 # The names above, the closed form, need only the standard library.  numpy
@@ -85,7 +87,6 @@ __all__ = [
     "laguerre",
     "oracle_pad",
     "rabi_coupling",
-    "splitting_half",
     "sweep_spectrum",
     "track_branch",
 ]

@@ -33,10 +33,9 @@ import numpy as np
 
 from . import __version__
 from .errors import TrapshiftError
-from .fock import rabi_coupling
 from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
-from .params import SidebandId, TrapParams
-from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, bs_shifts, eta_zero_shift
+from .params import SidebandId, TrapParams, check_delta
+from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, bs_shifts, eta_zero_shift, rabi_coupling
 from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
@@ -332,6 +331,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, points, levels = args.delta_min, args.delta_max, args.points, args.levels
     if not (hi > lo and points >= 2 and levels >= 1):
         raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
+    check_delta(lo)
+    check_delta(hi)
     _check_rows(points * 2 * levels * (2 if args.bare else 1))
     n_max = args.nmax if args.nmax is not None else default_n_max(SidebandId(0, levels - 1), params.eta)
     if levels > n_max + 1:

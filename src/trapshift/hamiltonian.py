@@ -17,11 +17,11 @@ and ``displacement_column`` one column of it, for a carrier's one entry.
 Both run one kernel, ``_exp_generator``: the Taylor series of the scaled
 generator by tridiagonal products, which the block squares back (scaling and
 squaring) and the column applies step by step.  ``coupling_table`` is the
-closed form's: the Laguerre formula of ``fock``, equal to ``chi`` entry for
-entry.  ``check`` and the tests compare the two.  This is the package's
-numpy layer and needs numpy alone: the closed form (``fock``,
-``resolvent``) needs only the standard library, and only the exact
-pipeline (``spectrum``) imports more.
+closed form's: the Laguerre formula of ``resolvent``, equal to ``chi`` entry
+for entry.  ``check`` and the tests compare the two.  This is the package's
+numpy layer and needs numpy alone: the closed form (``resolvent``) needs
+only the standard library, and only the exact pipeline (``spectrum``)
+imports more.
 
 One check sizes every basis: ``check_padded_basis`` bounds n_max, padded
 for the operator exponential, by ``MAX_LEVELS``, and holds n_max and eta to
@@ -42,15 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PHASES, _amplitude, _amplitude_column
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
+from .resolvent import PHASES, _amplitude, _amplitude_column
 
 
 def coupling_table(eta: float, n_max: int) -> np.ndarray:
     """chi_{nn'} for 0 <= n, n' <= n_max from the Laguerre closed form.
 
-    One ``fock._amplitude_column`` per order d = |n - n'| fills both
-    diagonals at distance d with ``fock._amplitude``, as ``chi(n, n', eta)``
+    One ``resolvent._amplitude_column`` per order d = |n - n'| fills both
+    diagonals at distance d with ``resolvent._amplitude``, as ``chi(n, n', eta)``
     and the closed-form sums do.  ``check_padded_basis`` bounds n_max before
     any column or table is built.  Raises ``OverflowError`` as ``chi`` does,
     naming the first chi_{n,n+d} of the build, by distance and then by row.

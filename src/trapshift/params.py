@@ -5,9 +5,9 @@ unit of energy and frequency: ``rabi`` and ``delta`` are ratios to omega_t.
 Physical units exist only at the command line, which converts on the way in
 and out.  Each domain rule is stated here once, next to ``MAX_LEVELS``:
 ``check_level`` holds a level, a Laguerre column length or an n_max in
-0..MAX_LEVELS - 1, and ``check_eta`` holds eta finite and >= 0.
-``SidebandId`` and ``TrapParams`` call them, and so do ``fock`` and
-``hamiltonian``, so the closed form and the exact route are bounded alike.
+0..MAX_LEVELS - 1, ``check_eta`` eta finite and >= 0, ``check_delta`` a
+detuning within 2 MAX_LEVELS of 0, past every pair's Delta0.  The types
+here and the modules of both routes call them, so both are bounded alike.
 """
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
 
 
+def check_delta(delta: float) -> None:
+    """``ValueError`` unless |delta| <= 2 * ``MAX_LEVELS``, nan excluded; eigenvalue
+    roundoff there is about 2e-12 of the trap frequency."""
+    if not abs(delta) <= 2 * MAX_LEVELS:
+        raise ValueError(f"delta must be in -{2 * MAX_LEVELS}..{2 * MAX_LEVELS}, got {delta!r}")
+
+
 @dataclass(frozen=True)
 class TrapParams:
     """Rabi frequency, Lamb-Dicke parameter and detuning, in units of omega_t.
@@ -45,10 +52,9 @@ class TrapParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("rabi", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.rabi):
+            raise ValueError(f"rabi must be finite, got {self.rabi!r}")
+        check_delta(self.delta)
         if self.rabi < 0:
             raise ValueError(f"rabi must be nonnegative, got {self.rabi!r}")
         check_eta(self.eta)

@@ -1,5 +1,16 @@
 """Closed-form theory of the sideband resonance shifts.
 
+The couplings are the displacement matrix elements, n_< (n_>) the lesser
+(greater) of n and n',
+
+    chi_{nn'} = <n| exp(i*eta*(a + a^dag)) |n'>
+              = exp(-eta^2/2) * (i*eta)^|n-n'| * sqrt(n_<!/n_>!) * L_{n_<}^{|n-n'|}(eta^2),
+
+each formed by ``_amplitude`` from the ``_amplitude_column`` at distance
+d = |n - n'|: ``chi_magnitude`` reads one entry of a column,
+``hamiltonian.coupling_table`` every entry, and the sums of a ``bs_shifts``
+call share one column per distance.
+
 Projecting the coupled problem onto the two states of one resonance while
 keeping second-order contact with every other level gives an effective 2x2
 Hamiltonian whose diagonal corrections R_gg, R_ee move the position of the
@@ -14,12 +25,10 @@ collapses, with Omega_R and delta_omega in units of the trap frequency, to
     delta_omega = (Omega_R^2 / 4) * [ sum_{k != n_g} |chi_{n_e,k}|^2/(n_g - k)
                                     - sum_{k != n_e} |chi_{n_g,k}|^2/(n_e - k) ]
 
-valid at all eta for weak drive.  ``bs_shift`` runs each sum once and returns
-only what that pass computes: R_gg, R_ee, delta_omega and a bound on the terms
-left out, from the majorants at which each sum stopped; ``bs_shifts`` does so
-for a batch in one pass of ``_sum_terms``.  The quadratic-in-eta expansion
-``bs_shift_ld`` and the superseded first-red-sideband literature formula are
-separate calls that ``cli`` prints.
+valid at all eta for weak drive.  This module, like ``params``, needs only
+the standard library, so the closed form loads no numpy; the exact route
+takes chi from the operator exp(eta*(a - a^dag)) of ``hamiltonian``, never
+from here.
 """
 
 from __future__ import annotations
@@ -32,9 +41,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import PerturbativeRegimeWarning
-from .fock import _amplitude, _amplitude_column, rabi_coupling
-from .fock import chi_magnitude  # noqa: F401  not called here; trapbench traces this name
-from .params import SidebandId, TrapParams
+from .params import SidebandId, TrapParams, check_eta, check_level
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
@@ -45,6 +52,91 @@ TERM_CUTOFF = 1e-16
 
 #: Most sums ``_sum_terms`` runs at once, which bounds its memory for any batch.
 SUM_CHUNK = 2048
+
+#: i^k for k = 0..3 as exact unit phases (1j**k would accumulate roundoff).
+PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _laguerre_column(n: int, alpha: float, x: float) -> list[float]:
+    """[L_0^alpha(x), ..., L_n^alpha(x)] by the three-term recurrence in n at fixed alpha."""
+    prev, cur = 0.0, 1.0  # L_{-1} = 0 and L_0 = 1 start the recurrence
+    column = [cur]
+    for k in range(1, n + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + alpha - x) * cur - (k - 1.0 + alpha) * prev) / k
+        column.append(cur)
+    return column
+
+
+def laguerre(n: int, alpha: int, x: float) -> float:
+    """Generalized Laguerre function L_n^alpha(x).
+
+    Evaluated by the three-term recurrence in n, which is stable for x >= 0;
+    the alternating finite sum loses precision beyond n of a few tens.
+    n is bounded below ``MAX_LEVELS``, the length of the column it runs.
+    """
+    check_level("n", n)
+    if alpha < 0:
+        raise ValueError(f"alpha must be a nonnegative integer, got {alpha!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    return _laguerre_column(n, float(alpha), x)[-1]
+
+
+def _amplitude_column(eta: float, d: int, n: int) -> tuple[float, list[float]]:
+    """(exp(-eta^2/2) * eta^d, [L_0^d(eta^2)..L_n^d(eta^2)]), from which ``_amplitude``
+    forms every chi amplitude at distance d whose lesser index is at most n.  Raises the
+    one ``OverflowError`` of eta**d."""
+    x = eta * eta
+    try:
+        power = eta**d
+    except OverflowError:
+        raise OverflowError(f"eta**{d} at eta = {eta!r} overflows") from None
+    return math.exp(-0.5 * x) * power, _laguerre_column(n, float(d), x)
+
+
+def _amplitude(prefactor: float, column: list[float], n: int, nprime: int, eta: float) -> float:
+    """Signed amplitude of chi_{nn'} from the ``_amplitude_column`` at d = |n - n'|, the one
+    product ``prefactor * exp(0.5 * (lgamma(lo + 1) - lgamma(hi + 1))) * column[lo]`` with
+    lo (hi) the lesser (greater) of n and n'.  Raises ``OverflowError`` where it is not
+    finite: the Laguerre factor left double precision (its product with an underflowed
+    prefactor would be nan)."""
+    lo, hi = (n, nprime) if n <= nprime else (nprime, n)
+    m = prefactor * math.exp(0.5 * (math.lgamma(lo + 1.0) - math.lgamma(hi + 1.0))) * column[lo]
+    if not math.isfinite(m):
+        raise OverflowError(f"the Laguerre factor of chi_{{{n},{nprime}}} at eta = {eta!r} overflows")
+    return m
+
+
+def chi_magnitude(n: int, nprime: int, eta: float) -> float:
+    """Real amplitude m of chi_{nn'} = i^|n-n'| * m; signed, since the Laguerre
+    factor changes sign in eta, so |chi_{nn'}| is its ``abs``.
+
+    The factorial ratio goes through lgamma so the result stays finite for
+    quantum numbers far beyond the n = 170 overflow of raw factorials.  The
+    lesser index, the length of the Laguerre column, is bounded below
+    ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta,
+    and is bounded below 2**53, past which hi + 1.0 no longer counts integers.
+    Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
+    """
+    lo, hi = (n, nprime) if n <= nprime else (nprime, n)
+    check_level("min(n, nprime)", lo)
+    if hi >= 2**53:
+        raise ValueError(f"max(n, nprime) must be below 2**53, got {hi!r}")
+    check_eta(eta)
+    prefactor, column = _amplitude_column(eta, hi - lo, lo)
+    return _amplitude(prefactor, column, n, nprime, eta)
+
+
+def chi(n: int, nprime: int, eta: float) -> complex:
+    """Displacement-operator matrix element chi_{nn'} = <n|e^{i eta (a+a†)}|n'>."""
+    d = abs(n - nprime)
+    return PHASES[d % 4] * chi_magnitude(n, nprime, eta)
+
+
+def rabi_coupling(n: int, nprime: int, params: TrapParams) -> complex:
+    """Coupling strength Omega_{nn'} = Omega_R * chi_{nn'} between trap levels."""
+    return params.rabi * chi(n, nprime, params.eta)
+
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,17 +202,17 @@ def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[f
     M(d+1)/M(d) (0 where M(d) is 0).  rho < 1 at a stop: else M(d) >= M(0) =
     1, but a stop needs M(d) <= 1e-16 times a running magnitude that
     unitarity and |denominator| >= 1 keep below 1; ``ArithmeticError`` should
-    rho reach 1 all the same.  Raises ``fock._amplitude``'s ``OverflowError``
+    rho reach 1 all the same.  Raises ``_amplitude``'s ``OverflowError``
     where an amplitude is not finite (nan would never end the sum); a finite
     one is at most about 1 in size (|chi| <= 1, and subnormal rounding at
     most doubles a tiny value), so over |exclude - k| >= 1 its term is finite.
 
     The one loop of every closed-form sum: up to ``SUM_CHUNK`` sums advance
-    together, distance by distance, on one ``fock._amplitude_column`` per d,
+    together, distance by distance, on one ``_amplitude_column`` per d,
     that of the greatest open center, whose prefix is each shorter column bit
     for bit.  A sum's terms come in ascending |k - center|, a fixed symmetric
     order for the exactly rounded fsum (carrier nulls and sideband swaps
-    cancel exactly), each ``fock._amplitude``, the amplitude ``chi_magnitude``
+    cancel exactly), each ``_amplitude``, the amplitude ``chi_magnitude``
     returns, squared over exclude - k, so no sum depends on its batch.  Only
     the column length, center + 1, is bounded (``SidebandId``), not k.
     """
@@ -163,18 +255,13 @@ def _sum_terms(pairs: Iterable[tuple[int, int]], eta: float) -> Iterator[tuple[f
         yield from results
 
 
-def splitting_half(sideband: SidebandId, params: TrapParams) -> float:
-    """|R_ge| = |Omega_{n_g,n_e}|/2, half the closest-approach gap of the pair."""
-    return 0.5 * abs(rabi_coupling(sideband.n_g, sideband.n_e, params))
-
-
 def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     """All-order-in-eta resonance shift of a sideband (Bloch-Siegert type)
     and the level shifts it is made of.
 
     R_gg and R_ee, the diagonal level-shift elements at the crossing
-    E0 = (n_g + n_e)/2, Delta0 = n_e - n_g (the coupling |R_ge| is
-    ``splitting_half``), are (Omega_R/2)^2 times one sum each:
+    E0 = (n_g + n_e)/2, Delta0 = n_e - n_g (the coupling |R_ge| is half of
+    ``abs(rabi_coupling(n_g, n_e, params))``), are (Omega_R/2)^2 times one sum each:
     |chi_{n_g,k}|^2/(n_e - k) and |chi_{n_e,k}|^2/(n_g - k), whose integers
     are the denominators E0 - E_{e,k} and E0 - E_{g,k} (see ``_sum_terms``);
     no retained one vanishes.  delta_omega = R_ee - R_gg, and ``tail_bound``

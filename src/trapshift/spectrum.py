@@ -15,7 +15,7 @@ from the real displacement operator exp(eta*(a - a^dag)) that its
 nothing downstream can observe the gauge.  A scan that locates a resonance
 is built with its pair and gives the locator the pair's rows, delta0 and
 coupling entry; a sweep's scan has none.  This module imports nothing of the
-closed form (``fock``, ``resolvent``), so their agreement is a cross-check.
+closed form (``resolvent``), so their agreement is a cross-check.
 Each job has one code path: ``_search_window`` is the coarse window scan
 behind ``find_resonance``, and ``_locate`` measures the pair's gap inside it
 and chooses the mode, extremum or intersection, in one place; the measured
@@ -39,7 +39,7 @@ from .hamiltonian import (
     basis_rows, check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix,
     set_detuning,
 )
-from .params import SidebandId, TrapParams
+from .params import SidebandId, TrapParams, check_delta
 
 #: Measured pair gaps below this many omega_t count as true crossings.
 GAP_FLOOR_FRACTION = 1e-10
@@ -351,12 +351,15 @@ def sweep_spectrum(
     magnitudes; intervals whose assignment is uncertain (overlap below 0.5)
     are bisected internally, up to ``MAX_BISECTION_LEVELS``, without changing
     the output grid.  The union of all branches at each grid point is exactly
-    a permutation of the raw eigenvalues.  n_max (``check_padded_basis``)
-    and every tag are checked before the Hamiltonian is built.
+    a permutation of the raw eigenvalues.  n_max (``check_padded_basis``),
+    every tag and every detuning are checked before the Hamiltonian is built.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or len(deltas) < 2:
         raise ValueError("deltas must be a 1-D grid with at least two points")
+    points = deltas.tolist()
+    for delta in points:
+        check_delta(delta)
     check_padded_basis(params.eta, n_max)
     rows = basis_rows(n_max)
     for tag in tags:
@@ -364,7 +367,6 @@ def sweep_spectrum(
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
     scan = _DetuningScan(params, n_max)
 
-    points = deltas.tolist()
     values, vectors = scan.eigen(points[0])
     # Identify eigenvectors with bare states at the first grid point.
     perm, _ = _assign(np.eye(len(rows)), vectors)

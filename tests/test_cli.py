@@ -560,6 +560,13 @@ class TestErrorPaths:
          "scan-eta runs dimensionless; give --rabi as a ratio of omega_t\n"),
         (["sidebands", "--max-order", "0"], "sidebands needs max_order >= 1 and max_n >= 0\n"),
         (["sidebands", "--max-n=-1"], "sidebands needs max_order >= 1 and max_n >= 0\n"),
+        # both window ends, before the grid is made: at 1e16 a g1 weight of
+        # 0.860 came out with exit 0, at +-1e308 two RuntimeWarnings and then
+        # LAPACK's non-convergence
+        (["sweep", "--delta-min=1e16", "--delta-max=1.5e16", "--points", "2", "--levels", "2",
+          "--nmax", "3", "--eta", "0.1"], "delta must be in -20000..20000, got 1e+16\n"),
+        (["sweep", "--delta-min=-1e308", "--delta-max=1e308"], "delta must be in -20000..20000, got -1e+308\n"),
+        (["sweep", "--delta-min=0", "--delta-max=20000.5"], "delta must be in -20000..20000, got 20000.5\n"),
     ])
     def test_command_range(self, argv, message, monkeypatch, capsys):
         self.rejected(argv, message, monkeypatch, capsys)

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapshift as ts
-from trapshift import fock
-from trapshift.fock import PHASES
+from trapshift import resolvent
 from trapshift.params import MAX_LEVELS
+from trapshift.resolvent import PHASES
 
 
 def laguerre_binomial(n: int, alpha: int, x: float) -> float:
@@ -63,7 +63,7 @@ class TestColumnBound:
         def unreachable(*args, **kwargs):
             raise AssertionError("a Laguerre column was built past the bound")
 
-        monkeypatch.setattr(fock, "_laguerre_column", unreachable)
+        monkeypatch.setattr(resolvent, "_laguerre_column", unreachable)
         message = f"must be in 0..{MAX_LEVELS - 1}, got"
         for n in (MAX_LEVELS, 10**8):
             with pytest.raises(ValueError, match=f"n {message} {n}"):

@@ -17,13 +17,13 @@ from trapshift.params import MAX_LEVELS
 
 def _forbid_laguerre_columns(monkeypatch):
     """Make every Laguerre column, in the closed form and in its table, fail:
-    each is built by ``fock._laguerre_column``."""
-    from trapshift import fock
+    each is built by ``resolvent._laguerre_column``."""
+    from trapshift import resolvent
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a Laguerre column was built before the bound")
 
-    monkeypatch.setattr(fock, "_laguerre_column", unreachable)
+    monkeypatch.setattr(resolvent, "_laguerre_column", unreachable)
 
 
 class TestTrapParams:
@@ -34,6 +34,10 @@ class TestTrapParams:
             ts.TrapParams(rabi=0.1, eta=-0.1)
         with pytest.raises(ValueError):
             ts.TrapParams(rabi=float("inf"), eta=0.1)
+
+    def test_detuning_bound_is_inclusive(self):
+        for delta in (-2.0 * MAX_LEVELS, 2.0 * MAX_LEVELS):
+            assert ts.TrapParams(rabi=0.3, eta=0.1, delta=delta).delta == delta
 
     def test_has_no_trap_frequency_field(self):
         # energies are in units of omega_t; only the CLI knows physical units
@@ -425,6 +429,13 @@ ETA_ENTRIES = {
     "displacement_oracle": lambda eta: ts.displacement_oracle(eta, 4),
     "TrapParams": lambda eta: ts.TrapParams(rabi=0.01, eta=eta),
 }
+DELTA_ENTRIES = {
+    "TrapParams": lambda delta: ts.TrapParams(rabi=0.3, eta=0.1, delta=delta),
+    # at [1e16, 1.5e16] the g1 weights read 0.86 and 0.95, for true weights near 1
+    "sweep_spectrum": lambda delta: ts.sweep_spectrum(
+        ts.TrapParams(rabi=0.3, eta=0.1), [delta, 1.5 * delta], 3, tags=[("g", 1)]
+    ),
+}
 LEVEL_RULE = f"must be in 0..{MAX_LEVELS - 1}, got "
 DOMAIN_CASES = [
     *(pytest.param(call, n, LEVEL_RULE + str(n), id=f"{name}-{n}")
@@ -434,6 +445,8 @@ DOMAIN_CASES = [
       for name, call in BASIS_ENTRIES.items()),
     *(pytest.param(call, eta, f"eta must be finite and >= 0, got {eta!r}", id=f"{name}-eta-{eta!r}")
       for name, call in ETA_ENTRIES.items() for eta in (-0.1, math.nan, math.inf)),
+    *(pytest.param(call, delta, f"delta must be in -20000..20000, got {delta!r}", id=f"{name}-delta-{delta!r}")
+      for name, call in DELTA_ENTRIES.items() for delta in (1e16, -1e308, 20000.000000001, math.nan, math.inf)),
     # the greater index enters lgamma as hi + 1.0, which counts integers only below 2**53
     pytest.param(lambda n: ts.chi_magnitude(0, n, 0.1), 10**400, "max(n, nprime) must be below 2**53",
                  id="chi_magnitude-nprime-10**400"),
@@ -443,7 +456,7 @@ DOMAIN_CASES = [
 
 
 class TestDomainRules:
-    """Every public entry holds levels and eta to the rules of ``params``."""
+    """Every public entry holds levels, eta and detunings to the rules of ``params``."""
 
     @pytest.mark.parametrize(("call", "value", "message"), DOMAIN_CASES)
     def test_rejected_before_anything_is_built(self, call, value, message, monkeypatch):

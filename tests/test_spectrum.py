@@ -310,12 +310,12 @@ class TestFindResonance:
 def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
     # chi of the exact route comes from the operator, so a wrong factor in the
     # closed form cannot enter both routes; carriers included
-    from trapshift import fock
+    from trapshift import resolvent
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the exact route evaluated the Laguerre closed form")
 
-    monkeypatch.setattr(fock, "_laguerre_column", unreachable)
+    monkeypatch.setattr(resolvent, "_laguerre_column", unreachable)
     report = ts.find_resonance(SB01, P01)
     assert report.method == "extremum" and report.gap > 0
     assert ts.find_resonance(SB01, ts.TrapParams(rabi=0.01, eta=0.0)).method == "intersection"
