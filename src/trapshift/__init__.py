@@ -10,14 +10,9 @@ level-diagram and shift-scan datasets.
 
 import importlib
 
-from .errors import (
-    PerturbativeRegimeWarning,
-    ResonanceWindowError,
-    TrackingAmbiguityError,
-    TrapshiftError,
-)
 from .params import SidebandId, TrapParams
 from .resolvent import (
+    PerturbativeRegimeWarning,
     PerturbativeShift,
     bs_shift,
     bs_shift_ld,
@@ -30,11 +25,11 @@ from .resolvent import (
     rabi_coupling,
 )
 
-# The names above, the closed form, need only the standard library.  numpy
-# alone serves the chi tables and Hamiltonians (``hamiltonian``), and scipy
-# only the exact pipeline (``spectrum``), so each name below is served from
-# its module on first access: ``import trapshift`` and every closed-form call
-# load neither numpy nor scipy, and a chi table or Hamiltonian loads no scipy.
+# The names above, the closed form and its warning, need only the standard library.
+# numpy alone serves the chi tables and Hamiltonians (``hamiltonian``), and scipy only
+# the exact pipeline and the errors it alone raises (``spectrum``), so each name below
+# is served from its module on first access: ``import trapshift`` and every closed-form
+# call load neither numpy nor scipy, and a chi table or Hamiltonian loads no scipy.
 _LAZY_MODULES = {
     "HamiltonianMatrix": "hamiltonian",
     "bare_energy": "hamiltonian",
@@ -44,7 +39,10 @@ _LAZY_MODULES = {
     "displacement_oracle": "hamiltonian",
     "oracle_pad": "hamiltonian",
     "DressedSpectrum": "spectrum",
+    "ResonanceWindowError": "spectrum",
     "ShiftReport": "spectrum",
+    "TrackingAmbiguityError": "spectrum",
+    "TrapshiftError": "spectrum",
     "find_resonance": "spectrum",
     "sweep_spectrum": "spectrum",
     "track_branch": "spectrum",

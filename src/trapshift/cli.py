@@ -15,7 +15,8 @@ they scale inputs and outputs.  ``shift`` and ``scan-eta`` ask here for the
 comparisons they print beside ``bs_shift`` (``_comparisons``); the one regime
 signal is the closed form's ``PerturbativeRegimeWarning``.  ``check`` records
 each threshold as written.
-Exit codes: 0 ok, 2 invalid configuration, 3 numeric failure or
+Exit codes: 0 ok, 2 invalid configuration (a ``ValueError``), 3 numeric
+failure (``spectrum.TrapshiftError`` or an ``OverflowError``) or
 non-convergence, 4 failed self-check.
 """
 
@@ -32,11 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import TrapshiftError
 from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
 from .params import SidebandId, TrapParams, check_delta
 from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, bs_shifts, eta_zero_shift, rabi_coupling
-from .spectrum import ShiftReport, check_bases, find_resonance, sweep_spectrum
+from .spectrum import ShiftReport, TrapshiftError, check_bases, find_resonance, sweep_spectrum
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
 #: on the constants edition of the installed scipy.

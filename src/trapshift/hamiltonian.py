@@ -115,10 +115,11 @@ def _real_displacement(eta: float, n_max: int) -> np.ndarray:
 
 
 def displacement_column(eta: float, n_max: int, n: int) -> np.ndarray:
-    """Column n of ``_real_displacement`` with no matrix formed: |n> on the
-    same padded basis, stepped ceil(2*eta*sqrt(dim)) times by the exponential
-    of the generator over as many steps, each within norm 1."""
+    """Column n, an integer in 0..n_max, of ``_real_displacement`` with no matrix formed:
+    |n> on the same padded basis, stepped ceil(2*eta*sqrt(dim)) times by the exponential
+    of the generator over as many steps, each within norm 1; n and the basis are checked first."""
     dim = check_padded_basis(eta, n_max)
+    check_level("n", n, top=n_max)
     steps = max(1, math.ceil(2.0 * eta * math.sqrt(dim)))
     column = np.zeros((dim, 1))
     column[n] = 1.0

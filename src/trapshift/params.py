@@ -4,8 +4,8 @@ Everything downstream works in hbar = 1 units with the trap frequency as the
 unit of energy and frequency: ``rabi`` and ``delta`` are ratios to omega_t.
 Physical units exist only at the command line, which converts on the way in
 and out.  Each domain rule is stated here once, next to ``MAX_LEVELS``:
-``check_level`` holds a level, a Laguerre column length or an n_max in
-0..MAX_LEVELS - 1, ``check_eta`` eta finite and >= 0, ``check_delta`` a
+``check_level`` holds a level, a Laguerre column length or an n_max to an
+integer in 0..MAX_LEVELS - 1, ``check_eta`` eta finite and >= 0, ``check_delta`` a
 detuning within 2 MAX_LEVELS of 0, past every pair's Delta0.  The types
 here and the modules of both routes call them, so both are bounded alike.
 """
@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 #: Most levels of any basis, the padding of ``hamiltonian.oracle_pad``
 #: included; every sideband level lies below it.
 MAX_LEVELS = 10_000
 
 
-def check_level(name: str, value: int) -> None:
-    """``ValueError`` unless 0 <= value < ``MAX_LEVELS``."""
-    if not 0 <= value < MAX_LEVELS:
-        raise ValueError(f"{name} must be in 0..{MAX_LEVELS - 1}, got {value!r}")
+def check_level(name: str, value: int, top: int = MAX_LEVELS - 1) -> None:
+    """``ValueError`` unless value is an integer (``numbers.Integral``) in 0..top."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be of integer type, got {value!r}")
+    if not 0 <= value <= top:
+        raise ValueError(f"{name} must be in 0..{top}, got {value!r}")
 
 
 def check_eta(eta: float) -> None:

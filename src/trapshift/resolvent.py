@@ -25,10 +25,10 @@ collapses, with Omega_R and delta_omega in units of the trap frequency, to
     delta_omega = (Omega_R^2 / 4) * [ sum_{k != n_g} |chi_{n_e,k}|^2/(n_g - k)
                                     - sum_{k != n_e} |chi_{n_g,k}|^2/(n_e - k) ]
 
-valid at all eta for weak drive.  This module, like ``params``, needs only
-the standard library, so the closed form loads no numpy; the exact route
-takes chi from the operator exp(eta*(a - a^dag)) of ``hamiltonian``, never
-from here.
+valid at all eta for weak drive; above ``PERTURBATIVE_RATIO_LIMIT`` the sums warn
+with this module's ``PerturbativeRegimeWarning``.  Like ``params`` it needs only
+the standard library, so the closed form loads no numpy; the exact route takes chi
+from the operator exp(eta*(a - a^dag)) of ``hamiltonian``, never from here.
 """
 
 from __future__ import annotations
@@ -39,12 +39,17 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 
-from .errors import PerturbativeRegimeWarning
 from .params import SidebandId, TrapParams, check_eta, check_level
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
+
+
+class PerturbativeRegimeWarning(UserWarning):
+    """The drive is too strong for the perturbative shift formulas."""
+
 
 #: A summation stops once the next term's majorant drops to this fraction
 #: of the accumulated magnitude.
@@ -72,10 +77,10 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 
     Evaluated by the three-term recurrence in n, which is stable for x >= 0;
     the alternating finite sum loses precision beyond n of a few tens.
-    n is bounded below ``MAX_LEVELS``, the length of the column it runs.
+    n and alpha are integers, n below ``MAX_LEVELS``, the length of the column it runs.
     """
     check_level("n", n)
-    if alpha < 0:
+    if not (isinstance(alpha, Integral) and alpha >= 0):
         raise ValueError(f"alpha must be a nonnegative integer, got {alpha!r}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
@@ -112,14 +117,16 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     factor changes sign in eta, so |chi_{nn'}| is its ``abs``.
 
     The factorial ratio goes through lgamma so the result stays finite for
-    quantum numbers far beyond the n = 170 overflow of raw factorials.  The
-    lesser index, the length of the Laguerre column, is bounded below
-    ``MAX_LEVELS``; the greater one only enters lgamma and the power of eta,
-    and is bounded below 2**53, past which hi + 1.0 no longer counts integers.
+    quantum numbers far beyond the n = 170 overflow of raw factorials.  Both
+    are integers; the lesser, the length of the Laguerre column, is below
+    ``MAX_LEVELS``; the greater only enters lgamma and the power of eta, and is
+    below 2**53, past which hi + 1.0 no longer counts integers.
     Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
     """
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
+    if not isinstance(hi, Integral):
+        raise ValueError(f"max(n, nprime) must be of integer type, got {hi!r}")
     if hi >= 2**53:
         raise ValueError(f"max(n, nprime) must be below 2**53, got {hi!r}")
     check_eta(eta)
@@ -129,14 +136,13 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
 
 def chi(n: int, nprime: int, eta: float) -> complex:
     """Displacement-operator matrix element chi_{nn'} = <n|e^{i eta (a+a†)}|n'>."""
-    d = abs(n - nprime)
-    return PHASES[d % 4] * chi_magnitude(n, nprime, eta)
+    m = chi_magnitude(n, nprime, eta)  # first, so that it checks n and nprime
+    return PHASES[abs(n - nprime) % 4] * m
 
 
 def rabi_coupling(n: int, nprime: int, params: TrapParams) -> complex:
     """Coupling strength Omega_{nn'} = Omega_R * chi_{nn'} between trap levels."""
     return params.rabi * chi(n, nprime, params.eta)
-
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,18 +159,6 @@ class PerturbativeShift:
     r_ee: float
     k_max_used: int
     tail_bound: float
-
-
-def _warn_outside_regime(params: TrapParams) -> None:
-    """Warn the caller of a closed-form sum that the drive is too strong for it."""
-    if params.rabi > PERTURBATIVE_RATIO_LIMIT:
-        warnings.warn(
-            f"rabi/omega_t = {params.rabi:.3g} exceeds "
-            f"{PERTURBATIVE_RATIO_LIMIT}; perturbative shift formulas "
-            "lose accuracy in this regime",
-            PerturbativeRegimeWarning,
-            stacklevel=3,  # past the closed-form function, to its caller
-        )
 
 
 def _term_majorant(eta: float, center: int, d: int) -> float:
@@ -270,7 +264,6 @@ def bs_shift(sideband: SidebandId, params: TrapParams) -> PerturbativeShift:
     and n_e, by construction of the summation order.  Warns above
     ``PERTURBATIVE_RATIO_LIMIT``.  The batch of one of ``bs_shifts``.
     """
-    _warn_outside_regime(params)
     return _shifts((sideband,), params)[0]
 
 
@@ -278,12 +271,18 @@ def bs_shifts(sidebands: Iterable[SidebandId], params: TrapParams) -> list[Pertu
     """``bs_shift`` of each sideband at one ``params``, equal to it bit for
     bit, from one ``_sum_terms`` pass over all their sums.  Warns once above
     ``PERTURBATIVE_RATIO_LIMIT``."""
-    _warn_outside_regime(params)
     return _shifts(list(sidebands), params)
 
 
 def _shifts(sidebands: Sequence[SidebandId], params: TrapParams) -> list[PerturbativeShift]:
-    """The shifts of ``bs_shifts``, without its warning."""
+    """The one path of ``bs_shift`` and ``bs_shifts``: their shifts and their one warning."""
+    if params.rabi > PERTURBATIVE_RATIO_LIMIT:
+        warnings.warn(
+            f"rabi/omega_t = {params.rabi:.3g} exceeds {PERTURBATIVE_RATIO_LIMIT}; perturbative shift formulas "
+            "lose accuracy in this regime",
+            PerturbativeRegimeWarning,
+            stacklevel=3,  # past _shifts and the entry, to its caller
+        )
     eta = params.eta
     sums = _sum_terms((pair for sb in sidebands for pair in ((sb.n_e, sb.n_g), (sb.n_g, sb.n_e))), eta)
     try:

@@ -15,15 +15,16 @@ from the real displacement operator exp(eta*(a - a^dag)) that its
 nothing downstream can observe the gauge.  A scan that locates a resonance
 is built with its pair and gives the locator the pair's rows, delta0 and
 coupling entry; a sweep's scan has none.  This module imports nothing of the
-closed form (``resolvent``), so their agreement is a cross-check.
-Each job has one code path: ``_search_window`` is the coarse window scan
-behind ``find_resonance``, and ``_locate`` measures the pair's gap inside it
-and chooses the mode, extremum or intersection, in one place; the measured
+closed form (``resolvent``), so their agreement is a cross-check; it defines
+``TrapshiftError`` and its subclasses, which it alone raises.  Each job has one
+code path: ``_search_window`` is the coarse window scan behind
+``find_resonance``, and ``_locate`` measures the pair's gap inside it and
+chooses the mode, extremum or intersection, in one place; the measured
 splitting is ``find_resonance``'s ``gap`` (a carrier's is read off one column
-of the same operator); ``find_resonance`` is the one basis-doubling check
-(one re-locate on the doubled margin), and ``sweep_spectrum`` the branch
-continuation behind ``track_branch``.  Scans are sequential and
-deterministic; share nothing across threads except the immutable inputs.
+of the same operator); ``find_resonance`` is the one basis-doubling check (one
+re-locate on the doubled margin), and ``sweep_spectrum`` the branch
+continuation behind ``track_branch``.  Scans are sequential and deterministic;
+share nothing across threads except the immutable inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
-from .errors import ResonanceWindowError, TrackingAmbiguityError
 from .hamiltonian import (
     basis_rows, check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix,
     set_detuning,
@@ -57,6 +57,18 @@ CONVERGENCE_ABSOLUTE = 1e-12
 TRACK_OVERLAP_MIN = 0.5
 MAX_BISECTION_LEVELS = 12
 MAX_WINDOW_ESCALATIONS = 4
+
+
+class TrapshiftError(Exception):
+    """Base class for numerical failures in this package."""
+
+
+class TrackingAmbiguityError(TrapshiftError):
+    """Branch continuation stayed ambiguous after maximal grid refinement."""
+
+
+class ResonanceWindowError(TrapshiftError):
+    """No stationary point of the pair branch found inside the scan window."""
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ FROZEN_SCAN_ROWS = [
 
 class TestShiftCommand:
     @pytest.mark.parametrize("flags, frozen", FROZEN_SHIFT_ROWS)
-    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
     def test_closed_form_columns_frozen(self, flags, frozen, capsys):
         record = shift_record(flags, capsys)
         assert ",".join(record[c] for c in SHIFT_CLOSED_COLUMNS) == frozen
@@ -418,7 +418,7 @@ class TestExitCodes:
             ["shift", "--ng", "3000", "--ne", "0", "--rabi", "0.01", "--eta", "2"], id="argv6"
         ),
     ])
-    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
     def test_overflowing_finite_input_exits_three(self, argv, capsys):
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
@@ -441,7 +441,7 @@ class TestExitCodes:
         ["shift", "--ng", "0", "--ne", "1", "--rabi", "1e200", "--eta", "0.1"],
         ["scan-eta", "--rabi", "1e200", "--points", "2", "--eta-max", "0.1"],
     ])
-    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
     def test_overflowing_drive_is_named(self, argv, capsys):
         # the square of the drive raised a bare "(34, 'Numerical result out of range')"
         assert cli.main(argv) == 3
@@ -453,7 +453,7 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
     def test_overflowing_frequency_is_named(self, fmt, capsys):
         # the shift 8.3e307 is finite, but times 2pi*1.36 MHz / 2pi it is not;
         # the rows printed inf in CSV and Infinity, invalid JSON, with exit 0

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapshift as ts
+from trapshift.hamiltonian import displacement_column
 from trapshift.params import MAX_LEVELS
 
 
@@ -437,6 +438,7 @@ DELTA_ENTRIES = {
     ),
 }
 LEVEL_RULE = f"must be in 0..{MAX_LEVELS - 1}, got "
+INTEGER_RULE = "must be of integer type, got "
 DOMAIN_CASES = [
     *(pytest.param(call, n, LEVEL_RULE + str(n), id=f"{name}-{n}")
       for name, call in LEVEL_ENTRIES.items() for n in (-1, MAX_LEVELS)),
@@ -452,6 +454,27 @@ DOMAIN_CASES = [
                  id="chi_magnitude-nprime-10**400"),
     pytest.param(lambda n: ts.chi_magnitude(n, 9, 0.1), 2**53, "max(n, nprime) must be below 2**53",
                  id="chi_magnitude-n-2**53"),
+    # a level is an integer: chi_magnitude(2, 2.5, 0.1) read a Laguerre value of
+    # order 0.5, and a half-integer level ended in a bare TypeError or KeyError
+    *(pytest.param(call, 1.5, INTEGER_RULE + "1.5", id=f"{name}-1.5") for name, call in LEVEL_ENTRIES.items()),
+    *(pytest.param(call, 2.5, INTEGER_RULE + "2.5", id=f"{name}-2.5") for name, call in BASIS_ENTRIES.items()),
+    pytest.param(lambda n: ts.chi_magnitude(n, 2, 0.1), 2.5, "max(n, nprime) " + INTEGER_RULE + "2.5",
+                 id="chi_magnitude-n-2.5"),
+    pytest.param(lambda n: ts.chi_magnitude(2, n, 0.1), 2.5, "max(n, nprime) " + INTEGER_RULE + "2.5",
+                 id="chi_magnitude-nprime-2.5"),
+    pytest.param(lambda alpha: ts.laguerre(3, alpha, 0.1), 1.5, "alpha must be a nonnegative integer, got 1.5",
+                 id="laguerre-alpha-1.5"),
+    pytest.param(lambda n: ts.bs_shift(ts.SidebandId(n, 1), PARAMS), 0.5, INTEGER_RULE + "0.5",
+                 id="bs_shift-0.5"),
+    pytest.param(lambda n: ts.find_resonance(ts.SidebandId(n, 1), PARAMS), 0.5, INTEGER_RULE + "0.5",
+                 id="find_resonance-0.5"),
+    pytest.param(lambda n_max: ts.find_resonance(ts.SidebandId(0, 1), PARAMS, n_max=n_max), 20.0,
+                 "n_max " + INTEGER_RULE + "20.0", id="find_resonance-n_max-20.0"),
+    # the one operator column a carrier reads lies on the basis: -1 read the
+    # last pad level's column, n_max + 1 one from inside the pad
+    *(pytest.param(lambda n: displacement_column(0.1, 10, n), n, message, id=f"displacement_column-{n!r}")
+      for n, message in [(-1, "n must be in 0..10, got -1"), (11, "n must be in 0..10, got 11"),
+                         (2.0, "n " + INTEGER_RULE + "2.0")]),
 ]
 
 
@@ -471,6 +494,13 @@ class TestDomainRules:
 
     def test_greater_index_accepted_below_2_53(self):
         assert ts.chi_magnitude(0, 2**53 - 1, 0.1) == 0.0
+
+    def test_numpy_integers_are_levels(self):
+        two, three = np.int64(2), np.int32(3)
+        assert ts.SidebandId(two, three) == ts.SidebandId(2, 3)
+        assert ts.chi_magnitude(two, three, 0.1) == ts.chi_magnitude(2, 3, 0.1)
+        assert ts.laguerre(three, two, 0.1) == ts.laguerre(3, 2, 0.1)
+        assert np.array_equal(displacement_column(0.1, 10, three), displacement_column(0.1, 10, 3))
 
 
 class TestDefaultNMax:

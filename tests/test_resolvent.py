@@ -356,7 +356,7 @@ class TestBsShift:
             ts.bs_shifts([SB01, ts.SidebandId(3, 3)], ts.TrapParams(rabi=0.01, eta=1000.0))
 
     @pytest.mark.parametrize("rabi", [1e200, 1.5e154])
-    @pytest.mark.filterwarnings("ignore::trapshift.errors.PerturbativeRegimeWarning")
+    @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
     def test_overflowing_drive_is_named(self, rabi):
         # rabi**2 overflows above 1.34e154 and (0.5 * rabi)**2 above 2.68e154;
         # both raised a bare "(34, 'Numerical result out of range')"

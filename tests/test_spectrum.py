@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trapshift as ts
-from trapshift import spectrum
+from trapshift import resolvent, spectrum
 from trapshift.hamiltonian import _real_displacement, coupling_block, displacement_column
 from trapshift.spectrum import _DetuningScan, _locate
 
@@ -564,6 +564,7 @@ class TestLazyImport:
             "ts.chi_magnitude(3, 5, 0.3)",
             "ts.laguerre(4, 2, 0.09)",
             "ts.rabi_coupling(3, 5, params)",
+            "ts.PerturbativeRegimeWarning",
             "print('numpy' in sys.modules)",
         ])
         assert run_probe(probe) == "False"
@@ -579,5 +580,9 @@ class TestLazyImport:
     def test_package_names_resolve(self):
         assert ts.find_resonance is spectrum.find_resonance
         assert ts.ShiftReport is spectrum.ShiftReport
+        assert ts.ResonanceWindowError is spectrum.ResonanceWindowError
+        assert ts.TrackingAmbiguityError is spectrum.TrackingAmbiguityError
+        assert ts.TrapshiftError is spectrum.TrapshiftError
+        assert ts.PerturbativeRegimeWarning is resolvent.PerturbativeRegimeWarning
         with pytest.raises(AttributeError):
             ts.no_such_name
