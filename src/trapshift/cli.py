@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
-from .params import SidebandId, TrapParams, check_delta
+from .params import MAX_LEVELS, SidebandId, TrapParams, check_delta
 from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, bs_shifts, eta_zero_shift, rabi_coupling
 from .spectrum import ShiftReport, TrapshiftError, check_bases, find_resonance, sweep_spectrum
 
@@ -331,6 +331,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, points, levels = args.delta_min, args.delta_max, args.points, args.levels
     if not (hi > lo and points >= 2 and levels >= 1):
         raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
+    if levels > MAX_LEVELS:  # by name, before the rows or the basis it sizes
+        raise ConfigError(f"--levels must be in 1..{MAX_LEVELS}, got {levels}")
     check_delta(lo)
     check_delta(hi)
     _check_rows(points * 2 * levels * (2 if args.bare else 1))

@@ -182,10 +182,11 @@ class HamiltonianMatrix:
 def check_padded_basis(eta: float, n_max: int, why: str = "") -> int:
     """Levels n_max + 1 + ``oracle_pad`` of the basis ``_real_displacement``
     exponentiates on; ``ValueError`` beyond ``MAX_LEVELS``, with ``why``
-    appended to the message, or for a negative n_max or a bad eta.  The one
-    size check of every basis."""
+    appended, or for a bad eta or an n_max that is not an integer (asked
+    first) or is negative.  The one size check of every basis."""
     check_eta(eta)
-    # as integers first: oracle_pad's float sqrt overflows on a huge n_max
+    # an integer, then its size as an integer: oracle_pad's float sqrt overflows on a huge n_max
+    check_level("n_max", n_max, top=None)
     if n_max >= MAX_LEVELS:
         size = f"basis of {n_max + 1} levels before padding"
     else:

@@ -4,10 +4,11 @@ Everything downstream works in hbar = 1 units with the trap frequency as the
 unit of energy and frequency: ``rabi`` and ``delta`` are ratios to omega_t.
 Physical units exist only at the command line, which converts on the way in
 and out.  Each domain rule is stated here once, next to ``MAX_LEVELS``:
-``check_level`` holds a level, a Laguerre column length or an n_max to an
-integer in 0..MAX_LEVELS - 1, ``check_eta`` eta finite and >= 0, ``check_delta`` a
-detuning within 2 MAX_LEVELS of 0, past every pair's Delta0.  The types
-here and the modules of both routes call them, so both are bounded alike.
+``check_level``, the one integer rule, holds a level, column length, n_max or tag
+level to 0..MAX_LEVELS - 1 (or 0..n_max), chi's greater index or a Laguerre order to
+0..``FLOAT_EXACT_TOP``; ``check_eta`` eta finite and >= 0, ``check_delta`` a detuning
+within 2 MAX_LEVELS of 0, past every pair's Delta0.  Both routes call them before a
+value is compared or sized, so both are bounded alike.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from numbers import Integral
 #: Most levels of any basis, the padding of ``hamiltonian.oracle_pad``
 #: included; every sideband level lies below it.
 MAX_LEVELS = 10_000
+#: Largest n with n + 1.0 exact, the top of an integer read as a double.
+FLOAT_EXACT_TOP = 2**53 - 1
 
 
-def check_level(name: str, value: int, top: int = MAX_LEVELS - 1) -> None:
-    """``ValueError`` unless value is an integer (``numbers.Integral``) in 0..top."""
+def check_level(name: str, value: int, top: int | None = MAX_LEVELS - 1) -> None:
+    """``ValueError`` unless value is an integer (``numbers.Integral``) in 0..top, or any at top None."""
     if not isinstance(value, Integral):
         raise ValueError(f"{name} must be of integer type, got {value!r}")
-    if not 0 <= value <= top:
+    if top is not None and not 0 <= value <= top:
         raise ValueError(f"{name} must be in 0..{top}, got {value!r}")
 
 

@@ -39,9 +39,8 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
 
-from .params import SidebandId, TrapParams, check_eta, check_level
+from .params import FLOAT_EXACT_TOP, SidebandId, TrapParams, check_eta, check_level
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
@@ -77,11 +76,10 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 
     Evaluated by the three-term recurrence in n, which is stable for x >= 0;
     the alternating finite sum loses precision beyond n of a few tens.
-    n and alpha are integers, n below ``MAX_LEVELS``, the length of the column it runs.
+    n, the length of the column it runs, is below ``MAX_LEVELS``; alpha is at most ``FLOAT_EXACT_TOP``.
     """
     check_level("n", n)
-    if not (isinstance(alpha, Integral) and alpha >= 0):
-        raise ValueError(f"alpha must be a nonnegative integer, got {alpha!r}")
+    check_level("alpha", alpha, top=FLOAT_EXACT_TOP)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     return _laguerre_column(n, float(alpha), x)[-1]
@@ -117,18 +115,14 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     factor changes sign in eta, so |chi_{nn'}| is its ``abs``.
 
     The factorial ratio goes through lgamma so the result stays finite for
-    quantum numbers far beyond the n = 170 overflow of raw factorials.  Both
-    are integers; the lesser, the length of the Laguerre column, is below
-    ``MAX_LEVELS``; the greater only enters lgamma and the power of eta, and is
-    below 2**53, past which hi + 1.0 no longer counts integers.
+    quantum numbers far beyond the n = 170 overflow of raw factorials.  Both are integers; the
+    lesser, the length of the Laguerre column, is below ``MAX_LEVELS``; the greater, which
+    only enters lgamma and the power of eta, is at most ``FLOAT_EXACT_TOP``.
     Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
     """
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
-    if not isinstance(hi, Integral):
-        raise ValueError(f"max(n, nprime) must be of integer type, got {hi!r}")
-    if hi >= 2**53:
-        raise ValueError(f"max(n, nprime) must be below 2**53, got {hi!r}")
+    check_level("max(n, nprime)", hi, top=FLOAT_EXACT_TOP)
     check_eta(eta)
     prefactor, column = _amplitude_column(eta, hi - lo, lo)
     return _amplitude(prefactor, column, n, nprime, eta)

@@ -39,7 +39,7 @@ from .hamiltonian import (
     basis_rows, check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix,
     set_detuning,
 )
-from .params import SidebandId, TrapParams, check_delta
+from .params import SidebandId, TrapParams, check_delta, check_level
 
 #: Measured pair gaps below this many omega_t count as true crossings.
 GAP_FLOOR_FRACTION = 1e-10
@@ -251,16 +251,15 @@ def _locate(scan: _DetuningScan) -> tuple[float, float, str]:
 
 
 def check_bases(sideband: SidebandId, n_max: int | None, eta: float) -> tuple[int, int]:
-    """Bound the bases ``find_resonance`` builds before any is built: n_max
-    (``default_n_max`` when None) above max(n_g, n_e), and n_max and, except
-    for a carrier, its doubled margin, padded for the operator exponential at
-    ``eta``, within ``check_padded_basis``.  Returns (n_max, doubled n_max)."""
+    """Bound the bases ``find_resonance`` builds before any is built: n_max (``default_n_max``
+    when None) by ``check_padded_basis`` at ``eta``, then above max(n_g, n_e), and, but for a
+    carrier, its doubled margin by ``check_padded_basis``.  Returns (n_max, doubled n_max)."""
     n_used = n_max if n_max is not None else default_n_max(sideband, eta)
+    check_padded_basis(eta, n_used)
     base = max(sideband.n_g, sideband.n_e)
     if n_used <= base:
         raise ValueError(f"n_max must exceed max(n_g, n_e) = {base}, got {n_used!r}")
     n_doubled = base + 2 * (n_used - base)
-    check_padded_basis(eta, n_used)
     if not sideband.is_carrier:
         doubles = f"; the convergence check doubles the margin of n_max = {n_used}"
         check_padded_basis(eta, n_doubled, why=doubles)
@@ -377,6 +376,7 @@ def sweep_spectrum(
     for tag in tags:
         if tag not in rows:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
+        check_level(f"the level of branch tag {tag!r}", tag[1], top=n_max)  # 1.0 matches row 1
     scan = _DetuningScan(params, n_max)
 
     values, vectors = scan.eigen(points[0])

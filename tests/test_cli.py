@@ -567,6 +567,8 @@ class TestErrorPaths:
           "--nmax", "3", "--eta", "0.1"], "delta must be in -20000..20000, got 1e+16\n"),
         (["sweep", "--delta-min=-1e308", "--delta-max=1e308"], "delta must be in -20000..20000, got -1e+308\n"),
         (["sweep", "--delta-min=0", "--delta-max=20000.5"], "delta must be in -20000..20000, got 20000.5\n"),
+        # named before the SidebandId(0, levels - 1) of the default n_max, whose message named no flag
+        (["sweep", "--levels", "10001", "--points", "2"], "--levels must be in 1..10000, got 10001\n"),
     ])
     def test_command_range(self, argv, message, monkeypatch, capsys):
         self.rejected(argv, message, monkeypatch, capsys)

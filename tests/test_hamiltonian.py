@@ -449,11 +449,14 @@ DOMAIN_CASES = [
       for name, call in ETA_ENTRIES.items() for eta in (-0.1, math.nan, math.inf)),
     *(pytest.param(call, delta, f"delta must be in -20000..20000, got {delta!r}", id=f"{name}-delta-{delta!r}")
       for name, call in DELTA_ENTRIES.items() for delta in (1e16, -1e308, 20000.000000001, math.nan, math.inf)),
-    # the greater index enters lgamma as hi + 1.0, which counts integers only below 2**53
-    pytest.param(lambda n: ts.chi_magnitude(0, n, 0.1), 10**400, "max(n, nprime) must be below 2**53",
-                 id="chi_magnitude-nprime-10**400"),
-    pytest.param(lambda n: ts.chi_magnitude(n, 9, 0.1), 2**53, "max(n, nprime) must be below 2**53",
-                 id="chi_magnitude-n-2**53"),
+    # the greater index enters lgamma as hi + 1.0, and the Laguerre order the recurrence
+    # as a double, which count integers only up to FLOAT_EXACT_TOP = 2**53 - 1
+    pytest.param(lambda n: ts.chi_magnitude(0, n, 0.1), 10**400,
+                 f"max(n, nprime) must be in 0..{2**53 - 1}, got {10**400}", id="chi_magnitude-nprime-10**400"),
+    pytest.param(lambda n: ts.chi_magnitude(n, 9, 0.1), 2**53,
+                 f"max(n, nprime) must be in 0..{2**53 - 1}, got {2**53}", id="chi_magnitude-n-2**53"),
+    pytest.param(lambda alpha: ts.laguerre(3, alpha, 0.1), 2**53, f"alpha must be in 0..{2**53 - 1}, got {2**53}",
+                 id="laguerre-alpha-2**53"),
     # a level is an integer: chi_magnitude(2, 2.5, 0.1) read a Laguerre value of
     # order 0.5, and a half-integer level ended in a bare TypeError or KeyError
     *(pytest.param(call, 1.5, INTEGER_RULE + "1.5", id=f"{name}-1.5") for name, call in LEVEL_ENTRIES.items()),
@@ -462,8 +465,15 @@ DOMAIN_CASES = [
                  id="chi_magnitude-n-2.5"),
     pytest.param(lambda n: ts.chi_magnitude(2, n, 0.1), 2.5, "max(n, nprime) " + INTEGER_RULE + "2.5",
                  id="chi_magnitude-nprime-2.5"),
-    pytest.param(lambda alpha: ts.laguerre(3, alpha, 0.1), 1.5, "alpha must be a nonnegative integer, got 1.5",
+    pytest.param(lambda alpha: ts.laguerre(3, alpha, 0.1), 1.5, "alpha " + INTEGER_RULE + "1.5",
                  id="laguerre-alpha-1.5"),
+    # a float n_max is not an integer, however large: at or above MAX_LEVELS it
+    # was reported as a basis size, and a float tag level matched its integer row
+    *(pytest.param(call, n_max, "n_max " + INTEGER_RULE + repr(n_max), id=f"{name}-{n_max!r}")
+      for name, call in {**BASIS_ENTRIES, "sweep_spectrum": lambda n_max: ts.sweep_spectrum(
+          PARAMS, [0.1, 0.2], n_max, tags=[("g", 1)])}.items() for n_max in (10000.0, 1e5)),
+    pytest.param(lambda n: ts.sweep_spectrum(PARAMS, [0.1, 0.2], 5, tags=[("g", n)]), 1.0,
+                 "the level of branch tag ('g', 1.0) " + INTEGER_RULE + "1.0", id="sweep_spectrum-tag-1.0"),
     pytest.param(lambda n: ts.bs_shift(ts.SidebandId(n, 1), PARAMS), 0.5, INTEGER_RULE + "0.5",
                  id="bs_shift-0.5"),
     pytest.param(lambda n: ts.find_resonance(ts.SidebandId(n, 1), PARAMS), 0.5, INTEGER_RULE + "0.5",
