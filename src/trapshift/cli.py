@@ -18,6 +18,9 @@ each threshold as written.
 Exit codes: 0 ok, 2 invalid configuration (a ``ValueError``), 3 numeric
 failure (``spectrum.TrapshiftError`` or an ``OverflowError``) or
 non-convergence, 4 failed self-check.
+``import trapshift.cli`` loads numpy but not the exact route: ``main`` imports
+``spectrum``, and with it scipy, once argv has parsed, and each command imports
+what it calls from there, so ``--help``, ``--version`` and usage errors load no scipy.
 """
 
 from __future__ import annotations
@@ -29,14 +32,17 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .hamiltonian import bare_energy, coupling_table, default_n_max, displacement_oracle
+from .hamiltonian import bare_energy, check_padded_basis, coupling_table, default_n_max, displacement_oracle
 from .params import MAX_LEVELS, SidebandId, TrapParams, check_delta
 from .resolvent import bs_shift, bs_shift_ld, bs_shift_literature, bs_shifts, eta_zero_shift, rabi_coupling
-from .spectrum import ShiftReport, TrapshiftError, check_bases, find_resonance, sweep_spectrum
+
+if TYPE_CHECKING:
+    from .spectrum import ShiftReport
 
 #: CODATA 2022 values (J s, kg), fixed here so a derived eta does not depend
 #: on the constants edition of the installed scipy.
@@ -289,6 +295,8 @@ def _comparisons(sideband: SidebandId, params: TrapParams) -> tuple:
 
 
 def cmd_shift(args: argparse.Namespace) -> int:
+    from .spectrum import check_bases, find_resonance
+
     params, omega_phys, meta = _resolve_physics(args)
     sideband = _sideband(args)
     check_bases(sideband, args.nmax, params.eta)
@@ -327,6 +335,8 @@ def cmd_shift(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .spectrum import sweep_spectrum
+
     params, omega_phys, meta = _resolve_physics(args, default_eta=0.4)
     lo, hi, points, levels = args.delta_min, args.delta_max, args.points, args.levels
     if not (hi > lo and points >= 2 and levels >= 1):
@@ -336,7 +346,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_delta(lo)
     check_delta(hi)
     _check_rows(points * 2 * levels * (2 if args.bare else 1))
-    n_max = args.nmax if args.nmax is not None else default_n_max(SidebandId(0, levels - 1), params.eta)
+    n_max = args.nmax
+    if n_max is None:  # bounded here, where the message can name the flag that sized it
+        n_max = default_n_max(SidebandId(0, levels - 1), params.eta)
+        sized = f"; --levels {levels} at eta {params.eta!r} sets the default n_max = {n_max}"
+        check_padded_basis(params.eta, n_max, why=sized)
     if levels > n_max + 1:
         raise ConfigError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")
 
@@ -368,6 +382,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_eta(args: argparse.Namespace) -> int:
+    from .spectrum import check_bases, find_resonance
+
     lo, hi, points = args.eta_min, args.eta_max, args.points
     if not (hi > lo >= 0 and points >= 2):
         raise ConfigError("scan-eta needs eta_max > eta_min >= 0 and points >= 2")
@@ -436,6 +452,8 @@ def run_checks() -> list[tuple[str, float, float, bool]]:
 
     Each entry is (name, measured, threshold, passed).
     """
+    from .spectrum import find_resonance
+
     results: list[tuple[str, float, float, bool]] = []
 
     def record(name: str, measured: float, threshold: float) -> None:
@@ -569,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the exact route (scipy) loads here, so --help, --version and usage errors skip it
+    from .spectrum import TrapshiftError
+
     try:
         if args.config:
             options = (*COMMANDS[args.command][2], "format", "out")

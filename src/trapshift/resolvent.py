@@ -120,6 +120,8 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     only enters lgamma and the power of eta, is at most ``FLOAT_EXACT_TOP``.
     Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
     """
+    check_level("n", n, top=None)  # integers before they are ordered
+    check_level("nprime", nprime, top=None)
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
     check_level("max(n, nprime)", hi, top=FLOAT_EXACT_TOP)

@@ -41,7 +41,7 @@ def fail_if_computed(monkeypatch):
     monkeypatch.setattr(np, "linspace", unreachable)
     monkeypatch.setattr(cli, "bs_shift", unreachable)
     monkeypatch.setattr(cli, "bs_shifts", unreachable)
-    monkeypatch.setattr(cli, "find_resonance", unreachable)
+    monkeypatch.setattr("trapshift.spectrum.find_resonance", unreachable)
 
 
 def read_csv(path):
@@ -327,7 +327,7 @@ class TestExitCodes:
         def off(sideband, params, n_max=None):
             return ts.ShiftReport(2.0, 1.0, 1.0, "extremum", 20, True)
 
-        monkeypatch.setattr(cli, "find_resonance", off)
+        monkeypatch.setattr("trapshift.spectrum.find_resonance", off)
         assert cli.main(["check"]) == 4
         captured = capsys.readouterr()
         failed = ["eta_zero_numeric", "eta_zero_crossing_gap", "perturbative_vs_exact"]
@@ -340,7 +340,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise ts.ResonanceWindowError("no extremum anywhere")
 
-        monkeypatch.setattr(cli, "find_resonance", boom)
+        monkeypatch.setattr("trapshift.spectrum.find_resonance", boom)
         code = cli.main(["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0.1"])
         assert code == 3
 
@@ -483,7 +483,7 @@ class TestExitCodes:
         def unreachable(*args, **kwargs):
             raise AssertionError("an eigensolve was reached")
 
-        monkeypatch.setattr(cli, "find_resonance", unreachable)
+        monkeypatch.setattr("trapshift.spectrum.find_resonance", unreachable)
         argv = ["shift", "--ng", "3000", "--ne", "6000", "--rabi", "0.01", "--eta", "0.1"]
         assert cli.main(argv) == 3
         captured = capsys.readouterr()
@@ -569,6 +569,10 @@ class TestErrorPaths:
         (["sweep", "--delta-min=0", "--delta-max=20000.5"], "delta must be in -20000..20000, got 20000.5\n"),
         # named before the SidebandId(0, levels - 1) of the default n_max, whose message named no flag
         (["sweep", "--levels", "10001", "--points", "2"], "--levels must be in 1..10000, got 10001\n"),
+        # within its bound, --levels sizes a default basis beyond MAX_LEVELS: the message names both
+        (["sweep", "--levels", "10000", "--points", "2"],
+         "basis of 10160 levels before padding is beyond the supported range (10000 levels); "
+         "--levels 10000 at eta 0.4 sets the default n_max = 10159\n"),
     ])
     def test_command_range(self, argv, message, monkeypatch, capsys):
         self.rejected(argv, message, monkeypatch, capsys)
@@ -701,8 +705,10 @@ class TestBasisBound:
         monkeypatch.delattr(hamiltonian, "np")
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        message = r"error: basis of \d+ levels before padding is beyond the supported range \(10000 levels\)\n"
-        assert re.fullmatch(message, err), err
+        # sweep names the flag and the eta that sized its default basis
+        why = "; --levels 4 at eta 1e+200 sets the default n_max = 40003" if argv[0] == "sweep" else ""
+        message = r"error: basis of \d+ levels before padding is beyond the supported range \(10000 levels\)"
+        assert re.fullmatch(message + re.escape(why) + "\n", err), err
 
     def test_padded_basis_above_bound_is_config_error(self, monkeypatch, capsys):
         # --nmax 9990 is within the bound, but the operator exponential of the

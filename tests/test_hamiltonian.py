@@ -461,10 +461,16 @@ DOMAIN_CASES = [
     # order 0.5, and a half-integer level ended in a bare TypeError or KeyError
     *(pytest.param(call, 1.5, INTEGER_RULE + "1.5", id=f"{name}-1.5") for name, call in LEVEL_ENTRIES.items()),
     *(pytest.param(call, 2.5, INTEGER_RULE + "2.5", id=f"{name}-2.5") for name, call in BASIS_ENTRIES.items()),
-    pytest.param(lambda n: ts.chi_magnitude(n, 2, 0.1), 2.5, "max(n, nprime) " + INTEGER_RULE + "2.5",
+    pytest.param(lambda n: ts.chi_magnitude(n, 2, 0.1), 2.5, "n " + INTEGER_RULE + "2.5",
                  id="chi_magnitude-n-2.5"),
-    pytest.param(lambda n: ts.chi_magnitude(2, n, 0.1), 2.5, "max(n, nprime) " + INTEGER_RULE + "2.5",
+    pytest.param(lambda n: ts.chi_magnitude(2, n, 0.1), 2.5, "nprime " + INTEGER_RULE + "2.5",
                  id="chi_magnitude-nprime-2.5"),
+    # each index is an integer before the two are ordered: a non-number ended in a bare TypeError
+    pytest.param(lambda n: ts.chi_magnitude(n, 1, 0.1), None, "n " + INTEGER_RULE + "None",
+                 id="chi_magnitude-n-None"),
+    pytest.param(lambda n: ts.chi(1, n, 0.1), None, "nprime " + INTEGER_RULE + "None", id="chi-nprime-None"),
+    pytest.param(lambda n: ts.rabi_coupling(n, 1, PARAMS), "2", "n " + INTEGER_RULE + "'2'",
+                 id="rabi_coupling-n-str"),
     pytest.param(lambda alpha: ts.laguerre(3, alpha, 0.1), 1.5, "alpha " + INTEGER_RULE + "1.5",
                  id="laguerre-alpha-1.5"),
     # a float n_max is not an integer, however large: at or above MAX_LEVELS it

@@ -569,6 +569,42 @@ class TestLazyImport:
         ])
         assert run_probe(probe) == "False"
 
+    def test_cli_import_loads_no_exact_route(self):
+        probe = "\n".join([
+            "import sys, trapshift.cli",
+            "print(sorted(m for m in sys.modules if m == 'trapshift.spectrum' or m.split('.')[0] == 'scipy'))",
+        ])
+        assert run_probe(probe) == "[]"
+
+    def test_version_and_usage_error_load_no_exact_route(self):
+        probe = "\n".join([
+            "import contextlib, io, sys",
+            "from trapshift import cli",
+            "codes = []",
+            "for argv in (['--version'], ['check', '--tol-scale', '1']):",
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+            "        try:",
+            "            cli.main(argv)",
+            "        except SystemExit as exc:",
+            "            codes.append(exc.code)",
+            "print(codes, sorted(m for m in sys.modules if m == 'trapshift.spectrum' or m.split('.')[0] == 'scipy'))",
+        ])
+        assert run_probe(probe) == "[0, 2] []"
+
+    def test_every_subcommand_loads_exact_route(self):
+        """Pins the contract of the benchmark's traced ``cli`` layer, which reads
+        ``scipy.optimize`` from the ``-X importtime`` log of every command, the
+        closed-form ``sidebands`` included.  ROADMAP item 6 deletes this test when
+        it narrows the import to the commands that solve."""
+        probe = "\n".join([
+            "import contextlib, io, sys",
+            "from trapshift import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(['sidebands'])",
+            "print(code, 'trapshift.spectrum' in sys.modules)",
+        ])
+        assert run_probe(probe) == "0 True"
+
     def test_every_public_name_resolves_in_a_fresh_process(self):
         probe = "\n".join([
             "import trapshift as ts, trapshift.hamiltonian",
