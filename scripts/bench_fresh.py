@@ -5,20 +5,17 @@ checkout, with ``PYTHONPATH=<checkout>/src``, ``OPENBLAS_NUM_THREADS=1`` and
 ``PYTHONDONTWRITEBYTECODE=1``, stdout and stderr to /dev/null.  A run records
 the wall time from spawn to exit and the child's ``ru_maxrss`` from
 ``os.wait4``; runs alternate the side that goes first.  ``--trapbench
-WORKLOAD:SEED`` adds alternating pairs of ``trapbench/run.py`` (each
-checkout's own, ``--trace 0``), scored against the bounds of the change's
-``BENCHMARK.json``.  Before anything runs, each checkout's
-``src/trapshift/__pycache__`` is removed, so neither side starts from
-bytecode the other lacks.
+WORKLOAD:SEED`` adds ``--runs`` alternating pairs of ``trapbench/run.py``
+(each checkout's own, ``--trace 0``, for the change's ``BENCHMARK.json``
+``run_seconds``), scored against that file's bounds.  Before anything runs,
+each checkout's ``src/trapshift/__pycache__`` is removed, so neither side
+starts from bytecode the other lacks.
 
     python3 scripts/bench_fresh.py --parent ../parent --change . --label cli_stdlib \\
-        --runs 11 -- "-c 'import trapshift.cli'" "-m trapshift.cli --version"
-    python3 scripts/bench_fresh.py --parent ../parent --change . --label cli_stdlib \\
-        --trapbench cli:11 --pairs 10 --seconds 30
+        --runs 11 --trapbench cli:11 -- "-c 'import trapshift.cli'" "-m trapshift.cli --version"
 
-The result is written to ``BENCH_<label>.json`` (or ``--out``); the sections
-and trapbench workloads of an existing file that this run does not measure
-are kept.  Standard library only.
+The result is written to a new ``BENCH_<label>.json`` in the current
+directory; an existing file is never overwritten.  Standard library only.
 """
 
 from __future__ import annotations
@@ -141,9 +138,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
-def end_to_end(checkouts: dict[str, Path], targets: list[str], pairs: int, seconds: int) -> dict:
+def end_to_end(checkouts: dict[str, Path], targets: list[str], pairs: int) -> dict:
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = spec["end_to_end"]
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     workloads = {}
     for target in targets:
         workload, seed = target.split(":")
@@ -193,17 +190,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--runs", type=int, default=11, help="fresh runs per command and side (default 11)")
+    parser.add_argument(
+        "--runs", type=int, default=11, help="runs per command and side, and trapbench pairs per workload (default 11)"
+    )
     parser.add_argument("--trapbench", action="append", default=[], metavar="WORKLOAD:SEED")
-    parser.add_argument("--pairs", type=int, default=10, help="trapbench pairs per workload (default 10)")
-    parser.add_argument("--seconds", type=int, default=30, help="trapbench --seconds (default 30)")
-    parser.add_argument("--out", type=Path, help="output path (default BENCH_<label>.json)")
     parser.add_argument("commands", nargs="*", help="arguments of python, one command line each")
     args = parser.parse_args(argv)
     if not (args.commands or args.trapbench):
         parser.error("give a command line or --trapbench")
-    if args.runs < 1 or args.pairs < 1:
-        parser.error("--runs and --pairs must be at least 1")
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    out = Path(f"BENCH_{args.label}.json")
+    if out.exists():
+        parser.error(f"{out} exists; each run writes a new file")
     for target in args.trapbench:
         workload, _, seed = target.partition(":")
         if not (workload and seed.isdigit()):
@@ -215,15 +214,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no trapshift sources under {checkout / 'src'}")
         shutil.rmtree(checkout / "src" / "trapshift" / "__pycache__", ignore_errors=True)
 
-    out = args.out or Path(f"BENCH_{args.label}.json")
-    data = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    data.update(label=args.label, host=host())
+    data = {"label": args.label, "host": host()}
     if args.commands:
         data["fresh_process"] = fresh_process(checkouts, args.commands, args.runs)
     if args.trapbench:
-        measured = end_to_end(checkouts, args.trapbench, args.pairs, args.seconds)
-        kept = data.get("end_to_end", {}).get("workloads", {})
-        data["end_to_end"] = {**measured, "workloads": {**kept, **measured["workloads"]}}
+        data["end_to_end"] = end_to_end(checkouts, args.trapbench, args.runs)
     out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     print(out)
     return 0

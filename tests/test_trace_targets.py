@@ -1,9 +1,11 @@
 """Every name the benchmark harness traces resolves in the package.
 
 The harness wraps each ``trace_targets`` entry with ``getattr`` when a traced
-run starts, so a renamed or deleted function would otherwise surface only
-there.  ``trapbench/workloads.py`` imports nothing of trapshift at module
-level; this reads it and changes nothing in it.
+run starts and sets the wrapper back on the module, so a renamed or deleted
+function would otherwise surface only there.  Each name must be a real module
+attribute: a caller in the same module finds it through its globals, which a
+module ``__getattr__`` never serves.  ``trapbench/workloads.py`` imports
+nothing of trapshift at module level; this reads it and changes nothing in it.
 """
 
 import importlib
@@ -24,4 +26,4 @@ def trace_targets():
 @pytest.mark.parametrize(("workload", "target"), trace_targets())
 def test_traced_name_resolves(workload, target):
     module_name, attr = target.rsplit(".", 1)
-    assert callable(getattr(importlib.import_module(module_name), attr)), f"{workload}: {target}"
+    assert callable(vars(importlib.import_module(module_name)).get(attr)), f"{workload}: {target}"
