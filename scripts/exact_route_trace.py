@@ -3,8 +3,13 @@
 For 17 sidebands and the default ``trapshift sweep`` it prints one line per
 ``(basis dimension, delta)`` that reaches ``spectrum._DetuningScan.eigen``, in
 call order, then each ``ShiftReport`` or exception, and the SHA-256 of the
-sweep's CSV.  Run it on two checkouts and diff the outputs: a refactor that
-keeps the exact route bit for bit prints the same lines.
+sweep's CSV.  It ends with ``solves <count>`` of those lines and
+``eigh <count> <sha256>``: every matrix ``numpy.linalg.eigh`` receives, hashed
+in call order.  Run it on two checkouts and diff the outputs: a refactor that
+keeps the exact route bit for bit prints the same lines, and equal counts say
+that no eigensolve bypasses the scan.  The hash is comparable on one machine
+only: the coupling block comes from BLAS matrix products, whose last bits can
+differ by CPU.
 
     python scripts/exact_route_trace.py > trace.txt
 
@@ -22,6 +27,8 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 import trapshift as ts  # noqa: E402
 from trapshift import cli, spectrum  # noqa: E402
 
@@ -38,8 +45,8 @@ CASES = [
 
 
 def main() -> int:
-    eigen = spectrum._DetuningScan.eigen
-    solves = 0
+    eigen, eigh = spectrum._DetuningScan.eigen, np.linalg.eigh
+    solves, matrices, digest = 0, 0, hashlib.sha256()
 
     def recording(self, delta):
         nonlocal solves
@@ -48,7 +55,14 @@ def main() -> int:
         print(f"eigen {len(values)} {delta!r}")
         return values, vectors
 
+    def hashing(a, *args, **kwargs):
+        nonlocal matrices
+        matrices += 1
+        digest.update(f"{a.shape} {a.dtype} ".encode() + np.ascontiguousarray(a).tobytes())
+        return eigh(a, *args, **kwargs)
+
     spectrum._DetuningScan.eigen = recording
+    np.linalg.eigh = hashing
     for (n_g, n_e), rabi, eta in CASES:
         print(f"case ({n_g},{n_e}) rabi {rabi!r} eta {eta!r}")
         try:
@@ -61,6 +75,7 @@ def main() -> int:
         code = cli.main(["sweep"])
     print(f"exit {code} sha256 {hashlib.sha256(out.getvalue().encode()).hexdigest()}")
     print(f"solves {solves}")
+    print(f"eigh {matrices} {digest.hexdigest()}")
     return 0
 
 

@@ -349,11 +349,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_delta(lo)
     check_delta(hi)
     _check_rows(points * 2 * levels * (2 if args.bare else 1))
-    n_max = args.nmax
-    if n_max is None:  # bounded here, where the message can name the flag that sized it
+    n_max, sized = args.nmax, ""
+    if n_max is None:
         n_max = default_n_max(SidebandId(0, levels - 1), params.eta)
         sized = f"; --levels {levels} at eta {params.eta!r} sets the default n_max = {n_max}"
-        check_padded_basis(params.eta, n_max, why=sized)
+    check_padded_basis(params.eta, n_max, why=sized)  # before --levels is compared with it
     if levels > n_max + 1:
         raise ConfigError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")
 

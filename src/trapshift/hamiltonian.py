@@ -28,11 +28,11 @@ for the operator exponential, by ``MAX_LEVELS``, and holds n_max and eta to
 the level and eta rules that ``params`` states once (``check_level``,
 ``check_eta``).  ``coupling_table``, ``_real_displacement`` (so every
 Hamiltonian) and ``displacement_column`` make this one call before anything
-is allocated.  One function, ``real_gauge_matrix``, assembles the
-Hamiltonian: H in its exact real symmetric gauge, which ``build_hamiltonian``
-returns and the detuning scans of ``spectrum`` solve, rewriting only its
-diagonal (``set_detuning``) per sample.  The gauge is a diagonal unitary,
-so its eigenvalues and bare-state weights are those of H.
+is allocated.  One function, ``real_pencil``, assembles the Hamiltonian:
+H in its exact real symmetric gauge as the real pencil A + delta*diag(s),
+which ``build_hamiltonian`` evaluates at params.delta and the detuning scans
+of ``spectrum`` solve, rewriting only the diagonal per sample.  The gauge is
+a diagonal unitary, so its eigenvalues and bare-state weights are those of H.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def default_n_max(sideband: SidebandId, eta: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
-    """H in its real symmetric gauge (``real_gauge_matrix``) on the basis
+    """H in its real symmetric gauge (``real_pencil``) on the basis
     |g,0> .. |g,n_max>, |e,0> .. |e,n_max>."""
 
     matrix: np.ndarray
@@ -205,23 +205,20 @@ def coupling_block(params: TrapParams, n_max: int) -> np.ndarray:
     return 0.5 * params.rabi * _real_displacement(params.eta, n_max)
 
 
-def set_detuning(h: np.ndarray, delta: float) -> None:
-    """Write the bare energies n +/- delta/2 onto the diagonal of h, in place."""
-    n = np.arange(len(h) // 2)
-    np.fill_diagonal(h, np.concatenate([n + 0.5 * delta, n - 0.5 * delta]))
-
-
-def real_gauge_matrix(params: TrapParams, block: np.ndarray) -> np.ndarray:
-    """The Hamiltonian in its exact real symmetric gauge, from its real g-e block
-    (``coupling_block``); the e-g block is its transpose."""
+def real_pencil(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, s): the Hamiltonian in its exact real symmetric gauge is A + delta*diag(s).
+    A is H at delta = 0, the bare energies n on its diagonal, the real g-e block
+    (``coupling_block``) above it and its transpose below; s is +1/2 on g, -1/2 on e."""
     nb = len(block)
-    h = np.zeros((2 * nb, 2 * nb))
-    h[:nb, nb:] = block
-    h[nb:, :nb] = block.T
-    set_detuning(h, params.delta)
-    return h
+    a = np.zeros((2 * nb, 2 * nb))
+    a[:nb, nb:] = block
+    a[nb:, :nb] = block.T
+    np.fill_diagonal(a, np.tile(np.arange(nb), 2))
+    return a, np.repeat([0.5, -0.5], nb)
 
 
 def build_hamiltonian(params: TrapParams, n_max: int) -> HamiltonianMatrix:
     """H on the basis 0..n_max, in the real symmetric gauge the exact route solves."""
-    return HamiltonianMatrix(real_gauge_matrix(params, coupling_block(params, n_max)))
+    a, s = real_pencil(coupling_block(params, n_max))
+    np.fill_diagonal(a, a.diagonal() + s * params.delta)
+    return HamiltonianMatrix(a)

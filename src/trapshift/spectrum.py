@@ -6,25 +6,26 @@ enters the target anti-crossing from the tagged bare state; when the pair is
 decoupled (a true crossing, gap below ``GAP_FLOOR_FRACTION``) the
 locator switches to root-finding the intersection of the two tagged branches.
 
-Every eigensolve solves the real pencil H(delta) = A + delta*S of one
-``_DetuningScan``: H is the one Hamiltonian the package assembles,
-``real_gauge_matrix`` of ``hamiltonian`` (its exact real symmetric gauge),
-from the real displacement operator exp(eta*(a - a^dag)) that its
-``coupling_block`` exponentiates, never from the Laguerre formula that
-``resolvent`` sums; bare-state overlap magnitudes are gauge invariant, so
-nothing downstream can observe the gauge.  A scan that locates a resonance
-is built with its pair and gives the locator the pair's rows, delta0 and
-coupling entry; a sweep's scan has none.  This module imports nothing of the
-closed form (``resolvent``), so their agreement is a cross-check; it defines
-``TrapshiftError`` and its subclasses, which it alone raises.  Each job has one
-code path: ``_search_window`` is the coarse window scan behind
-``find_resonance``, and ``_locate`` measures the pair's gap inside it and
-chooses the mode, extremum or intersection, in one place; the measured
-splitting is ``find_resonance``'s ``gap`` (a carrier's is read off one column
-of the same operator); ``find_resonance`` is the one basis-doubling check (one
-re-locate on the doubled margin), and ``sweep_spectrum`` the branch
-continuation behind ``track_branch``.  Scans are sequential and deterministic;
-share nothing across threads except the immutable inputs.
+Every eigensolve samples the real pencil H(delta) = A + delta*diag(s) that
+one ``_DetuningScan`` is given.  ``find_resonance`` and ``sweep_spectrum``
+give it (A, s) of the one Hamiltonian the package assembles,
+``real_pencil`` of ``hamiltonian`` (its exact real symmetric gauge), from the
+real displacement operator exp(eta*(a - a^dag)) that its ``coupling_block``
+exponentiates, never from the Laguerre formula that ``resolvent`` sums;
+bare-state overlap magnitudes are gauge invariant, so nothing downstream can
+observe the gauge.  A scan that locates a resonance is built with its pair and
+gives the locator the pair's rows, delta0 and coupling entry; a sweep's scan
+has none.  This module imports nothing of the closed form (``resolvent``), so
+their agreement is a cross-check; it defines ``TrapshiftError`` and its
+subclasses, which it alone raises.  Each job has one code path:
+``_search_window`` is the coarse window scan behind ``find_resonance``, and
+``_locate`` measures the pair's gap inside it and chooses the mode, extremum
+or intersection, in one place; the measured splitting is ``find_resonance``'s
+``gap`` (a carrier's is read off one column of the same operator);
+``find_resonance`` is the one basis-doubling check (one re-locate on the
+doubled margin), and ``sweep_spectrum`` the branch continuation behind
+``track_branch``.  Scans are sequential and deterministic; share nothing
+across threads except the immutable inputs.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
 
-from .hamiltonian import (
-    basis_rows, check_padded_basis, coupling_block, default_n_max, displacement_column, real_gauge_matrix,
-    set_detuning,
-)
+from .hamiltonian import basis_rows, check_padded_basis, coupling_block, default_n_max, displacement_column, real_pencil
 from .params import SidebandId, TrapParams, check_delta, check_level
 
 #: Measured pair gaps below this many omega_t count as true crossings.
@@ -98,24 +96,24 @@ class DressedSpectrum:
 
 
 class _DetuningScan:
-    """The pencil H(delta) = A + delta*S of one (params, n_max), and the pair it locates.
+    """The real pencil H(delta) = A + delta*diag(s) it is given, and the pair it locates.
 
-    A has the bare energies n on its diagonal and the real-gauge coupling block
-    off it, S = diag(+1/2 on g, -1/2 on e): a sample rewrites the diagonal only.
+    A is real symmetric, and the scan takes it over: a sample rewrites its
+    diagonal only, to A's own diagonal plus s*delta (``real_pencil``).
     ``sideband`` (None for a sweep) gives delta0 and the messages' label, its
     rows |g, n_g>, |e, n_e> (``basis_rows``), and ``coupling``, their A entry.
     Not thread-safe; make one per thread."""
 
-    def __init__(self, params: TrapParams, n_max: int, sideband: SidebandId | None = None):
-        self._h = real_gauge_matrix(params, coupling_block(params, n_max))
+    def __init__(self, a: np.ndarray, s: np.ndarray, sideband: SidebandId | None = None):
+        self._h, self._a0, self._s = a, a.diagonal().copy(), s
         self.sideband = sideband
         if sideband is not None:
-            rows = basis_rows(n_max)
+            rows = basis_rows(len(a) // 2 - 1)
             g, e = self._pair = rows["g", sideband.n_g], rows["e", sideband.n_e]
-            self.coupling = float(self._h[g, e])
+            self.coupling = float(a[g, e])
 
     def eigen(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        set_detuning(self._h, delta)
+        np.fill_diagonal(self._h, self._a0 + self._s * delta)
         return np.linalg.eigh(self._h)
 
     def pair_levels(self, delta: float) -> tuple[float, float]:
@@ -303,9 +301,9 @@ def find_resonance(
         gap = float(2 * abs(0.5 * params.rabi * displacement_column(params.eta, n_used, n)[n]))
         delta_star, method, converged = 0.0, "carrier", True
     else:
-        delta_star, gap, method = _locate(_DetuningScan(params, n_used, sideband))
+        delta_star, gap, method = _locate(_DetuningScan(*real_pencil(coupling_block(params, n_used)), sideband))
         shift = delta_star - delta0
-        doubled = _locate(_DetuningScan(params, n_doubled, sideband))[0] - delta0
+        doubled = _locate(_DetuningScan(*real_pencil(coupling_block(params, n_doubled)), sideband))[0] - delta0
         converged = abs(doubled - shift) <= max(CONVERGENCE_RELATIVE * abs(doubled), CONVERGENCE_ABSOLUTE)
     return ShiftReport(
         delta_star=delta_star,
@@ -377,7 +375,7 @@ def sweep_spectrum(
         if tag not in rows:
             raise ValueError(f"unknown branch tag {tag!r} for n_max = {n_max}")
         check_level(f"the level of branch tag {tag!r}", tag[1], top=n_max)  # 1.0 matches row 1
-    scan = _DetuningScan(params, n_max)
+    scan = _DetuningScan(*real_pencil(coupling_block(params, n_max)))
 
     values, vectors = scan.eigen(points[0])
     # Identify eigenvectors with bare states at the first grid point.

@@ -61,6 +61,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_carrier_null():
     """Carriers are unshifted: exactly in the sum, to 1e-10 in the numerics."""
+    from trapshift.hamiltonian import coupling_block, real_pencil
     from trapshift.spectrum import _DetuningScan, _locate
 
     worst_closed = 0.0
@@ -78,7 +79,8 @@ def test_criterion_03_carrier_null():
     for n, eta in ((0, 0.3), (2, 0.4)):
         params = ts.TrapParams(rabi=0.01, eta=eta)
         carrier = ts.SidebandId(n, n)
-        delta_star, _, method = _locate(_DetuningScan(params, ts.default_n_max(carrier, eta), carrier))
+        a, s = real_pencil(coupling_block(params, ts.default_n_max(carrier, eta)))
+        delta_star, _, method = _locate(_DetuningScan(a, s, carrier))
         assert method == "extremum"
         worst_probe = max(worst_probe, abs(delta_star))
     assert worst_probe <= 1e-10

@@ -573,6 +573,8 @@ class TestErrorPaths:
         (["sweep", "--levels", "10000", "--points", "2"],
          "basis of 10160 levels before padding is beyond the supported range (10000 levels); "
          "--levels 10000 at eta 0.4 sets the default n_max = 10159\n"),
+        # n_max is bounded before --levels is compared with it
+        (["sweep", "--nmax", "-5"], "n_max must be in 0..9999, got -5\n"),
     ])
     def test_command_range(self, argv, message, monkeypatch, capsys):
         self.rejected(argv, message, monkeypatch, capsys)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trapshift as ts
+from trapshift.hamiltonian import coupling_block, real_pencil
 from trapshift.spectrum import CONVERGENCE_RELATIVE, _DetuningScan
 
 DOMAIN = settings(derandomize=True, max_examples=30, deadline=None)
@@ -70,7 +71,7 @@ class TestNarrowMaximum:
         params = ts.TrapParams(rabi=0.001, eta=0.0078125)
         report = ts.find_resonance(sideband, params)
         assert report.converged
-        scan = _DetuningScan(params, report.n_max_used, sideband)
+        scan = _DetuningScan(*real_pencil(coupling_block(params, report.n_max_used)), sideband)
         grid = report.delta_star + np.linspace(-5e-8, 5e-8, 2001)
         lower = [scan.pair_levels(float(d))[0] for d in grid]
         peak = float(grid[int(np.argmax(lower))])

@@ -236,6 +236,7 @@ class TestRealGauge:
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_gauge_is_exactly_real(self, rabi, eta, delta, n_max):
+        from trapshift.hamiltonian import coupling_block, real_pencil
         from trapshift.spectrum import _DetuningScan
 
         # Signbits are compared on the g-e block, where every entry is the
@@ -249,7 +250,9 @@ class TestRealGauge:
         assert np.array_equal(built, real)
         assert np.array_equal(np.signbit(built[:nb, nb:]), np.signbit(real[:nb, nb:]))
         assert np.array_equal(np.signbit(built), np.signbit(built.T))
-        scanned = _DetuningScan(params, n_max)._h
+        scan = _DetuningScan(*real_pencil(coupling_block(params, n_max)))
+        scan.eigen(delta)  # a fresh pencil sits at delta = 0
+        scanned = scan._h
         assert np.array_equal(scanned, built)
         assert np.array_equal(np.signbit(scanned), np.signbit(built))
 
@@ -306,10 +309,11 @@ class TestRealGauge:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("delta", [-0.4, 0.0, 1.0])
     def test_scan_matrix_is_real_form_bit_for_bit(self, eta, delta):
+        from trapshift.hamiltonian import coupling_block, real_pencil
         from trapshift.spectrum import _DetuningScan
 
         params = ts.TrapParams(rabi=0.15, eta=eta, delta=delta)
-        scan = _DetuningScan(params, 7)
+        scan = _DetuningScan(*real_pencil(coupling_block(params, 7)))
         scan.eigen(delta)
         real = ts.build_hamiltonian(params, 7).matrix
         assert np.array_equal(scan._h, real)

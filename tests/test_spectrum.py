@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 
 import trapshift as ts
 from trapshift import cli, hamiltonian, resolvent, spectrum
-from trapshift.hamiltonian import _real_displacement, coupling_block, displacement_column
+from trapshift.hamiltonian import _real_displacement, coupling_block, displacement_column, real_pencil
 from trapshift.spectrum import _DetuningScan, _locate
 
 
 P01 = ts.TrapParams(rabi=0.01, eta=0.1)
 SB01 = ts.SidebandId(0, 1)
+
+
+def ion_scan(params: ts.TrapParams, n_max: int, sideband: ts.SidebandId | None = None) -> _DetuningScan:
+    """The scan of the ion's pencil on 0..n_max, as find_resonance and sweep_spectrum build it."""
+    return _DetuningScan(*real_pencil(coupling_block(params, n_max)), sideband)
 
 
 def all_tags(n_max: int) -> list[tuple[str, int]]:
@@ -106,7 +111,7 @@ class TestSweepSpectrum:
         grid = np.linspace(-1.5, 1.5, 31)
         n_max = 5
         swept = ts.sweep_spectrum(params, grid, n_max, tags=all_tags(n_max))
-        scan = _DetuningScan(params, n_max)
+        scan = ion_scan(params, n_max)
         stacked = np.stack([swept.branches[t] for t in swept.branches], axis=1)
         for j, delta in enumerate(grid):
             raw, _ = scan.eigen(float(delta))
@@ -287,7 +292,7 @@ class TestFindResonance:
 
     def test_extremum_derivative_residual(self):
         report = ts.find_resonance(SB01, P01, n_max=20)
-        scan = _DetuningScan(P01, 20, SB01)
+        scan = ion_scan(P01, 20, SB01)
         h = 1e-5
         slope = (scan.pair_levels(report.delta_star + h)[0] - scan.pair_levels(report.delta_star - h)[0]) / (2.0 * h)
         assert abs(slope) <= 1e-7
@@ -301,10 +306,27 @@ class TestFindResonance:
     def test_carrier_extremum_probed_numerically(self):
         # the pair machinery applied to a carrier must find its extremum at 0
         params = ts.TrapParams(rabi=0.01, eta=0.3)
-        delta_star, gap, method = _locate(_DetuningScan(params, 18, ts.SidebandId(0, 0)))
+        delta_star, gap, method = _locate(ion_scan(params, 18, ts.SidebandId(0, 0)))
         assert method == "extremum"
         assert abs(delta_star) <= 1e-10
         assert gap == pytest.approx(0.01 * abs(ts.chi(0, 0, 0.3)), rel=1e-4)
+
+    @pytest.mark.parametrize("rabi", [0.01, 0.3])
+    def test_scan_solves_the_pencil_it_is_given(self, rabi, monkeypatch):
+        # the eta = 0 pencil at n_max 1, built by hand: |g,0> and |e,1> are
+        # decoupled and cross where sqrt(delta^2 + rabi^2) = 1; nothing may
+        # build the ion's pencil behind the scan
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the scan built a coupling block of its own")
+
+        monkeypatch.setattr(spectrum, "coupling_block", unreachable)
+        a = np.diag([0.0, 1.0, 0.0, 1.0])
+        a[:2, 2:] = a[2:, :2] = 0.5 * rabi * np.eye(2)
+        delta_star, _, method = _locate(_DetuningScan(a, np.array([0.5, 0.5, -0.5, -0.5]), SB01))
+        assert method == "intersection"
+        expected = math.sqrt(1.0 - rabi * rabi)
+        # within 4 ulp of the exact crossing (measured: 2 ulp at rabi 0.01, 1 at 0.3)
+        assert abs(delta_star - expected) <= 4 * math.ulp(expected)
 
 
 def test_exact_route_evaluates_no_laguerre_formula(monkeypatch):
@@ -407,7 +429,7 @@ class TestLocatorFallbacks:
         assert report.method == "extremum"
         assert report.converged
         assert report.delta_star == pytest.approx(0.60195, abs=1e-5)
-        scan = _DetuningScan(params, report.n_max_used, SB01)
+        scan = ion_scan(params, report.n_max_used, SB01)
         h = 1e-5
         slope = (scan.pair_levels(report.delta_star + h)[0] - scan.pair_levels(report.delta_star - h)[0]) / (2.0 * h)
         assert abs(slope) <= 1e-7
@@ -459,7 +481,7 @@ class TestLocatorFallbacks:
         assert len(solves) - len(SWEEP_GRID) == 18
         # Finer steps follow narrow anti-crossings adiabatically, so the
         # branches may differ from the unforced sweep; the union may not.
-        scan = _DetuningScan(SWEEP_PARAMS, SWEEP_N_MAX)
+        scan = ion_scan(SWEEP_PARAMS, SWEEP_N_MAX)
         stacked = np.stack([swept.branches[t] for t in swept.branches], axis=1)
         for j, delta in enumerate(SWEEP_GRID):
             raw, _ = eigen(scan, float(delta))
