@@ -15,9 +15,10 @@ they scale inputs and outputs.  ``shift`` and ``scan-eta`` ask here for the
 comparisons they print beside ``bs_shift`` (``_comparisons``); the one regime
 signal is the closed form's ``PerturbativeRegimeWarning``.  ``check`` records
 each threshold as written.
-Exit codes: 0 ok, 2 invalid configuration (a ``ValueError``), 3 numeric
-failure (``spectrum.TrapshiftError`` or an ``OverflowError``) or
-non-convergence, 4 failed self-check.
+Each command computes and returns its table (config, columns, rows, exit code);
+``main`` writes it once and maps failures to exit codes: 0 ok, 2 invalid
+configuration (a ``ValueError``), 3 numeric failure (``spectrum.TrapshiftError``
+or an ``OverflowError``) or non-convergence, 4 failed self-check.
 ``import trapshift.cli`` loads the standard library alone: ``main`` imports
 ``spectrum``, and with it numpy and scipy, once argv has parsed, and each command
 imports what it calls from there, so ``--help``, ``--version`` and usage errors
@@ -57,6 +58,9 @@ EXIT_CHECK = 4
 #: Most rows one command may emit; checked before anything is allocated.
 MAX_ROWS = 100_000
 
+#: What each command returns: config (without "command"), columns, rows, exit code.
+Table = tuple[dict, list[str], list[list], int]
+
 _FREQ_RE = re.compile(r"^\s*(?P<twopi>2pi\*)?\s*(?P<value>[^a-df-zA-DF-Z\s]+)\s*(?P<unit>GHz|MHz|kHz|Hz)?\s*$")
 _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 
@@ -66,10 +70,6 @@ _UNIT_SCALE = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
 SWEEP_DEFAULTS = {"rabi": "0.3", "delta_min": -2.5, "delta_max": 2.5, "points": 101, "levels": 4}
 SCAN_DEFAULTS = {"rabi": "0.01", "eta_min": 0.0, "eta_max": 0.5, "points": 26, "ng": 1, "ne": 0}
 SIDEBAND_DEFAULTS = {"trap_freq": "2pi*1.36MHz", "rabi": "2pi*53kHz", "max_order": 2, "max_n": 3}
-
-
-class ConfigError(ValueError):
-    """Invalid command-line or config-file input."""
 
 
 def finite_float(text: str) -> float:
@@ -93,15 +93,15 @@ def parse_frequency(text: str) -> tuple[float, bool]:
     """
     m = _FREQ_RE.match(text)
     if not m:
-        raise ConfigError(f"cannot parse frequency {text!r}")
+        raise ValueError(f"cannot parse frequency {text!r}")
     try:
         value = finite_float(m.group("value"))
     except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"cannot parse frequency {text!r}") from exc
+        raise ValueError(f"cannot parse frequency {text!r}") from exc
     unit = m.group("unit")
     if unit is None:
         if m.group("twopi"):
-            raise ConfigError(f"{text!r}: the 2pi* prefix requires an explicit unit")
+            raise ValueError(f"{text!r}: the 2pi* prefix requires an explicit unit")
         return value, False
     return 2.0 * math.pi * value * _UNIT_SCALE[unit], True
 
@@ -121,13 +121,13 @@ def parse_mass(text: str) -> float:
     try:
         return finite_float(t) * scale
     except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"cannot parse mass {text!r}") from exc
+        raise ValueError(f"cannot parse mass {text!r}") from exc
 
 
 def lamb_dicke_from_physical(k_laser: float, mass: float, omega_t: float) -> float:
     """eta = k_L * x0 with x0 = sqrt(hbar / (2 m omega_t)) the ground-state extent."""
     if mass <= 0 or omega_t <= 0:
-        raise ConfigError("mass and trap frequency must be positive to derive eta")
+        raise ValueError("mass and trap frequency must be positive to derive eta")
     return k_laser * math.sqrt(HBAR / (2.0 * mass * omega_t))
 
 
@@ -155,26 +155,28 @@ def write_output(config: dict, columns: list[str], rows: list[list], fmt: str, o
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _check_out(out: str | None) -> None:
-    """Fail before any computation when ``--out`` is a directory or is not in a
-    writable one."""
+    """Fail before any computation when ``--out`` is a directory, an existing
+    file that is not writable, or not in a writable directory."""
     if out is None:
         return
     if Path(out).is_dir():
-        raise ConfigError(f"cannot write {out!r}: it is a directory")
+        raise ValueError(f"cannot write {out!r}: it is a directory")
+    if Path(out).exists() and not os.access(out, os.W_OK):
+        raise ValueError(f"cannot write {out!r}: it is not writable")
     parent = Path(out).parent
     if not parent.is_dir():
-        raise ConfigError(f"cannot write {out!r}: {str(parent)!r} is not a directory")
+        raise ValueError(f"cannot write {out!r}: {str(parent)!r} is not a directory")
     if not os.access(parent, os.W_OK):
-        raise ConfigError(f"cannot write {out!r}: {str(parent)!r} is not writable")
+        raise ValueError(f"cannot write {out!r}: {str(parent)!r} is not writable")
 
 
 def _check_rows(rows: int) -> None:
     if rows > MAX_ROWS:
-        raise ConfigError(f"{rows} output rows exceed the limit of {MAX_ROWS}")
+        raise ValueError(f"{rows} output rows exceed the limit of {MAX_ROWS}")
 
 
 def _config_tokens(path: str, options: tuple[str, ...]) -> list[str]:
@@ -186,11 +188,11 @@ def _config_tokens(path: str, options: tuple[str, ...]) -> list[str]:
     try:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
+        raise ValueError(f"config file {path!r} must hold a JSON object")
     tokens = []
     for key, value in loaded.items():
         if key not in options or value is None:
@@ -198,12 +200,12 @@ def _config_tokens(path: str, options: tuple[str, ...]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if _OPTIONS[key].get("action") == "store_true":
             if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+                raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
             tokens += [flag] if value else []
         elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
             tokens.append(f"{flag}={value}")
         else:
-            raise ConfigError(f"config key {key!r} must be a string or a number, got {value!r}")
+            raise ValueError(f"config key {key!r} must be a string or a number, got {value!r}")
     return tokens
 
 
@@ -216,35 +218,35 @@ def _resolve_physics(
     nor the pair --k-laser/--mass is given.
     """
     if args.rabi is None:
-        raise ConfigError("missing required option --rabi")
+        raise ValueError("missing required option --rabi")
     omega_phys = None
     if args.trap_freq is not None:
         omega_value, omega_unit = parse_frequency(args.trap_freq)
         if not omega_unit:
             if omega_value != 1.0:
-                raise ConfigError("a dimensionless trap frequency must be 1 (it sets the unit)")
+                raise ValueError("a dimensionless trap frequency must be 1 (it sets the unit)")
         elif omega_value <= 0:
-            raise ConfigError(f"a physical --trap-freq must be positive, got {args.trap_freq!r}")
+            raise ValueError(f"a physical --trap-freq must be positive, got {args.trap_freq!r}")
         else:
             omega_phys = omega_value
 
     rabi, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
         if omega_phys is None:
-            raise ConfigError("a unit-bearing --rabi requires a unit-bearing --trap-freq")
+            raise ValueError("a unit-bearing --rabi requires a unit-bearing --trap-freq")
         rabi /= omega_phys
 
     eta, k_laser, mass = args.eta, args.k_laser, args.mass
     if k_laser is not None or mass is not None:
         if eta is not None:
-            raise ConfigError("give either --eta or the pair --k-laser/--mass, not both")
+            raise ValueError("give either --eta or the pair --k-laser/--mass, not both")
     elif eta is None:
         eta = default_eta
     if eta is None:
         if k_laser is None or mass is None:
-            raise ConfigError("eta is undefined: give --eta or both --k-laser and --mass")
+            raise ValueError("eta is undefined: give --eta or both --k-laser and --mass")
         if omega_phys is None:
-            raise ConfigError("deriving eta from --k-laser/--mass requires a physical --trap-freq")
+            raise ValueError("deriving eta from --k-laser/--mass requires a physical --trap-freq")
         eta = lamb_dicke_from_physical(k_laser, parse_mass(mass), omega_phys)
 
     params = TrapParams(rabi=rabi, eta=eta)
@@ -259,7 +261,7 @@ def _resolve_physics(
 
 def _sideband(args: argparse.Namespace) -> SidebandId:
     if args.ng is None or args.ne is None:
-        raise ConfigError("sideband is undefined: give --ng and --ne")
+        raise ValueError("sideband is undefined: give --ng and --ne")
     return SidebandId(args.ng, args.ne)
 
 
@@ -294,7 +296,7 @@ def _comparisons(sideband: SidebandId, params: TrapParams) -> tuple:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_shift(args: argparse.Namespace) -> int:
+def cmd_shift(args: argparse.Namespace) -> Table:
     from .spectrum import check_bases, find_resonance
 
     params, omega_phys, meta = _resolve_physics(args)
@@ -326,15 +328,13 @@ def cmd_shift(args: argparse.Namespace) -> int:
             _hz(report.delta_omega, omega_phys),
             _hz(report.gap, omega_phys),
         ]
-    config = {"command": "shift", **meta, "n_g": sideband.n_g, "n_e": sideband.n_e}
-    write_output(config, columns, [row], args.format, args.out)
     if not report.converged:
         _report_not_converged(sideband, params.eta, report)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    config = {**meta, "n_g": sideband.n_g, "n_e": sideband.n_e}
+    return config, columns, [row], EXIT_OK if report.converged else EXIT_NUMERIC
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> Table:
     import numpy as np
 
     from .hamiltonian import bare_energy, check_padded_basis, default_n_max
@@ -343,9 +343,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params, omega_phys, meta = _resolve_physics(args, default_eta=0.4)
     lo, hi, points, levels = args.delta_min, args.delta_max, args.points, args.levels
     if not (hi > lo and points >= 2 and levels >= 1):
-        raise ConfigError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
+        raise ValueError("sweep needs delta_max > delta_min, points >= 2, levels >= 1")
     if levels > MAX_LEVELS:  # by name, before the rows or the basis it sizes
-        raise ConfigError(f"--levels must be in 1..{MAX_LEVELS}, got {levels}")
+        raise ValueError(f"--levels must be in 1..{MAX_LEVELS}, got {levels}")
     check_delta(lo)
     check_delta(hi)
     _check_rows(points * 2 * levels * (2 if args.bare else 1))
@@ -355,7 +355,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sized = f"; --levels {levels} at eta {params.eta!r} sets the default n_max = {n_max}"
     check_padded_basis(params.eta, n_max, why=sized)  # before --levels is compared with it
     if levels > n_max + 1:
-        raise ConfigError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")
+        raise ValueError(f"--levels {levels} exceeds the basis size n_max + 1 = {n_max + 1}")
 
     grid = np.linspace(lo, hi, points)
     tags = [("g", n) for n in range(levels)] + [("e", n) for n in range(levels)]
@@ -377,29 +377,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     bare_energy(tag[0], tag[1], at), None,
                 ])
     config = {
-        "command": "sweep", **meta, "delta_min": lo, "delta_max": hi,
+        **meta, "delta_min": lo, "delta_max": hi,
         "points": points, "levels": levels, "n_max": n_max, "bare": args.bare,
     }
-    write_output(config, columns, rows, args.format, args.out)
-    return EXIT_OK
+    return config, columns, rows, EXIT_OK
 
 
-def cmd_scan_eta(args: argparse.Namespace) -> int:
+def cmd_scan_eta(args: argparse.Namespace) -> Table:
     import numpy as np
 
     from .spectrum import check_bases, find_resonance
 
     lo, hi, points = args.eta_min, args.eta_max, args.points
     if not (hi > lo >= 0 and points >= 2):
-        raise ConfigError("scan-eta needs eta_max > eta_min >= 0 and points >= 2")
+        raise ValueError("scan-eta needs eta_max > eta_min >= 0 and points >= 2")
     _check_rows(points)
     sideband = _sideband(args)
     if sideband.is_carrier:
-        raise ConfigError("scan-eta requires a sideband with n_g != n_e")
+        raise ValueError("scan-eta requires a sideband with n_g != n_e")
 
     rabi_value, rabi_unit = parse_frequency(args.rabi)
     if rabi_unit:
-        raise ConfigError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
+        raise ValueError("scan-eta runs dimensionless; give --rabi as a ratio of omega_t")
     # the default n_max and the padding of the operator's chi grow with eta,
     # so the largest bases are those at eta_max.
     check_bases(sideband, args.nmax, hi)
@@ -417,19 +416,17 @@ def cmd_scan_eta(args: argparse.Namespace) -> int:
             all_converged = False
         rows.append([float(eta), report.delta_omega, shift_full, shift_ld, shift_lit])
     config = {
-        "command": "scan-eta", "rabi_over_omega_t": rabi_value,
-        "n_g": sideband.n_g, "n_e": sideband.n_e,
+        "rabi_over_omega_t": rabi_value, "n_g": sideband.n_g, "n_e": sideband.n_e,
         "eta_min": lo, "eta_max": hi, "points": points, "units": "dimensionless",
     }
-    write_output(config, columns, rows, args.format, args.out)
-    return EXIT_OK if all_converged else EXIT_NUMERIC
+    return config, columns, rows, EXIT_OK if all_converged else EXIT_NUMERIC
 
 
-def cmd_sidebands(args: argparse.Namespace) -> int:
+def cmd_sidebands(args: argparse.Namespace) -> Table:
     params, omega_phys, meta = _resolve_physics(args, default_eta=0.083)
     max_order, max_n = args.max_order, args.max_n
     if max_order < 1 or max_n < 0:
-        raise ConfigError("sidebands needs max_order >= 1 and max_n >= 0")
+        raise ValueError("sidebands needs max_order >= 1 and max_n >= 0")
     _check_rows((2 * max_order + 1) * (max_n + 1))
     # built in full first, so each SidebandId bounds its levels before any sum runs
     sidebands = [
@@ -445,34 +442,27 @@ def cmd_sidebands(args: argparse.Namespace) -> int:
         rows.append([
             sb.kind, abs(sb.order), min(sb.n_g, sb.n_e), sb.n_g, sb.n_e, shift, _hz(shift, omega_phys),
         ])
-    config = {
-        "command": "sidebands", **meta, "max_order": max_order, "max_n": max_n,
-    }
-    write_output(config, columns, rows, args.format, args.out)
-    return EXIT_OK
+    return {**meta, "max_order": max_order, "max_n": max_n}, columns, rows, EXIT_OK
 
 
-# not a second entry; trapbench traces this name, which ``run_checks`` calls
+# not a second entry; trapbench traces this name, which ``cmd_check`` calls
 def displacement_oracle(eta: float, n_max: int) -> np.ndarray:
     from . import hamiltonian
 
     return hamiltonian.displacement_oracle(eta, n_max)
 
 
-def run_checks() -> list[tuple[str, float, float, bool]]:
-    """The self-test battery behind ``trapshift check``.
-
-    Each entry is (name, measured, threshold, passed).
-    """
+def cmd_check(args: argparse.Namespace) -> Table:
+    """The self-test battery: one row (name, measured, threshold, status) per check."""
     import numpy as np
 
     from .hamiltonian import coupling_table
     from .spectrum import find_resonance
 
-    results: list[tuple[str, float, float, bool]] = []
+    rows: list[list] = []
 
     def record(name: str, measured: float, threshold: float) -> None:
-        results.append((name, measured, threshold, measured <= threshold))
+        rows.append([name, measured, threshold, "pass" if measured <= threshold else "FAIL"])
 
     table = coupling_table(0.4, 12)
     oracle = displacement_oracle(0.4, 12)
@@ -516,23 +506,11 @@ def run_checks() -> list[tuple[str, float, float, bool]]:
         abs(exact - pert),
         max(0.01 * abs(pert), 1e-9),
     )
-    return results
 
-
-def cmd_check(args: argparse.Namespace) -> int:
-    results = run_checks()
-    columns = ["check", "measured", "threshold", "status"]
-    rows = [
-        [name, measured, threshold, "pass" if ok else "FAIL"]
-        for name, measured, threshold, ok in results
-    ]
-    config = {"command": "check"}
-    write_output(config, columns, rows, args.format, args.out)
-    failed = [name for name, _, _, ok in results if not ok]
+    failed = [name for name, _, _, status in rows if status == "FAIL"]
     if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+    return {}, ["check", "measured", "threshold", "status"], rows, EXIT_CHECK if failed else EXIT_OK
 
 
 # ------------------------------------------------------------------- parser
@@ -610,7 +588,9 @@ def main(argv: list[str] | None = None) -> int:
             options = (*COMMANDS[args.command][2], "format", "out")
             args = parser.parse_args([args.command, *_config_tokens(args.config, options), *argv[1:]])
         _check_out(args.out)
-        return args.run(args)
+        config, columns, rows, code = args.run(args)
+        write_output({"command": args.command, **config}, columns, rows, args.format, args.out)
+        return code
     except TrapshiftError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
 import time
@@ -75,14 +76,15 @@ class TestFrequencyParsing:
 
     @pytest.mark.parametrize("bad", ["MHz", "2pi*0.3", "1.5qHz", "abc", "1e999Hz", "2pi*-1e999kHz", "1e999"])
     def test_rejects_garbage(self, bad):
-        with pytest.raises(cli.ConfigError):
+        message = f"{bad!r}: the 2pi* prefix" if bad == "2pi*0.3" else f"cannot parse frequency {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             cli.parse_frequency(bad)
 
     def test_mass_parsing(self):
         assert cli.parse_mass("40u") == pytest.approx(40 * 1.66053906892e-27, rel=1e-6)
         assert cli.parse_mass("6.6e-26") == 6.6e-26
         for bad in ("heavy", "1e999u", "nan"):
-            with pytest.raises(cli.ConfigError):
+            with pytest.raises(ValueError, match=re.escape(f"cannot parse mass {bad!r}")):
                 cli.parse_mass(bad)
 
     def test_lamb_dicke_from_physical(self):
@@ -1040,6 +1042,27 @@ blue,2,3,3,5,-0.0003871499267559694,-526.5239003881185
 """
 
 
+class TestOneWriter:
+    """main writes every command's table: "command" first in its config, and
+    CSV and JSON hold the same cells."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sidebands"],
+        ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0"],
+        ["sweep", "--points", "3", "--levels", "1"],
+        ["scan-eta", "--points", "2"],
+        ["check"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_and_json_hold_the_same_table(self, argv, capsys):
+        assert cli.main(argv) == 0
+        header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert next(iter(payload["config"].items())) == ("command", argv[0])
+        assert payload["columns"] == header
+        assert [[cli._format_cell(v) for v in row] for row in payload["rows"]] == rows
+
+
 class TestStdout:
     def test_unwritable_out_is_config_error(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -1066,9 +1089,25 @@ class TestStdout:
             assert captured.err == f"error: cannot write {str(tmp_path)!r}: it is a directory\n"
             assert captured.out == ""
 
+    def test_unwritable_existing_file_is_config_error(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "locked.csv"
+        out.write_text("kept\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, *a, **kw: Path(path) != out and access(path, *a, **kw))
+        fail_if_computed(monkeypatch)  # rejected before any computation, not on writing
+        for argv in [
+            ["shift", "--ng", "0", "--ne", "1", "--rabi", "0.01", "--eta", "0"],
+            ["scan-eta"],
+        ]:
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: cannot write {str(out)!r}: it is not writable\n"
+            assert captured.out == ""
+            assert out.read_text() == "kept\n"
+
     def test_write_error_is_config_error(self, tmp_path):
         out = tmp_path / "missing" / "x.csv"
-        with pytest.raises(cli.ConfigError, match="cannot write"):
+        with pytest.raises(ValueError, match=re.escape(f"cannot write {str(out)!r}: No such file or directory")):
             cli.write_output({}, ["a"], [[1]], "csv", str(out))
 
     def test_writes_to_stdout_by_default(self, capsys):
