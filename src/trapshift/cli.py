@@ -404,17 +404,17 @@ def cmd_scan_eta(args: argparse.Namespace) -> Table:
     check_bases(sideband, args.nmax, hi)
 
     columns = ["eta", "shift_exact", "shift_full", "shift_ld", "shift_lit"]
+    grid = [TrapParams(rabi=rabi_value, eta=float(eta)) for eta in np.linspace(lo, hi, points)]
+    # every closed-form column before any eigensolve, so an overflow exits 3 first
+    closed = [(bs_shift(sideband, params).delta_omega_full, *_comparisons(sideband, params)[2:]) for params in grid]
     rows: list[list] = []
     all_converged = True
-    for eta in np.linspace(lo, hi, points):
-        params = TrapParams(rabi=rabi_value, eta=float(eta))
-        shift_full = bs_shift(sideband, params).delta_omega_full
-        _, _, shift_ld, shift_lit = _comparisons(sideband, params)
+    for params, (shift_full, shift_ld, shift_lit) in zip(grid, closed):
         report = find_resonance(sideband, params, n_max=args.nmax)
         if not report.converged:
             _report_not_converged(sideband, params.eta, report)
             all_converged = False
-        rows.append([float(eta), report.delta_omega, shift_full, shift_ld, shift_lit])
+        rows.append([params.eta, report.delta_omega, shift_full, shift_ld, shift_lit])
     config = {
         "rabi_over_omega_t": rabi_value, "n_g": sideband.n_g, "n_e": sideband.n_e,
         "eta_min": lo, "eta_max": hi, "points": points, "units": "dimensionless",

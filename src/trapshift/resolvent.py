@@ -270,6 +270,14 @@ def bs_shifts(sidebands: Iterable[SidebandId], params: TrapParams) -> list[Pertu
     return _shifts(list(sidebands), params)
 
 
+def _square(name: str, value: float) -> float:
+    """value**2, the one square of rabi or eta in the closed form, its overflow named."""
+    try:
+        return value**2
+    except OverflowError:
+        raise OverflowError(f"{name}**2 at {name} = {value!r} overflows") from None
+
+
 def _shifts(sidebands: Sequence[SidebandId], params: TrapParams) -> list[PerturbativeShift]:
     """The one path of ``bs_shift`` and ``bs_shifts``: their shifts and their one warning."""
     if params.rabi > PERTURBATIVE_RATIO_LIMIT:
@@ -281,10 +289,7 @@ def _shifts(sidebands: Sequence[SidebandId], params: TrapParams) -> list[Perturb
         )
     eta = params.eta
     sums = _sum_terms((pair for sb in sidebands for pair in ((sb.n_e, sb.n_g), (sb.n_g, sb.n_e))), eta)
-    try:
-        rabi_sq = params.rabi**2  # overflows above 1.34e154, (0.5 * rabi)**2 above 2.68e154
-    except OverflowError:
-        raise OverflowError(f"rabi**2 at rabi = {params.rabi!r} overflows") from None
+    rabi_sq = _square("rabi", params.rabi)  # overflows above 1.34e154, (0.5 * rabi)**2 above 2.68e154
     half_sq = (0.5 * params.rabi) ** 2  # not rabi_sq / 4.0, which differs in the last bit
     return [
         PerturbativeShift(
@@ -311,13 +316,13 @@ def bs_shift_ld(sideband: SidebandId, params: TrapParams) -> tuple[float, float]
             "carrier resonances are unshifted"
         )
     n_g, n_e = sideband.n_g, sideband.n_e
-    eta2 = params.eta**2
+    eta2, rabi2 = _square("eta", params.eta), _square("rabi", params.rabi)
     weight = n_g + n_e + 1
-    carrier_term = params.rabi**2 * (1.0 - eta2 * weight) / (2.0 * (n_g - n_e))
+    carrier_term = rabi2 * (1.0 - eta2 * weight) / (2.0 * (n_g - n_e))
     sideband_sum = sum(
         weight / (n_g - n_e + k) for k in (+1, -1) if n_g - n_e + k != 0
     )
-    return carrier_term, eta2 * params.rabi**2 / 4.0 * sideband_sum
+    return carrier_term, eta2 * rabi2 / 4.0 * sideband_sum
 
 
 def bs_shift_literature(params: TrapParams) -> float:
@@ -327,7 +332,8 @@ def bs_shift_literature(params: TrapParams) -> float:
     Differs from the quadratic expansion by the eta^2 correction of the
     off-resonant carrier coupling.
     """
-    return params.rabi**2 / 2.0 + params.eta**2 * params.rabi**2 / 4.0
+    rabi2 = _square("rabi", params.rabi)
+    return rabi2 / 2.0 + _square("eta", params.eta) * rabi2 / 4.0
 
 
 def eta_zero_shift(sideband: SidebandId, params: TrapParams) -> float:
@@ -339,4 +345,4 @@ def eta_zero_shift(sideband: SidebandId, params: TrapParams) -> float:
     """
     if sideband.is_carrier:
         raise ValueError("carrier resonances have Delta0 = 0 and no eta = 0 shift")
-    return -params.rabi**2 / (2.0 * sideband.order)
+    return -_square("rabi", params.rabi) / (2.0 * sideband.order)

@@ -18,9 +18,9 @@ gives the locator the pair's rows, delta0 and coupling entry; a sweep's scan
 has none.  This module imports nothing of the closed form (``resolvent``), so
 their agreement is a cross-check; it defines ``TrapshiftError`` and its
 subclasses, which it alone raises.  Each job has one code path:
-``_search_window`` is the coarse window scan behind ``find_resonance``, and
-``_locate`` measures the pair's gap inside it and chooses the mode, extremum
-or intersection, in one place; the measured splitting is ``find_resonance``'s
+``_locate``, behind ``find_resonance``, scans the pair's coarse window,
+measures the pair's gap inside it and chooses the mode, extremum or
+intersection, in one place; the measured splitting is ``find_resonance``'s
 ``gap`` (a carrier's is read off one column of the same operator);
 ``find_resonance`` is the one basis-doubling check (one re-locate on the
 doubled margin), and ``sweep_spectrum`` the branch continuation behind
@@ -169,62 +169,50 @@ def _refine_minimum(fun, lo: float, hi: float) -> tuple[float, float]:
     return float(result.x), float(result.fun)
 
 
-def _search_window(scan: _DetuningScan) -> tuple[float, tuple[float, float], tuple[float, float]]:
-    """Coarse scan of the scan's pair around its delta0.
+def _locate(scan: _DetuningScan) -> tuple[float, float, str]:
+    """Locate the scan's resonance: returns (delta_star, minimal gap, method).
 
-    The window is widened until the lower pair branch has an interior
-    maximum; of several local minima of the gap, the one nearest delta0 is
-    kept, and a window with none raises ``ResonanceWindowError``.
-    Returns (window half-width, coarse bracket of that maximum, coarse
-    bracket of that gap minimum).
+    A grid of ``COARSE_POINTS`` samples the pair around delta0; its half-width,
+    at first the larger of ``WINDOW_FRACTION`` and ``WINDOW_GAP_MULTIPLE`` times
+    the scan's gap estimate 2|coupling|, doubles at most ``MAX_WINDOW_ESCALATIONS``
+    times until the lower pair branch has an interior maximum.  The gap's local
+    minimum nearest delta0 gives the gap bracket (none raises
+    ``ResonanceWindowError``), on which the parabolic minimizer measures the
+    minimal gap.  Below 1e-6 the pair may be a near-crossing, whose V-shaped
+    bottom defeats the minimizer's relative positioning floor, so the sign
+    change of the tagged branch difference E(g, n_g) - E(e, n_e) is root-found
+    on the same bracket and the gap is sampled there as well.  A gap below
+    ``GAP_FLOOR_FRACTION`` marks a decoupled pair: its crossing is reported as
+    it is ("intersection"), and a bracket without one raises
+    ``ResonanceWindowError``.  Otherwise the lower branch's maximum is refined
+    on its coarse bracket ("extremum").
     """
     delta0 = float(scan.sideband.order)
     # the gap estimate |Omega_{n_g,n_e}| = 2|coupling| is the scan's own, not the closed form's
     half = max(WINDOW_GAP_MULTIPLE * (2.0 * abs(scan.coupling)), WINDOW_FRACTION)
-
-    escalations = 0
-    while True:
+    for escalations in range(MAX_WINDOW_ESCALATIONS + 1):
         grid = np.linspace(delta0 - half, delta0 + half, COARSE_POINTS)
         levels = np.array([scan.pair_levels(d) for d in grid])
-        low, gaps = levels[:, 0], levels[:, 1] - levels[:, 0]
-
-        i_max = int(np.argmax(low))
+        i_max = int(np.argmax(levels[:, 0]))
         if i_max not in (0, COARSE_POINTS - 1):
             break
-        if escalations >= MAX_WINDOW_ESCALATIONS:
+        if escalations == MAX_WINDOW_ESCALATIONS:
             raise ResonanceWindowError(
                 f"no interior extremum for {scan.sideband} within "
                 f"[{delta0 - half!r}, {delta0 + half!r}] after escalation"
             )
-        escalations += 1
         half *= 2.0
 
-    minima = _local_minima(gaps)
+    minima = _local_minima(levels[:, 1] - levels[:, 0])
     if not minima:
         raise ResonanceWindowError(
             f"no local minimum of the pair gap of {scan.sideband} within "
             f"[{delta0 - half!r}, {delta0 + half!r}]"
         )
+    # both are interior samples, so their neighbours exist
+    lo, hi = float(grid[i_max - 1]), float(grid[i_max + 1])
     i_gap = min(minima, key=lambda i: abs(grid[i] - delta0))
-    bracket = (float(grid[i_max - 1]), float(grid[i_max + 1]))
-    # a local minimum is an interior sample, so both neighbours exist
-    return half, bracket, (float(grid[i_gap - 1]), float(grid[i_gap + 1]))
-
-
-def _locate(scan: _DetuningScan) -> tuple[float, float, str]:
-    """Locate the scan's resonance: returns (delta_star, minimal gap, method).
-
-    The minimal gap comes from the parabolic minimizer on the gap bracket of
-    ``_search_window``.  Below 1e-6 the pair may be a near-crossing, whose
-    V-shaped bottom defeats the minimizer's relative positioning floor, so
-    the sign change of the tagged branch difference E(g, n_g) - E(e, n_e) is
-    root-found on the same bracket and the gap is sampled there as well.
-    A gap below ``GAP_FLOOR_FRACTION`` marks a decoupled pair: its crossing
-    is reported as it is ("intersection"), and a bracket without one raises
-    ``ResonanceWindowError``.  Otherwise the lower branch's maximum is
-    refined on its bracket ("extremum").
-    """
-    _, (lo, hi), (g_lo, g_hi) = _search_window(scan)
+    g_lo, g_hi = float(grid[i_gap - 1]), float(grid[i_gap + 1])
     _, gap_min = _refine_minimum(scan.pair_gap, g_lo, g_hi)
     root = None
     if gap_min < 1e-6 and scan.tagged_difference(g_lo) * scan.tagged_difference(g_hi) < 0:

@@ -438,6 +438,22 @@ class TestExitCodes:
             "(eta**103 at eta = 1000.0 overflows)\n"
         )
 
+    def test_scan_eta_overflow_precedes_every_eigensolve(self, monkeypatch, capsys):
+        # the closed form of every eta runs before the exact route of the
+        # first, so the overflow at eta 7 ends the run with no eigensolve
+        def unreachable(*args, **kwargs):
+            raise AssertionError("find_resonance ran before the closed form of every eta")
+
+        monkeypatch.setattr("trapshift.spectrum.find_resonance", unreachable)
+        argv = ["scan-eta", "--ng", "1", "--ne", "0", "--eta-min", "3", "--eta-max", "7", "--points", "2"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: the inputs overflow double precision "
+            "(eta**365 at eta = 7.0 overflows)\n"
+        )
+
     @pytest.mark.parametrize("argv", [
         ["sidebands", "--rabi", "1e200", "--eta", "0.1"],
         ["shift", "--ng", "0", "--ne", "1", "--rabi", "1e200", "--eta", "0.1"],

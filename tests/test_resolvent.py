@@ -366,6 +366,20 @@ class TestBsShift:
             ts.bs_shift(SB01, params)
         with pytest.raises(OverflowError, match=message):
             ts.bs_shifts([SB01, ts.SidebandId(3, 3)], params)
+        with pytest.raises(OverflowError, match=message):
+            ts.bs_shift_ld(SB01, params)
+        with pytest.raises(OverflowError, match=message):
+            ts.bs_shift_literature(params)
+        with pytest.raises(OverflowError, match=message):
+            ts.eta_zero_shift(SB01, params)
+
+    def test_overflowing_eta_square_is_named(self):
+        # eta**2 of the Lamb-Dicke and literature shifts raised a bare OverflowError too
+        params = ts.TrapParams(rabi=0.01, eta=1e200)
+        with pytest.raises(OverflowError, match=r"^eta\*\*2 at eta = 1e\+200 overflows$"):
+            ts.bs_shift_ld(SB01, params)
+        with pytest.raises(OverflowError, match=r"^eta\*\*2 at eta = 1e\+200 overflows$"):
+            ts.bs_shift_literature(params)
 
     def test_overflowing_term_names_its_pair(self):
         # around n = 3000 at eta 2 a Laguerre factor leaves double precision;
