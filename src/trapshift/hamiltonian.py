@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MAX_LEVELS, SidebandId, TrapParams, check_eta, check_level
+from .params import MAX_LEVELS, SidebandId, TrapParams, as_double, check_eta, check_level
 from .resolvent import PHASES, _amplitude, _amplitude_column
 
 
@@ -51,10 +51,12 @@ def coupling_table(eta: float, n_max: int) -> np.ndarray:
 
     One ``resolvent._amplitude_column`` per order d = |n - n'| fills both
     diagonals at distance d with ``resolvent._amplitude``, as ``chi(n, n', eta)``
-    and the closed-form sums do.  ``check_padded_basis`` bounds n_max before
-    any column or table is built.  Raises ``OverflowError`` as ``chi`` does,
-    naming the first chi_{n,n+d} of the build, by distance and then by row.
+    and the closed-form sums do, eta read as a double.  ``check_padded_basis``
+    bounds n_max before any column or table is built.  Raises ``OverflowError``
+    as ``chi`` does, naming the first chi_{n,n+d} of the build, by distance and
+    then by row.
     """
+    eta = as_double("eta", eta)
     check_padded_basis(eta, n_max)
     entries = np.empty((n_max + 1, n_max + 1), dtype=complex)
     for d in range(n_max + 1):

@@ -8,14 +8,16 @@ and out.  Each domain rule is stated here once, next to ``MAX_LEVELS``:
 level to 0..MAX_LEVELS - 1 (or 0..n_max), chi's greater index or a Laguerre order to
 0..``FLOAT_EXACT_TOP``; ``check_eta`` eta finite and >= 0, ``check_delta`` a detuning
 within 2 MAX_LEVELS of 0, past every pair's Delta0.  Both routes call them before a
-value is compared or sized, so both are bounded alike.
+value is compared or sized, so both are bounded alike.  ``as_double`` reads each
+real input (every ``TrapParams`` field, a raw eta, a Laguerre argument) as a
+double first, so no route computes in another precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 #: Most levels of any basis, the padding of ``hamiltonian.oracle_pad``
 #: included; every sideband level lies below it.
@@ -30,6 +32,18 @@ def check_level(name: str, value: int, top: int | None = MAX_LEVELS - 1) -> None
         raise ValueError(f"{name} must be of integer type, got {value!r}")
     if top is not None and not 0 <= value <= top:
         raise ValueError(f"{name} must be in 0..{top}, got {value!r}")
+
+
+def as_double(name: str, value: float) -> float:
+    """value as a double: ``ValueError`` unless it is a real number (``numbers.Real``).
+    One beyond double range reads as an infinity of its sign, which the caller's
+    finiteness check rejects by name."""
+    if not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_eta(eta: float) -> None:
@@ -51,6 +65,7 @@ class TrapParams:
 
     ``delta`` is the laser detuning from the internal transition,
     ``omega_L - omega_0``; it is the swept variable of the spectra.
+    Each field is stored as a double (``as_double``).
     """
 
     rabi: float
@@ -58,6 +73,8 @@ class TrapParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rabi", "eta", "delta"):
+            object.__setattr__(self, name, as_double(name, getattr(self, name)))
         if not math.isfinite(self.rabi):
             raise ValueError(f"rabi must be finite, got {self.rabi!r}")
         check_delta(self.delta)

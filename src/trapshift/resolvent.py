@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .params import FLOAT_EXACT_TOP, SidebandId, TrapParams, check_eta, check_level
+from .params import FLOAT_EXACT_TOP, SidebandId, TrapParams, as_double, check_eta, check_level
 
 #: Above this drive-to-trap ratio second-order perturbation theory degrades.
 PERTURBATIVE_RATIO_LIMIT = 0.1
@@ -76,13 +76,18 @@ def laguerre(n: int, alpha: int, x: float) -> float:
 
     Evaluated by the three-term recurrence in n, which is stable for x >= 0;
     the alternating finite sum loses precision beyond n of a few tens.
-    n, the length of the column it runs, is below ``MAX_LEVELS``; alpha is at most ``FLOAT_EXACT_TOP``.
+    n, the length of the column it runs, is below ``MAX_LEVELS``; alpha is at most ``FLOAT_EXACT_TOP``;
+    x is read as a double.  Raises ``OverflowError`` where the value leaves double precision.
     """
     check_level("n", n)
     check_level("alpha", alpha, top=FLOAT_EXACT_TOP)
+    x = as_double("x", x)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    return _laguerre_column(n, float(alpha), x)[-1]
+    value = _laguerre_column(n, float(alpha), x)[-1]
+    if not math.isfinite(value):
+        raise OverflowError(f"L_{n}^{alpha}({x!r}) overflows")
+    return value
 
 
 def _amplitude_column(eta: float, d: int, n: int) -> tuple[float, list[float]]:
@@ -117,14 +122,15 @@ def chi_magnitude(n: int, nprime: int, eta: float) -> float:
     The factorial ratio goes through lgamma so the result stays finite for
     quantum numbers far beyond the n = 170 overflow of raw factorials.  Both are integers; the
     lesser, the length of the Laguerre column, is below ``MAX_LEVELS``; the greater, which
-    only enters lgamma and the power of eta, is at most ``FLOAT_EXACT_TOP``.
-    Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
+    only enters lgamma and the power of eta, is at most ``FLOAT_EXACT_TOP``; eta is
+    read as a double.  Raises ``OverflowError`` as ``_amplitude`` does, or where eta**d overflows.
     """
     check_level("n", n, top=None)  # integers before they are ordered
     check_level("nprime", nprime, top=None)
     lo, hi = (n, nprime) if n <= nprime else (nprime, n)
     check_level("min(n, nprime)", lo)
     check_level("max(n, nprime)", hi, top=FLOAT_EXACT_TOP)
+    eta = as_double("eta", eta)
     check_eta(eta)
     prefactor, column = _amplitude_column(eta, hi - lo, lo)
     return _amplitude(prefactor, column, n, nprime, eta)

@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import trapshift as ts
-from trapshift import cli
+from trapshift import cli, hamiltonian, resolvent
 from trapshift.params import MAX_LEVELS
 
 
@@ -207,9 +209,13 @@ class TestShiftCommand:
         assert float(record["gap_coupling"]) == pytest.approx(gap, rel=1e-14)
         assert float(record["gap_half"]) == 0.5 * gap
 
-    def test_carrier_near_the_top_level(self, capsys):
+    def test_carrier_near_the_top_level(self, monkeypatch, capsys):
         # a carrier builds its n_max basis alone, never the doubled one, and
         # reads one column of the operator on it: n_max 9940, padded to 9981
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the carrier built the whole operator")
+
+        monkeypatch.setattr(hamiltonian, "_real_displacement", unreachable)
         argv = ["shift", "--ng", "9900", "--ne", "9900", "--rabi", "0.01", "--eta", "0.1"]
         assert cli.main(argv) == 0
         header, row = capsys.readouterr().out.splitlines()
@@ -419,13 +425,20 @@ class TestExitCodes:
         pytest.param(  # Laguerre column
             ["shift", "--ng", "3000", "--ne", "0", "--rabi", "0.01", "--eta", "2"], id="argv6"
         ),
+        pytest.param(["scan-eta", "--eta-max", "7"], id="argv7"),  # eta**d at the last eta
     ])
     @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
-    def test_overflowing_finite_input_exits_three(self, argv, capsys):
+    def test_overflowing_finite_input_exits_three(self, argv, monkeypatch, capsys):
+        # each overflow of the closed form is named before any eigensolve
+        def unreachable(*args, **kwargs):
+            raise AssertionError("find_resonance ran before the closed form overflowed")
+
+        monkeypatch.setattr("trapshift.spectrum.find_resonance", unreachable)
         assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure: the inputs overflow double precision")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: the inputs overflow double precision")
+        assert "Traceback" not in captured.err
 
     def test_unbounded_majorant_ends_in_the_named_power_of_eta(self, capsys):
         # the term majorant's exp overflowed with a bare "(math range error)";
@@ -593,6 +606,11 @@ class TestErrorPaths:
          "--levels 10000 at eta 0.4 sets the default n_max = 10159\n"),
         # n_max is bounded before --levels is compared with it
         (["sweep", "--nmax", "-5"], "n_max must be in 0..9999, got -5\n"),
+        # the same window at sweep's default points, levels and basis
+        (["sweep", "--delta-min=1e16", "--delta-max=1.5e16"], "delta must be in -20000..20000, got 1e+16\n"),
+        # 9985 + 1 + its pad of 20 levels at eta 0 is 10006, past the bound of 10000
+        (["sweep", "--eta", "0", "--nmax", "9985"],
+         "padded basis of 10006 levels (n_max 9985 + 1 + pad 20) is beyond the supported range (10000 levels)\n"),
     ])
     def test_command_range(self, argv, message, monkeypatch, capsys):
         self.rejected(argv, message, monkeypatch, capsys)
@@ -783,6 +801,8 @@ class TestBasisBound:
         (["scan-eta", "--ng", "9960", "--ne", "0", "--eta-max", "1.0", "--points", "2"], "basis of 10361 levels"),
         # a carrier reads its gap off the operator, so its basis is bounded too
         (["shift", "--ng", "9998", "--ne", "9998"], "basis of 10039 levels"),
+        # the closed form holds every level below 10000 too
+        (["shift", "--ng", "10000", "--ne", "0"], "vibrational quantum numbers must be in 0..9999"),
     ])
     def test_oversized_sideband_rejected_before_computing(self, argv, message, monkeypatch, capsys):
         physics = ["--rabi", "0.01", "--eta", "0.1"] if argv[0] == "shift" else []
@@ -1032,6 +1052,27 @@ class TestSidebandsCommand:
             assert record["shift"] == repr(ts.bs_shift(sideband, params).delta_omega_full), record
         assert elapsed < 20.0
 
+    @pytest.mark.parametrize(("argv", "rows"), [
+        (["sidebands", "--eta", "4"], 5 * 4),
+        # a dimensionless trap frequency: shift_hz stays empty
+        (["sidebands", "--trap-freq", "1", "--rabi", "0.01"], 5 * 4),
+        # 29 997 rows up to the top level
+        (["sidebands", "--max-order", "1", "--max-n", "9998"], 3 * 9999),
+    ], ids=["eta4", "dimensionless", "top-level"])
+    def test_documented_table_is_one_pass_without_warning(self, argv, rows, monkeypatch, capsys):
+        # the suite's filterwarnings make a UserWarning or RuntimeWarning an error
+        passes = []
+        sum_terms = resolvent._sum_terms
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return sum_terms(*args, **kwargs)
+
+        monkeypatch.setattr(resolvent, "_sum_terms", counting)
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+        assert len(passes) == 1
+
 
 SIDEBANDS_DEFAULT_STDOUT = """\
 sideband,order,n,n_g,n_e,shift,shift_hz
@@ -1132,3 +1173,24 @@ class TestStdout:
         captured = capsys.readouterr()
         assert captured.out.startswith("n_g,n_e,")
         assert captured.out.endswith("\n")
+
+
+class TestEntryPoint:
+    """``python -m trapshift.cli``: the interpreter's exit status and stdout, the one
+    path that in-process ``main`` calls do not take."""
+
+    @pytest.mark.parametrize(("argv", "code"), [
+        (["sidebands"], 0),
+        (["sweep", "--levels", "10000", "--points", "2"], 2),
+        (["sidebands", "--eta", "7"], 3),
+    ], ids=["exit0", "exit2", "exit3"])
+    def test_exit_status_and_stdout(self, argv, code):
+        src = str(Path(ts.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "trapshift.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == code, done.stderr
+        assert done.stdout == (SIDEBANDS_DEFAULT_STDOUT if code == 0 else "")

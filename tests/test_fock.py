@@ -49,6 +49,16 @@ class TestLaguerre:
         expected = laguerre_binomial(n, alpha, x)
         assert ts.laguerre(n, alpha, x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize(("n", "x", "message"), [
+        (10, 1e40, "L_10^0(1e+40) overflows"),
+        (10, 1e200, "L_10^0(1e+200) overflows"),
+        (2, -1e200, "L_2^0(-1e+200) overflows"),
+    ])
+    def test_overflow_is_named(self, n, x, message):
+        # the recurrence ended in nan (inf - inf) or inf, where every other entry raises
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            ts.laguerre(n, 0, x)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             ts.laguerre(-1, 0, 0.5)
@@ -56,6 +66,77 @@ class TestLaguerre:
             ts.laguerre(2, -1, 0.5)
         with pytest.raises(ValueError):
             ts.laguerre(2, 0, float("nan"))
+
+
+F32 = np.float32
+
+
+class TestNonDoubleInputs:
+    """Every real input is read as a double: a float32 call equals the double call
+    bit for bit and returns a Python float or complex, an int takes the double's
+    named overflow, and a value that is no real number is named."""
+
+    def test_float32_calls_equal_the_double_calls(self):
+        cases = [
+            (ts.laguerre, (5, 2, F32(0.09)), (5, 2, float(F32(0.09))), float),
+            (ts.chi_magnitude, (3, 5, F32(0.3)), (3, 5, float(F32(0.3))), float),
+            (ts.chi, (3, 5, F32(0.3)), (3, 5, float(F32(0.3))), complex),
+            (ts.rabi_coupling, (3, 5, ts.TrapParams(rabi=F32(0.01), eta=F32(0.3))),
+             (3, 5, ts.TrapParams(rabi=float(F32(0.01)), eta=float(F32(0.3)))), complex),
+        ]
+        for call, single, double, kind in cases:
+            got = call(*single)
+            assert type(got) is kind and got == call(*double), call.__name__
+        table = ts.coupling_table(F32(0.3), 6)
+        assert table.tobytes() == ts.coupling_table(float(F32(0.3)), 6).tobytes()
+
+    @pytest.mark.parametrize("field", ["rabi", "eta"])
+    def test_float32_shift_is_the_double_shift(self, field):
+        # eta 0.1 in single precision gave -4.9254978826173116e-05, 7.7e-9 off the
+        # double shift at the same eta; a float32 rabi returned an np.float32
+        single = {"rabi": 0.01, "eta": 0.1, field: F32({"rabi": 0.01, "eta": 0.1}[field])}
+        params = ts.TrapParams(**single)
+        assert all(type(getattr(params, name)) is float for name in ("rabi", "eta", "delta"))
+        double = ts.TrapParams(**{name: float(value) for name, value in single.items()})
+        got = ts.bs_shift(ts.SidebandId(0, 1), params)
+        assert type(got.delta_omega_full) is float
+        assert got == ts.bs_shift(ts.SidebandId(0, 1), double)
+
+    def test_doubles_keep_every_bit(self):
+        params = ts.TrapParams(rabi=0.01, eta=0.1, delta=-0.3)
+        assert (params.rabi, params.eta, params.delta) == (0.01, 0.1, -0.3)
+        assert ts.bs_shift(ts.SidebandId(0, 1), params).delta_omega_full == -4.925497922902111e-05
+
+    @pytest.mark.filterwarnings("ignore::trapshift.PerturbativeRegimeWarning")
+    def test_int_inputs_take_the_named_overflows(self):
+        # eta 7 ended in "int too large to convert to float", rabi 10**200 in
+        # "(34, 'Numerical result out of range')"
+        with pytest.raises(OverflowError, match=r"^eta\*\*365 at eta = 7\.0 overflows$"):
+            ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=0.01, eta=7))
+        with pytest.raises(OverflowError, match=r"^rabi\*\*2 at rabi = 1e\+200 overflows$"):
+            ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=10**200, eta=0.1))
+        with pytest.raises(OverflowError, match=r"^eta\*\*400 at eta = 7\.0 overflows$"):
+            ts.chi_magnitude(0, 400, 7)
+
+    @pytest.mark.parametrize(("fields", "message"), [
+        ({"rabi": 10**400}, "rabi must be finite, got inf"),
+        ({"eta": 10**400}, "eta must be finite and >= 0, got inf"),
+        ({"delta": -(10**400)}, "delta must be in -20000..20000, got -inf"),
+        ({"rabi": "0.01"}, "rabi must be a real number, got '0.01'"),
+        ({"eta": None}, "eta must be a real number, got None"),
+        ({"delta": 1j}, "delta must be a real number, got 1j"),
+    ])
+    def test_params_beyond_double_range_or_not_real_are_named(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ts.TrapParams(**{"rabi": 0.01, "eta": 0.1, **fields})
+
+    def test_raw_eta_and_x_not_real_are_named(self):
+        with pytest.raises(ValueError, match=r"^eta must be a real number, got '0\.1'$"):
+            ts.chi_magnitude(0, 1, "0.1")
+        with pytest.raises(ValueError, match=r"^eta must be a real number, got '0\.1'$"):
+            ts.coupling_table("0.1", 4)
+        with pytest.raises(ValueError, match=r"^x must be a real number, got '0\.1'$"):
+            ts.laguerre(2, 0, "0.1")
 
 
 class TestColumnBound:

@@ -358,10 +358,11 @@ class TestBasisBound:
         class Reached(Exception):
             pass
 
-        def first_solve(*args, **kwargs):
+        def first_block(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(spectrum, "_DetuningScan", first_solve)
+        # the first basis's block, before any exponential of 5021 levels is taken
+        monkeypatch.setattr(spectrum, "coupling_block", first_block)
         params = ts.TrapParams(rabi=0.01, eta=0.1)
         # (0, 1) re-locates on n_max 1 + 2 (n - 1), and its chi is exponentiated
         # on oracle_pad(0.1, .) = 40 more levels: the doubled basis pads to

@@ -30,6 +30,13 @@ FROZEN = [
     (6, 9, 0.45, -2.1379879458715386e-05),
     (9, 10, 0.83, -6.496756083550033e-07),
 ]
+# (n_g, n_e, eta, delta_omega_full, tail_bound) at rabi 0.01: each sum bounds its
+# own tail where it stops, bit for bit, from the first blue sideband to the top level
+FROZEN_TAILS = [
+    (0, 1, 0.1, -4.925497922902111e-05, 1.8452244185430135e-22),
+    (0, 800, 1.0, -6.257832092515164e-08, 3.490019863074288e-24),
+    (9998, 9999, 0.083, -2.94477646799413e-08, 1.2852501065149104e-21),
+]
 
 DIFFERENTIAL_ETAS = [0.0, 1e-3, 0.083, 0.4, 1.2, 2.5, 4.0]
 
@@ -219,6 +226,12 @@ class TestBsShift:
     def test_frozen_bitwise(self, n_g, n_e, eta, frozen):
         params = ts.TrapParams(rabi=0.01, eta=eta)
         assert ts.bs_shift(ts.SidebandId(n_g, n_e), params).delta_omega_full == frozen
+
+    @pytest.mark.parametrize("n_g, n_e, eta, frozen, tail", FROZEN_TAILS)
+    def test_frozen_tail_bound_bitwise(self, n_g, n_e, eta, frozen, tail):
+        result = ts.bs_shift(ts.SidebandId(n_g, n_e), ts.TrapParams(rabi=0.01, eta=eta))
+        assert (result.delta_omega_full, result.tail_bound) == (frozen, tail)
+        assert result.tail_bound <= 1e-12 * abs(result.r_gg)
 
     def test_batch_is_each_shift_bit_for_bit(self):
         # any order and any iterable: one pass over all the sums gives each shift
@@ -433,6 +446,7 @@ class TestBsShiftLd:
 
     def test_first_blue_frozen(self):
         assert sum(ts.bs_shift_ld(SB01, P01)) == pytest.approx(-4.925e-5, rel=1e-12)
+        assert ts.bs_shift_ld(SB01, P01) == (-4.9e-05, -2.5000000000000004e-07)
 
     def test_eta_zero_collapses(self):
         params = ts.TrapParams(rabi=0.01, eta=0.0)
@@ -468,6 +482,7 @@ class TestLiteratureFormula:
 
     def test_frozen_value(self):
         assert ts.bs_shift_literature(P01) == pytest.approx(5.025e-5, rel=1e-12)
+        assert ts.bs_shift_literature(P01) == 5.025e-05
 
     @pytest.mark.parametrize("eta", [0.0, 0.05, 0.1, 0.2, 0.3])
     def test_discrepancy_is_exactly_quadratic(self, eta):

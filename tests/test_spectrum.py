@@ -398,11 +398,24 @@ def test_eigensolve_counts(pair, eta, solves, method, monkeypatch):
     assert dict(Counter(dims)) == solves
 
 
+def test_every_eigensolve_samples_a_detuning_scan():
+    # scripts/exact_route_trace.py counts the solves of _DetuningScan.eigen and,
+    # apart, every numpy.linalg.eigh; equal counts say no eigensolve bypasses the
+    # scan.  Its eigh hash is not pinned: the coupling block comes from BLAS
+    # products, whose last bits can differ by CPU.
+    script = Path(__file__).parents[1] / "scripts" / "exact_route_trace.py"
+    out = subprocess.run([sys.executable, "-B", str(script)], capture_output=True, text=True, check=True).stdout
+    counts = {line.split()[0]: int(line.split()[1]) for line in out.splitlines() if line.startswith(("solves ", "eigh "))}
+    assert counts["solves"] > 0
+    assert counts["eigh"] == counts["solves"]
+
+
 #: delta* to 30 digits of the truncated problem find_resonance solves on its
 #: default basis, from scripts/exact_reference.py (mpmath, outside this suite)
 REFERENCE = json.loads((Path(__file__).parent / "exact_reference.json").read_text(encoding="utf-8"))["cases"]
-#: today's measured |delta* - reference|, above ROADMAP item 7's 1e-13 target
-REFERENCE_MISSES = {(2, 4): 1.96e-13, (3, 4): 2.66e-13, (1, 0): 7.31e-13}
+#: today's measured |delta* - reference|, above ROADMAP item 7's 1e-13 target; at
+#: (4,1) the pair gap, 3.9e-10, is narrower than the finite-difference polish's step
+REFERENCE_MISSES = {(2, 4): 1.96e-13, (3, 4): 2.66e-13, (1, 0): 7.31e-13, (4, 1): 1.18e-9}
 
 
 @functools.cache
@@ -411,13 +424,13 @@ def located(n_g: int, n_e: int, rabi: float, eta: float) -> ts.ShiftReport:
 
 
 def reference_cases(misses: dict) -> list:
-    """Each REFERENCE case as a pytest.param, a strict xfail where ``misses`` names its pair."""
+    """Each REFERENCE case as a pytest.param, an xfail (strict, as every xfail of this
+    suite) where ``misses`` names its pair."""
     params = []
     for case in REFERENCE:
         pair = (case["n_g"], case["n_e"])
         marks = [
             pytest.mark.xfail(
-                strict=True,
                 raises=AssertionError,
                 reason=f"delta* misses the reference by {misses[pair]:.3g} (ROADMAP item 7)",
             )
@@ -569,30 +582,74 @@ class TestMeasureSplitting:
             ts.find_resonance(SB01, ts.TrapParams(rabi=0.0, eta=0.1))
 
 
-def run_probe(probe: str) -> str:
-    """stdout of ``probe`` run in a fresh interpreter that imports this package."""
+def run_probe(probe: str, stdlib: bool = False) -> str:
+    """stdout of ``probe`` run in a fresh interpreter that imports this package.
+
+    With ``stdlib``, under ``-I -S -B``: site-packages stay off sys.path, so
+    numpy and scipy cannot be imported at all, and no bytecode is written;
+    the probe itself puts this checkout's ``src`` on sys.path (``-I`` ignores
+    PYTHONPATH)."""
     src = str(Path(ts.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    if stdlib:
+        argv = [sys.executable, "-I", "-S", "-B", "-c", f"import sys\nsys.path.insert(0, {src!r})\n{probe}"]
+    else:
+        argv = [sys.executable, "-c", probe]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
+#: Every closed-form call the probe below makes on the standard library alone, and
+#: the type it returns or the error it raises, message and all; the values are
+#: pinned in test_resolvent and test_fock.
+STDLIB_CALLS = {
+    "ts.bs_shift(ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3))": "PerturbativeShift",
+    "ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=0.01, eta=0.1))": "PerturbativeShift",
+    "ts.bs_shift(ts.SidebandId(0, 800), ts.TrapParams(rabi=0.01, eta=1.0))": "PerturbativeShift",
+    "ts.bs_shift(ts.SidebandId(9998, 9999), ts.TrapParams(rabi=0.01, eta=0.083))": "PerturbativeShift",
+    # finite, although chi_{3000,6000} at eta 0.1 overflows, which is an error
+    "ts.bs_shift(ts.SidebandId(3000, 6000), ts.TrapParams(rabi=0.01, eta=0.1))": "PerturbativeShift",
+    "ts.bs_shifts([ts.SidebandId(1, 0), ts.SidebandId(3, 3)], ts.TrapParams(rabi=0.01, eta=0.3))": "list",
+    "ts.bs_shift_ld(ts.SidebandId(0, 1), ts.TrapParams(rabi=0.01, eta=0.1))": "tuple",
+    "ts.bs_shift_literature(ts.TrapParams(rabi=0.01, eta=0.1))": "float",
+    "ts.eta_zero_shift(ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3))": "float",
+    "ts.chi(3, 5, 0.3)": "complex",
+    "ts.chi_magnitude(3, 5, 0.3)": "float",
+    "ts.laguerre(4, 2, 0.09)": "float",
+    "ts.rabi_coupling(3, 5, ts.TrapParams(rabi=0.01, eta=0.3))": "complex",
+    "ts.chi_magnitude(3000, 6000, 0.1)":
+        "OverflowError: the Laguerre factor of chi_{3000,6000} at eta = 0.1 overflows",
+    # the square of the drive names its overflow (it also warns: rabi > 0.1)
+    "ts.bs_shift(ts.SidebandId(0, 1), ts.TrapParams(rabi=1e200, eta=0.1))":
+        "OverflowError: rabi**2 at rabi = 1e+200 overflows",
+    "ts.SidebandId(10_000, 0)": "ValueError: vibrational quantum numbers must be in 0..9999, got 10000",
+    "ts.laguerre(10_000, 0, 0.1)": "ValueError: n must be in 0..9999, got 10000",
+    "ts.chi_magnitude(10_000, 10_000, 0.1)": "ValueError: min(n, nprime) must be in 0..9999, got 10000",
+    # a ValueError, not the OverflowError of lgamma or the nan of the product
+    "ts.chi_magnitude(0, 10**400, 0.1)": f"ValueError: max(n, nprime) must be in 0..{2**53 - 1}, got {10**400}",
+    "ts.chi(0, 1, float('nan'))": "ValueError: eta must be finite and >= 0, got nan",
+    # every level is an integer, not a Laguerre order of 0.5
+    "ts.SidebandId(1.5, 2)": "ValueError: vibrational quantum numbers must be of integer type, got 1.5",
+    "ts.chi_magnitude(2.5, 2, 0.1)": "ValueError: n must be of integer type, got 2.5",
+    "ts.laguerre(3, 1.5, 0.1)": "ValueError: alpha must be of integer type, got 1.5",
+    # the integer rule of params, top 2**53 - 1, holds chi's greater index
+    "ts.chi_magnitude(0, 2**53, 0.1)": "ValueError: max(n, nprime) must be in 0..9007199254740991, got 9007199254740992",
+}
+
+
 class TestLazyImport:
+    """Fresh interpreters: what each route loads.  The closed form and the CLI's
+    usage paths run with numpy and scipy out of reach (``run_probe``'s stdlib)."""
+
     def test_closed_form_import_leaves_spectrum_unloaded(self):
         probe = (
             "import sys, trapshift.resolvent; "
             "print(sorted({'trapshift.spectrum', 'scipy.optimize'} & set(sys.modules)))"
         )
-        assert run_probe(probe) == "[]"
+        assert run_probe(probe, stdlib=True) == "[]"
 
     def test_closed_form_import_leaves_scipy_linalg_unloaded(self):
         probe = "import sys, trapshift.resolvent; print('scipy.linalg' in sys.modules)"
-        assert run_probe(probe) == "False"
+        assert run_probe(probe, stdlib=True) == "False"
 
     def test_closed_form_route_loads_no_scipy(self):
         probe = "\n".join([
@@ -612,31 +669,46 @@ class TestLazyImport:
         assert table_exact == "True"
 
     def test_operator_and_hamiltonian_load_no_scipy(self):
+        # a None entry in sys.modules makes every import of scipy fail
         probe = "\n".join([
             "import sys",
+            "sys.modules['scipy'] = None",
+            "import numpy as np",
             "import trapshift as ts",
-            "ts.build_hamiltonian(ts.TrapParams(rabi=0.01, eta=0.3), 6)",
-            "ts.displacement_oracle(0.3, 6)",
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "from trapshift.hamiltonian import coupling_block, displacement_column",
+            "params = ts.TrapParams(rabi=0.01, eta=0.3)",
+            "arrays = [",
+            "    coupling_block(params, 40),",
+            "    ts.build_hamiltonian(params, 40).matrix,",
+            "    ts.displacement_oracle(0.3, 40),",
+            "    displacement_column(0.3, 40, 7),",
+            "    ts.coupling_table(0.3, 40),",
+            "]",
+            "print([bool(np.isfinite(array).all()) for array in arrays])",
+            # the column index lies on the basis: -1 read the column of a pad level
+            "try:",
+            "    displacement_column(0.3, 40, -1)",
+            "except ValueError as error:",
+            "    print(error)",
         ])
-        assert run_probe(probe) == "[]"
+        assert run_probe(probe).splitlines() == [str([True] * 5), "n must be in 0..40, got -1"]
 
     def test_closed_form_route_loads_no_numpy(self):
         probe = "\n".join([
-            "import sys",
+            "import json, sys",
             "import trapshift as ts",
-            "sideband, params = ts.SidebandId(2, 4), ts.TrapParams(rabi=0.01, eta=0.3)",
-            "ts.bs_shift(sideband, params)",
-            "ts.bs_shift_ld(sideband, params)",
-            "ts.eta_zero_shift(sideband, params)",
-            "ts.chi(3, 5, 0.3)",
-            "ts.chi_magnitude(3, 5, 0.3)",
-            "ts.laguerre(4, 2, 0.09)",
-            "ts.rabi_coupling(3, 5, params)",
-            "ts.PerturbativeRegimeWarning",
-            "print('numpy' in sys.modules)",
+            "outcomes = []",
+            f"for call in {list(STDLIB_CALLS)!r}:",
+            "    try:",
+            "        outcomes.append(type(eval(call)).__name__)",
+            "    except Exception as error:",
+            "        outcomes.append(f'{type(error).__name__}: {error}')",
+            "print(json.dumps(outcomes))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
         ])
-        assert run_probe(probe) == "False"
+        outcomes, loaded = run_probe(probe, stdlib=True).splitlines()
+        assert dict(zip(STDLIB_CALLS, json.loads(outcomes))) == STDLIB_CALLS
+        assert loaded == "[]"
 
     def test_cli_import_loads_no_exact_route(self):
         probe = "\n".join([
@@ -644,9 +716,10 @@ class TestLazyImport:
             "print(sorted(m for m in sys.modules"
             " if m == 'trapshift.spectrum' or m.split('.')[0] in ('numpy', 'scipy')))",
         ])
-        assert run_probe(probe) == "[]"
+        assert run_probe(probe, stdlib=True) == "[]"
 
     def test_version_and_usage_error_load_no_exact_route(self):
+        # the CLI imports, prints its version and rejects a usage error on the standard library alone
         probe = "\n".join([
             "import contextlib, io, sys",
             "from trapshift import cli",
@@ -660,7 +733,7 @@ class TestLazyImport:
             "print(codes, sorted(m for m in sys.modules"
             " if m == 'trapshift.spectrum' or m.split('.')[0] in ('numpy', 'scipy')))",
         ])
-        assert run_probe(probe) == "[0, 0, 2] []"
+        assert run_probe(probe, stdlib=True) == "[0, 0, 2] []"
 
     def test_cli_displacement_oracle_matches_hamiltonian_bits(self):
         got = cli.displacement_oracle(0.4, 12)
@@ -697,5 +770,7 @@ class TestLazyImport:
         assert ts.TrackingAmbiguityError is spectrum.TrackingAmbiguityError
         assert ts.TrapshiftError is spectrum.TrapshiftError
         assert ts.PerturbativeRegimeWarning is resolvent.PerturbativeRegimeWarning
+        # the one warning of the closed form lives with the sums that raise it
+        assert ts.PerturbativeRegimeWarning.__module__ == "trapshift.resolvent"
         with pytest.raises(AttributeError):
             ts.no_such_name
